@@ -18,7 +18,7 @@ import json
 import logging
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,8 @@ from emrkg.corpus import (
 )
 from emrkg.derm import (
     DermConfig,
-    EntityDictionary,
     augment_epoch,
+    build_dictionary,
     read_dictionary_file,
     write_dictionary_file,
 )
@@ -69,11 +69,9 @@ EXIT_INTERNAL = 4
 
 ENTITIES_SCHEMA_TAG = "entities/1"
 
-_TRAIN_KEYS = {
-    "batch_size", "epochs", "learning_rate", "hidden", "d_emb",
-    "derm_enabled", "gradient_clip", "momentum",
-}
-_DERM_KEYS = {"p_replace", "p_mask", "p_noop", "short_threshold", "mask_fraction", "mask_symbol"}
+# the seed is derived per stage and the derm block has its own section
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed", "derm"}
+_DERM_KEYS = {f.name for f in fields(DermConfig)}
 _TOP_KEYS = {
     "seed", "corpus_dir", "kb_file", "output_dir", "model_file", "max_len",
     "entity_types", "derm", "train", "fusion",
@@ -140,14 +138,7 @@ class PipelineConfig:
             "model_file": str(self.resolved_model_file()),
             "max_len": self.max_len,
             "entity_types": list(self.entity_types) if self.entity_types else None,
-            "derm": {
-                "p_replace": self.derm.p_replace,
-                "p_mask": self.derm.p_mask,
-                "p_noop": self.derm.p_noop,
-                "short_threshold": self.derm.short_threshold,
-                "mask_fraction": self.derm.mask_fraction,
-                "mask_symbol": self.derm.mask_symbol,
-            },
+            "derm": asdict(self.derm),
             "train": dict(sorted(self.train_params.items())),
             "fusion": {"threshold": self.threshold, "ngram_orders": list(self.ngram_orders)},
         }
@@ -207,7 +198,7 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
     model_file = pick("model_file", "model_file")
 
     try:
-        return PipelineConfig(
+        cfg = PipelineConfig(
             seed=int(seed),
             output_dir=Path(output_dir),
             corpus_dir=Path(corpus_dir) if corpus_dir else None,
@@ -222,6 +213,9 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
+    if cfg.max_len < 2:
+        raise ConfigError(f"max_len must be at least 2, got {cfg.max_len}")
+    return cfg
 
 
 # -- manifest --------------------------------------------------------------
@@ -251,10 +245,7 @@ def write_manifest(cfg: PipelineConfig, subcommand: str, inputs: list[Path]) -> 
         },
     }
     path = cfg.output_dir / "manifest.json"
-    path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(path, manifest)
     return path
 
 
@@ -311,20 +302,6 @@ def run_split(cfg: PipelineConfig, bio_path: Path) -> dict[str, Path]:
     return paths
 
 
-def _dictionary_for(cfg: PipelineConfig, train_sentences: list[BioSentence]) -> EntityDictionary:
-    """Dictionary from training-set entity surfaces plus the KB disease and
-    symptom catalogs (the two KB types that are also span types)."""
-    by_type: dict[str, set[str]] = {}
-    for sentence in train_sentences:
-        for label, start, end in from_bio(sentence):
-            by_type.setdefault(label, set()).add(sentence.chars[start:end])
-    if cfg.kb_file is not None and cfg.kb_file.is_file():
-        _, catalogs = load_kb(cfg.kb_file)
-        by_type.setdefault("Disease", set()).update(catalogs.disease)
-        by_type.setdefault("Symptom", set()).update(catalogs.symptom)
-    return EntityDictionary({t: tuple(s) for t, s in by_type.items()})
-
-
 def run_train(
     cfg: PipelineConfig,
     train_path: Path,
@@ -336,7 +313,12 @@ def run_train(
     if dict_path is not None:
         dictionary = read_dictionary_file(dict_path)
     else:
-        dictionary = _dictionary_for(cfg, train_sentences)
+        # the KB disease and symptom catalogs: the two KB types that are also span types
+        kb_names = {}
+        if cfg.kb_file is not None and cfg.kb_file.is_file():
+            _, catalogs = load_kb(cfg.kb_file)
+            kb_names = {"Disease": catalogs.disease, "Symptom": catalogs.symptom}
+        dictionary = build_dictionary(train_sentences, kb_names)
         write_dictionary_file(dictionary, cfg.output_dir / "dictionary.tsv")
     split = DatasetSplit(tuple(train_sentences), tuple(validation_sentences), ())
     result = train(split, dictionary, cfg.train_config(), cfg.schema())
@@ -430,9 +412,7 @@ def run_kb_load(cfg: PipelineConfig) -> Path:
     triples = kb_into_graph(graph, entries)
     kb_graph_path = cfg.output_dir / "kb_graph.jsonl"
     save_graph(graph, kb_graph_path)
-    _write_json(cfg.output_dir / "catalogs.json", {
-        label.lower(): list(names) for label, names in catalogs.by_label().items()
-    })
+    _write_json(cfg.output_dir / "catalogs.json", asdict(catalogs))
     log.info("loaded %d diseases, %d triples, %d nodes",
              len(entries), triples, len(graph.nodes))
     return kb_graph_path
@@ -442,7 +422,10 @@ def _read_entities_file(path: Path) -> list[tuple[str, list[tuple[str, str]]]]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DataError(f"{path}: empty entities file")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: line 1 is not a JSON schema header: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema") != ENTITIES_SCHEMA_TAG:
         raise DataError(f"{path}: expected schema header {ENTITIES_SCHEMA_TAG!r}")
     records = []
@@ -529,34 +512,38 @@ def run_export(cfg: PipelineConfig, graph_path: Path) -> int:
     return count
 
 
-# -- subcommand wrappers -------------------------------------------------
+# -- subcommands -----------------------------------------------------------
+#
+# Each subcommand resolves its input files, runs its stage and returns the
+# inputs its manifest records; None writes no manifest.
 
 
-def _prepare(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg
+def _input(args: argparse.Namespace, flag: str, default: Path | None = None) -> Path | None:
+    """The file ``--flag`` names, else ``default``; None when neither is
+    given. A file that does not exist is a data error."""
+    value = getattr(args, flag, None)
+    path = Path(value) if value else default
+    if path is not None and not path.is_file():
+        raise DataError(f"input file {path} (--{flag.replace('_', '-')}) does not exist")
+    return path
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
+def cmd_convert(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     run_convert(cfg)
-    write_manifest(cfg, "convert", _corpus_inputs(cfg.require_corpus_dir()))
-    return EXIT_OK
+    return _corpus_inputs(cfg.require_corpus_dir())
 
 
-def cmd_split(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
-    bio_path = Path(args.bio) if args.bio else cfg.output_dir / "corpus.bio"
+def cmd_split(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    bio_path = _input(args, "bio", cfg.output_dir / "corpus.bio")
     run_split(cfg, bio_path)
-    write_manifest(cfg, "split", [bio_path])
-    return EXIT_OK
+    return [bio_path]
 
 
-def cmd_augment(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
-    sentences = read_bio_file(args.bio)
-    dictionary = read_dictionary_file(args.dictionary)
+def cmd_augment(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    bio_path = _input(args, "bio")
+    dict_path = _input(args, "dictionary")
+    sentences = read_bio_file(bio_path)
+    dictionary = read_dictionary_file(dict_path)
     rng = np.random.default_rng(derive_seed(cfg.seed, "augment"))
     outcomes = augment_epoch(sentences, dictionary, cfg.derm, rng)
     out = Path(args.out) if args.out else cfg.output_dir / "augmented.bio"
@@ -565,123 +552,91 @@ def cmd_augment(args: argparse.Namespace) -> int:
     for outcome in outcomes:
         actions[outcome.action] = actions.get(outcome.action, 0) + 1
     _write_json(cfg.output_dir / "augment_report.json", {"actions": actions})
-    write_manifest(cfg, "augment", [Path(args.bio), Path(args.dictionary)])
-    return EXIT_OK
+    return [bio_path, dict_path]
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
-    train_path = Path(args.train) if args.train else cfg.output_dir / "train.bio"
-    validation_path = Path(args.validation) if args.validation else cfg.output_dir / "validation.bio"
-    dict_path = Path(args.dictionary) if args.dictionary else None
+def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    train_path = _input(args, "train", cfg.output_dir / "train.bio")
+    validation_path = _input(args, "validation", cfg.output_dir / "validation.bio")
+    dict_path = _input(args, "dictionary")
     run_train(cfg, train_path, validation_path, dict_path)
-    inputs = [train_path, validation_path] + ([dict_path] if dict_path else [])
-    write_manifest(cfg, "train", inputs)
-    return EXIT_OK
+    return [train_path, validation_path] + ([dict_path] if dict_path else [])
 
 
-def cmd_tag(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
-    model_path = cfg.resolved_model_file()
-    if args.text:
-        run_tag_text(cfg, model_path, Path(args.text))
-        write_manifest(cfg, "tag", [model_path, Path(args.text)])
-    else:
-        run_tag_corpus(cfg, model_path)
-        write_manifest(cfg, "tag", [model_path] + _corpus_inputs(cfg.require_corpus_dir()))
-    return EXIT_OK
+def cmd_tag(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    text_path = _input(args, "text")
+    model_path = _input(args, "model_file", cfg.resolved_model_file())
+    if text_path is not None:
+        run_tag_text(cfg, model_path, text_path)
+        return [model_path, text_path]
+    run_tag_corpus(cfg, model_path)
+    return [model_path] + _corpus_inputs(cfg.require_corpus_dir())
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
-    model_path = cfg.resolved_model_file()
-    gold_path = Path(args.gold) if args.gold else cfg.output_dir / "test.bio"
+def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    gold_path = _input(args, "gold", cfg.output_dir / "test.bio")
+    model_path = _input(args, "model_file", cfg.resolved_model_file())
     run_evaluate(cfg, model_path, gold_path)
-    write_manifest(cfg, "evaluate", [model_path, gold_path])
-    return EXIT_OK
+    return [model_path, gold_path]
 
 
-def cmd_kb_load(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
+def cmd_kb_load(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     run_kb_load(cfg)
-    write_manifest(cfg, "kb-load", [cfg.require_kb_file()])
-    return EXIT_OK
+    return [cfg.require_kb_file()]
 
 
-def cmd_align(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
-    if args.names:
-        text = Path(args.names).read_text(encoding="utf-8")
+def cmd_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    source_path = _input(args, "names")
+    if source_path is not None:
+        text = source_path.read_text(encoding="utf-8")
         sources = [line.strip() for line in text.splitlines() if line.strip()]
-        inputs = [Path(args.names)]
-    elif args.entities:
-        records = _read_entities_file(Path(args.entities))
+    else:
+        source_path = _input(args, "entities")
+        if source_path is None:
+            raise ConfigError("align requires --names or --entities")
         sources = sorted({
             surface
-            for _, entities in records
+            for _, entities in _read_entities_file(source_path)
             for label, surface in entities
             if label == "Disease"
         })
-        inputs = [Path(args.entities)]
-    else:
-        raise ConfigError("align requires --names or --entities")
     run_align(cfg, sources)
-    write_manifest(cfg, "align", inputs + [cfg.require_kb_file()])
-    return EXIT_OK
+    return [source_path, cfg.require_kb_file()]
 
 
-def cmd_fuse(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
-    graph_path = Path(args.graph) if args.graph else cfg.output_dir / "kb_graph.jsonl"
-    entities_path = Path(args.entities) if args.entities else None
-    alignments_path = Path(args.alignments) if args.alignments else cfg.output_dir / "alignments.tsv"
+def cmd_fuse(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    graph_path = _input(args, "graph", cfg.output_dir / "kb_graph.jsonl")
+    entities_path = _input(args, "entities")
+    alignments_path = _input(args, "alignments", cfg.output_dir / "alignments.tsv")
     run_fuse(cfg, graph_path, entities_path, alignments_path)
-    inputs = [graph_path, alignments_path] + ([entities_path] if entities_path else [])
-    write_manifest(cfg, "fuse", inputs)
-    return EXIT_OK
+    return [graph_path, alignments_path] + ([entities_path] if entities_path else [])
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
-    graph_path = Path(args.graph) if args.graph else cfg.output_dir / "graph.jsonl"
+def cmd_export(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    graph_path = _input(args, "graph", cfg.output_dir / "graph.jsonl")
     run_export(cfg, graph_path)
-    write_manifest(cfg, "export", [graph_path])
-    return EXIT_OK
+    return [graph_path]
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
-    graph_path = Path(args.graph) if args.graph else cfg.output_dir / "graph.jsonl"
-    graph = load_graph(graph_path)
+def cmd_query(cfg: PipelineConfig, args: argparse.Namespace) -> None:
+    """Read-only: writes no manifest."""
+    graph = load_graph(_input(args, "graph", cfg.output_dir / "graph.jsonl"))
     nodes = graph.pattern_query(args.label, args.name, args.relation)
     output = "".join(node.name + "\n" for node in nodes)
     if args.out:
         Path(args.out).write_text(output, encoding="utf-8")
     else:
         sys.stdout.write(output)
-    return EXIT_OK
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = _prepare(args)
-    bio_path = run_convert(cfg)
-    split_paths = run_split(cfg, bio_path)
-    model_path = run_train(cfg, split_paths["train"], split_paths["validation"])
-    _, entities_path = run_tag_corpus(cfg, model_path)
-    run_evaluate(cfg, model_path, split_paths["test"])
-    kb_graph_path = run_kb_load(cfg)
-    records = _read_entities_file(entities_path)
-    sources = sorted({
-        surface for _, entities in records for label, surface in entities if label == "Disease"
-    })
-    alignments_path = run_align(cfg, sources)
-    fused_path = run_fuse(cfg, kb_graph_path, entities_path, alignments_path)
-    run_export(cfg, fused_path)
-    write_manifest(
-        cfg, "pipeline",
-        _corpus_inputs(cfg.require_corpus_dir()) + [cfg.require_kb_file()],
-    )
-    return EXIT_OK
+def cmd_pipeline(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    """Every stage in order, each on its default inputs under output_dir;
+    align and fuse take their names and records from the tag stage."""
+    stage_args = argparse.Namespace(entities=str(cfg.output_dir / "entities.jsonl"))
+    for stage in (cmd_convert, cmd_split, cmd_train, cmd_tag, cmd_evaluate,
+                  cmd_kb_load, cmd_align, cmd_fuse, cmd_export):
+        stage(cfg, stage_args)
+    return _corpus_inputs(cfg.require_corpus_dir()) + [cfg.require_kb_file()]
 
 
 # -- parser ----------------------------------------------------------------
@@ -776,7 +731,12 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage problems and 0 for --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return args.func(args)
+        cfg = load_config(args)
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        inputs = args.func(cfg, args)
+        if inputs is not None:
+            write_manifest(cfg, args.subcommand, inputs)
+        return EXIT_OK
     except ConfigError as exc:
         log.error("%s: %s", args.subcommand, exc)
         return EXIT_CONFIG

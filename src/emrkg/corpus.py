@@ -140,7 +140,6 @@ class DatasetSplit:
     train: tuple[BioSentence, ...]
     validation: tuple[BioSentence, ...]
     test: tuple[BioSentence, ...]
-    seed: int | None = None
 
 
 def parse_ann(
@@ -342,7 +341,6 @@ def split_dataset(sentences: list[BioSentence], seed: int) -> DatasetSplit:
         train=tuple(shuffled[:n_train]),
         validation=tuple(shuffled[n_train : n_train + n_val]),
         test=tuple(shuffled[n_train + n_val :]),
-        seed=seed,
     )
 
 

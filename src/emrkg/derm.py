@@ -23,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from emrkg.corpus import AnnotatedDocument, BioSentence, from_bio, tags_for_spans
+from emrkg.corpus import BioSentence, from_bio, tags_for_spans
 from emrkg.errors import ConfigError, DataError
-from emrkg.schema import EntitySchema
 
 log = logging.getLogger(__name__)
 
@@ -88,23 +87,16 @@ class DermOutcome:
 
 
 def build_dictionary(
-    docs: list[AnnotatedDocument],
-    kb_names: dict[str, list[str]] | None = None,
-    schema: EntitySchema | None = None,
+    sentences: list[BioSentence], kb_names: dict[str, tuple[str, ...]] | None = None
 ) -> EntityDictionary:
-    """Collect per-type surface sets from annotated documents, merging in
-    optional knowledge-base name lists."""
+    """Collect per-type surface sets from the entities of BIO sentences,
+    merging in knowledge-base name lists keyed by canonical entity type."""
     by_type: dict[str, set[str]] = {}
-    for doc in docs:
-        for span in doc.spans:
-            by_type.setdefault(span.label, set()).add(span.surface)
+    for sentence in sentences:
+        for label, start, end in from_bio(sentence):
+            by_type.setdefault(label, set()).add(sentence.chars[start:end])
     for etype, names in (kb_names or {}).items():
-        if schema is not None:
-            canonical = schema.canonical(etype)
-            if canonical is None:
-                raise DataError(f"KB name list type {etype!r} not in schema")
-            etype = canonical
-        by_type.setdefault(etype, set()).update(n for n in names if n)
+        by_type.setdefault(etype, set()).update(names)
     if not by_type:
         log.warning("entity dictionary is empty")
     return EntityDictionary({t: tuple(s) for t, s in by_type.items()})

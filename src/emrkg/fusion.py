@@ -47,24 +47,6 @@ def ngrams(name: str, orders: tuple[int, ...] = DEFAULT_NGRAM_ORDERS) -> list[st
     return terms
 
 
-def term_frequency(term: str, doc_terms: list[str]) -> float:
-    """Occurrences of ``term`` divided by document length."""
-    if not doc_terms:
-        raise EmptyDocument("term frequency over an empty document")
-    return doc_terms.count(term) / len(doc_terms)
-
-
-def inverse_document_frequency(term: str, corpus: list[list[str]]) -> float:
-    """log(|D| / df) for corpus terms; log(|D| / (1 + df)) + 1 when the
-    term appears nowhere (df = 0), so unseen terms stay finite."""
-    if not corpus:
-        raise EmptyCatalog("IDF over an empty corpus")
-    df = sum(1 for doc in corpus if term in doc)
-    if df == 0:
-        return math.log(len(corpus) / (1 + df)) + 1.0
-    return math.log(len(corpus) / df)
-
-
 @dataclass(frozen=True)
 class TfIdfIndex:
     names: tuple[str, ...]

@@ -75,16 +75,25 @@ class Triple(NamedTuple):
 
 
 class KnowledgeGraph:
-    """Nodes plus unique triples with (label+name), head and tail indexes."""
+    """Nodes plus unique triples with (label+name), head and tail indexes.
+
+    The triple store and both endpoint indexes are dicts used as
+    insertion-ordered sets, so removing a triple costs O(1) and export
+    order follows insertion order.
+    """
 
     def __init__(self) -> None:
         self.nodes: dict[int, Node] = {}
-        self.triples: list[Triple] = []
-        self._triple_set: set[Triple] = set()
+        self._triples: dict[Triple, None] = {}
         self._by_key: dict[tuple[str, str], int] = {}
-        self._by_head: dict[int, list[Triple]] = {}
-        self._by_tail: dict[int, list[Triple]] = {}
+        self._by_head: dict[int, dict[Triple, None]] = {}
+        self._by_tail: dict[int, dict[Triple, None]] = {}
         self._next_id = 1
+
+    @property
+    def triples(self) -> list[Triple]:
+        """Every triple, in insertion order."""
+        return list(self._triples)
 
     # -- nodes ---------------------------------------------------------
 
@@ -130,19 +139,17 @@ class KnowledgeGraph:
         Returns True if the triple was new."""
         self._check_triple(head, relation, tail)
         triple = Triple(head, relation, tail)
-        if triple in self._triple_set:
+        if triple in self._triples:
             return False
-        self.triples.append(triple)
-        self._triple_set.add(triple)
-        self._by_head.setdefault(head, []).append(triple)
-        self._by_tail.setdefault(tail, []).append(triple)
+        self._triples[triple] = None
+        self._by_head.setdefault(head, {})[triple] = None
+        self._by_tail.setdefault(tail, {})[triple] = None
         return True
 
     def _remove_triple(self, triple: Triple) -> None:
-        self.triples.remove(triple)
-        self._triple_set.remove(triple)
-        self._by_head[triple.head].remove(triple)
-        self._by_tail[triple.tail].remove(triple)
+        del self._triples[triple]
+        del self._by_head[triple.head][triple]
+        del self._by_tail[triple.tail][triple]
 
     def merge_node_into(self, source_id: int, target_id: int) -> int:
         """Re-point every triple incident to source onto target, then drop
@@ -152,8 +159,8 @@ class KnowledgeGraph:
             raise DanglingEndpoint("merge endpoints must exist")
         if source_id == target_id:
             return 0
-        incident = list(self._by_head.get(source_id, [])) + [
-            t for t in self._by_tail.get(source_id, []) if t.head != source_id
+        incident = list(self._by_head.get(source_id, {})) + [
+            t for t in self._by_tail.get(source_id, {}) if t.head != source_id
         ]
         moved = 0
         for triple in incident:
@@ -179,16 +186,10 @@ class KnowledgeGraph:
             return []
         tails = [
             self.nodes[t.tail]
-            for t in self._by_head.get(head.id, [])
+            for t in self._by_head.get(head.id, {})
             if t.relation == relation
         ]
         return sorted(tails, key=lambda n: (n.name, n.id))
-
-    def triples_from(self, node_id: int) -> list[Triple]:
-        return list(self._by_head.get(node_id, []))
-
-    def triples_to(self, node_id: int) -> list[Triple]:
-        return list(self._by_tail.get(node_id, []))
 
     def validate(self) -> None:
         """Check referential integrity and index consistency; raises on
@@ -199,15 +200,13 @@ class KnowledgeGraph:
                 raise InternalError(f"stale name index entry {key!r}")
         if len(self._by_key) != len(self.nodes):
             raise InternalError("name index and node store disagree")
-        if len(self._triple_set) != len(self.triples):
-            raise InternalError("duplicate triples in store")
         indexed = [t for ts in self._by_head.values() for t in ts]
-        if sorted(indexed) != sorted(self.triples):
+        if sorted(indexed) != sorted(self._triples):
             raise InternalError("head index out of sync")
         indexed = [t for ts in self._by_tail.values() for t in ts]
-        if sorted(indexed) != sorted(self.triples):
+        if sorted(indexed) != sorted(self._triples):
             raise InternalError("tail index out of sync")
-        for triple in self.triples:
+        for triple in self._triples:
             self._check_triple(*triple)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from emrkg.errors import DataError
@@ -57,7 +57,8 @@ class DiseaseEntry:
 
 @dataclass(frozen=True)
 class Catalogs:
-    """Per-type entity name catalogs, each sorted and duplicate-free."""
+    """Per-type entity name catalogs, each sorted and duplicate-free; each
+    field is named after its KB entity label in lower case."""
 
     disease: tuple[str, ...] = ()
     food: tuple[str, ...] = ()
@@ -65,26 +66,6 @@ class Catalogs:
     drug: tuple[str, ...] = ()
     examination: tuple[str, ...] = ()
     symptom: tuple[str, ...] = ()
-
-    def by_label(self) -> dict[str, tuple[str, ...]]:
-        return {
-            "Disease": self.disease,
-            "Food": self.food,
-            "Department": self.department,
-            "Drug": self.drug,
-            "Examination": self.examination,
-            "Symptom": self.symptom,
-        }
-
-
-_CATALOG_FIELD = {
-    "Disease": "disease",
-    "Food": "food",
-    "Department": "department",
-    "Drug": "drug",
-    "Examination": "examination",
-    "Symptom": "symptom",
-}
 
 
 def _parse_record(obj: dict, lineno: int) -> DiseaseEntry:
@@ -193,28 +174,13 @@ def load_kb(path: str | Path) -> tuple[list[DiseaseEntry], Catalogs]:
     if not entries:
         log.warning("knowledge base %s contains no disease records", path)
 
-    buckets: dict[str, set[str]] = {label: set() for label in _CATALOG_FIELD}
+    buckets: dict[str, set[str]] = {f.name: set() for f in fields(Catalogs)}
     for entry in entries:
-        buckets["Disease"].add(entry.name)
+        buckets["disease"].add(entry.name)
         for rel, target in entry.relations:
-            buckets[_TAIL_TYPE[rel]].add(target)
-    catalogs = Catalogs(
-        **{
-            _CATALOG_FIELD[label]: tuple(sorted(names))
-            for label, names in buckets.items()
-        }
-    )
+            buckets[_TAIL_TYPE[rel].lower()].add(target)
+    catalogs = Catalogs(**{name: tuple(sorted(names)) for name, names in buckets.items()})
     return entries, catalogs
-
-
-def kb_to_triples(entries: list[DiseaseEntry]) -> list[tuple[str, str, str]]:
-    """One (head name, relation, tail name) per relation instance,
-    in entry order. Attribute fields stay on the disease node."""
-    return [
-        (entry.name, rel, target)
-        for entry in entries
-        for rel, target in entry.relations
-    ]
 
 
 def kb_into_graph(graph, entries: list[DiseaseEntry]) -> int:

@@ -83,18 +83,6 @@ KB_RELATIONS: tuple[str, ...] = (
     "RelatedDepartment",
 )
 
-# Record-side relations linking a patient to its extracted entities.
-# HasSymptom is shared: it also links diseases to symptoms in the KB.
-EMR_RELATIONS: tuple[str, ...] = (
-    "HasDisease",
-    "HasSymptom",
-    "Underwent",
-    "ReceivedTreatment",
-    "HasCondition",
-    "HasCheck",
-    "HasBodyCheck",
-)
-
 # Allowed (head label, tail label) pairs per relation.
 RELATION_ENDPOINTS: dict[str, tuple[tuple[str, str], ...]] = {
     "RecommendedFood": (("Disease", "Food"),),

@@ -3,7 +3,6 @@
 from emrkg.tagger.model import (
     TaggerModel,
     encode,
-    gradient_check,
     load_model,
     predict,
     save_model,
@@ -18,7 +17,6 @@ __all__ = [
     "TrainResult",
     "Vocabulary",
     "encode",
-    "gradient_check",
     "load_model",
     "predict",
     "save_model",

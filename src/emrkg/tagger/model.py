@@ -22,7 +22,7 @@ import numpy as np
 from emrkg.corpus import BioSentence
 from emrkg.errors import DataError
 from emrkg.schema import EntitySchema
-from emrkg.tagger.crf import EmptySentence, nll, nll_with_grad, viterbi
+from emrkg.tagger.crf import EmptySentence, nll_with_grad, viterbi
 from emrkg.tagger.lstm import LstmParams, lstm_backward, lstm_forward
 from emrkg.tagger.vocab import TagSet, Vocabulary
 
@@ -32,6 +32,12 @@ FORMAT_VERSION = 1
 
 class ModelFormatError(DataError):
     """Model file is truncated, corrupt, or has an unsupported version."""
+
+
+# Names of the learnable arrays, in the order they are saved.
+PARAM_NAMES: tuple[str, ...] = (
+    "embedding", "fw.w", "fw.u", "fw.b", "bw.w", "bw.u", "bw.b", "proj_w", "proj_b", "transitions",
+)
 
 
 @dataclass
@@ -45,6 +51,23 @@ class TaggerModel:
     proj_b: np.ndarray  # (K,)
     transitions: np.ndarray  # (K+2, K+2), -inf at forbidden entries
     allowed: np.ndarray  # bool (K+2, K+2)
+
+    @classmethod
+    def from_arrays(
+        cls, vocab: Vocabulary, tagset: TagSet, arrays: dict[str, np.ndarray]
+    ) -> "TaggerModel":
+        """Assemble a model from its learnable arrays keyed by PARAM_NAMES."""
+        return cls(
+            vocab=vocab,
+            tagset=tagset,
+            embedding=arrays["embedding"],
+            fw=LstmParams(arrays["fw.w"], arrays["fw.u"], arrays["fw.b"]),
+            bw=LstmParams(arrays["bw.w"], arrays["bw.u"], arrays["bw.b"]),
+            proj_w=arrays["proj_w"],
+            proj_b=arrays["proj_b"],
+            transitions=arrays["transitions"],
+            allowed=tagset.allowed_transitions(),
+        )
 
     @property
     def d_emb(self) -> int:
@@ -90,19 +113,13 @@ def init_model(
 
 
 def param_arrays(model: TaggerModel) -> list[tuple[str, np.ndarray]]:
-    """Named learnable arrays, in a fixed order."""
-    return [
-        ("embedding", model.embedding),
-        ("fw.w", model.fw.w),
-        ("fw.u", model.fw.u),
-        ("fw.b", model.fw.b),
-        ("bw.w", model.bw.w),
-        ("bw.u", model.bw.u),
-        ("bw.b", model.bw.b),
-        ("proj_w", model.proj_w),
-        ("proj_b", model.proj_b),
-        ("transitions", model.transitions),
-    ]
+    """Named learnable arrays, in PARAM_NAMES order."""
+    return list(zip(PARAM_NAMES, (
+        model.embedding,
+        model.fw.w, model.fw.u, model.fw.b,
+        model.bw.w, model.bw.u, model.bw.b,
+        model.proj_w, model.proj_b, model.transitions,
+    )))
 
 
 def _bilstm_states(model: TaggerModel, indices: np.ndarray) -> tuple[LstmCache, LstmCache, np.ndarray]:
@@ -147,72 +164,13 @@ def sentence_loss_and_grads(
     d_embedding = np.zeros_like(model.embedding)
     np.add.at(d_embedding, indices, d_inputs)
 
-    grads = {
-        "embedding": d_embedding,
-        "fw.w": d_fw.w,
-        "fw.u": d_fw.u,
-        "fw.b": d_fw.b,
-        "bw.w": d_bw.w,
-        "bw.u": d_bw.u,
-        "bw.b": d_bw.b,
-        "proj_w": d_proj_w,
-        "proj_b": d_proj_b,
-        "transitions": d_transitions,
-    }
+    grads = dict(zip(PARAM_NAMES, (
+        d_embedding,
+        d_fw.w, d_fw.u, d_fw.b,
+        d_bw.w, d_bw.u, d_bw.b,
+        d_proj_w, d_proj_b, d_transitions,
+    )))
     return loss, grads
-
-
-def sentence_loss(model: TaggerModel, indices: np.ndarray, tag_indices: np.ndarray) -> float:
-    """NLL only; used by finite-difference checks."""
-    if len(indices) == 0:
-        raise EmptySentence("cannot score an empty sentence")
-    _, _, states = _bilstm_states(model, indices)
-    emissions = states @ model.proj_w + model.proj_b
-    return nll(emissions, model.transitions, tag_indices)
-
-
-def gradient_check(
-    model: TaggerModel,
-    encoded: list[tuple[np.ndarray, np.ndarray]],
-    epsilon: float = 1e-4,
-) -> float:
-    """Max deviation between analytic and central finite-difference
-    gradients of the summed loss over ``encoded`` (index, tag-index) pairs.
-
-    Deviation is |analytic - numeric| / max(1, |analytic|, |numeric|), so
-    large gradients are compared relatively and near-zero ones absolutely
-    (a pure ratio would amplify finite-difference roundoff). Entries fixed
-    at -inf (forbidden transitions) are skipped.
-    """
-    analytic = {name: np.zeros_like(arr) for name, arr in param_arrays(model)}
-    for indices, tag_indices in encoded:
-        _, grads = sentence_loss_and_grads(model, indices, tag_indices)
-        for name in analytic:
-            analytic[name] += grads[name]
-
-    def total_loss() -> float:
-        return sum(sentence_loss(model, i, t) for i, t in encoded)
-
-    worst = 0.0
-    for name, arr in param_arrays(model):
-        grad = analytic[name]
-        iterator = np.nditer(arr, flags=["multi_index"])
-        while not iterator.finished:
-            index = iterator.multi_index
-            if name == "transitions" and not model.allowed[index]:
-                iterator.iternext()
-                continue
-            original = arr[index]
-            arr[index] = original + epsilon
-            plus = total_loss()
-            arr[index] = original - epsilon
-            minus = total_loss()
-            arr[index] = original
-            numeric = (plus - minus) / (2.0 * epsilon)
-            deviation = abs(numeric - grad[index]) / max(1.0, abs(numeric), abs(grad[index]))
-            worst = max(worst, deviation)
-            iterator.iternext()
-    return worst
 
 
 def predict(model: TaggerModel, sentences: list[BioSentence]) -> list[BioSentence]:
@@ -286,25 +244,9 @@ def load_model(path: str | Path) -> TaggerModel:
 
     vocab = Vocabulary(tuple(meta["vocab"]))
     tagset = TagSet(EntitySchema(tuple(meta["entity_types"])))
-    expected = {
-        "embedding",
-        "fw.w", "fw.u", "fw.b",
-        "bw.w", "bw.u", "bw.b",
-        "proj_w", "proj_b", "transitions",
-    }
-    if set(arrays) != expected:
+    if set(arrays) != set(PARAM_NAMES):
         raise ModelFormatError(f"model file arrays {sorted(arrays)} != expected set")
-    model = TaggerModel(
-        vocab=vocab,
-        tagset=tagset,
-        embedding=arrays["embedding"],
-        fw=LstmParams(arrays["fw.w"], arrays["fw.u"], arrays["fw.b"]),
-        bw=LstmParams(arrays["bw.w"], arrays["bw.u"], arrays["bw.b"]),
-        proj_w=arrays["proj_w"],
-        proj_b=arrays["proj_b"],
-        transitions=arrays["transitions"],
-        allowed=tagset.allowed_transitions(),
-    )
+    model = TaggerModel.from_arrays(vocab, tagset, arrays)
     k = len(tagset)
     if model.transitions.shape != (k + 2, k + 2) or model.proj_w.shape[1] != k:
         raise ModelFormatError("model arrays inconsistent with tag set")

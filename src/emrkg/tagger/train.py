@@ -18,7 +18,6 @@ from emrkg.derm import DermConfig, EntityDictionary, augment_epoch
 from emrkg.errors import ConfigError, DataError
 from emrkg.metrics import count_matches, precision_recall_f1
 from emrkg.schema import EntitySchema
-from emrkg.tagger.lstm import LstmParams
 from emrkg.tagger.model import (
     TaggerModel,
     init_model,
@@ -176,15 +175,5 @@ def train(
             best_epoch = epoch
             best_params = {name: arr.copy() for name, arr in params.items()}
 
-    best_model = TaggerModel(
-        vocab=model.vocab,
-        tagset=model.tagset,
-        embedding=best_params["embedding"],
-        fw=LstmParams(best_params["fw.w"], best_params["fw.u"], best_params["fw.b"]),
-        bw=LstmParams(best_params["bw.w"], best_params["bw.u"], best_params["bw.b"]),
-        proj_w=best_params["proj_w"],
-        proj_b=best_params["proj_b"],
-        transitions=best_params["transitions"],
-        allowed=model.allowed,
-    )
+    best_model = TaggerModel.from_arrays(model.vocab, model.tagset, best_params)
     return TrainResult(model=best_model, log=records, best_epoch=best_epoch)

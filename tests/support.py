@@ -1,0 +1,121 @@
+"""Helpers that only the tests use.
+
+Unlike :mod:`tests.oracles`, these may import from the modules they help
+check: the gradient check differentiates the package's own loss, and the
+incident-triple helpers read the graph's endpoint indexes.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from emrkg.fusion import EmptyCatalog, EmptyDocument
+from emrkg.graph import KnowledgeGraph, Triple
+from emrkg.kb import DiseaseEntry
+from emrkg.tagger.crf import EmptySentence, nll
+from emrkg.tagger.model import TaggerModel, _bilstm_states, param_arrays, sentence_loss_and_grads
+
+
+# -- TF-IDF --------------------------------------------------------------
+
+
+def term_frequency(term: str, doc_terms: list[str]) -> float:
+    """Occurrences of ``term`` divided by document length."""
+    if not doc_terms:
+        raise EmptyDocument("term frequency over an empty document")
+    return doc_terms.count(term) / len(doc_terms)
+
+
+def inverse_document_frequency(term: str, corpus: list[list[str]]) -> float:
+    """log(|D| / df) for corpus terms; log(|D| / (1 + df)) + 1 when the
+    term appears nowhere (df = 0), so unseen terms stay finite."""
+    if not corpus:
+        raise EmptyCatalog("IDF over an empty corpus")
+    df = sum(1 for doc in corpus if term in doc)
+    if df == 0:
+        return math.log(len(corpus) / (1 + df)) + 1.0
+    return math.log(len(corpus) / df)
+
+
+# -- knowledge base ------------------------------------------------------
+
+
+def kb_to_triples(entries: list[DiseaseEntry]) -> list[tuple[str, str, str]]:
+    """One (head name, relation, tail name) per relation instance,
+    in entry order. Attribute fields stay on the disease node."""
+    return [
+        (entry.name, rel, target)
+        for entry in entries
+        for rel, target in entry.relations
+    ]
+
+
+# -- tagger --------------------------------------------------------------
+
+
+def sentence_loss(model: TaggerModel, indices: np.ndarray, tag_indices: np.ndarray) -> float:
+    """NLL only; used by finite-difference checks."""
+    if len(indices) == 0:
+        raise EmptySentence("cannot score an empty sentence")
+    _, _, states = _bilstm_states(model, indices)
+    emissions = states @ model.proj_w + model.proj_b
+    return nll(emissions, model.transitions, tag_indices)
+
+
+def gradient_check(
+    model: TaggerModel,
+    encoded: list[tuple[np.ndarray, np.ndarray]],
+    epsilon: float = 1e-4,
+) -> float:
+    """Max deviation between analytic and central finite-difference
+    gradients of the summed loss over ``encoded`` (index, tag-index) pairs.
+
+    Deviation is |analytic - numeric| / max(1, |analytic|, |numeric|), so
+    large gradients are compared relatively and near-zero ones absolutely
+    (a pure ratio would amplify finite-difference roundoff). Entries fixed
+    at -inf (forbidden transitions) are skipped.
+    """
+    analytic = {name: np.zeros_like(arr) for name, arr in param_arrays(model)}
+    for indices, tag_indices in encoded:
+        _, grads = sentence_loss_and_grads(model, indices, tag_indices)
+        for name in analytic:
+            analytic[name] += grads[name]
+
+    def total_loss() -> float:
+        return sum(sentence_loss(model, i, t) for i, t in encoded)
+
+    worst = 0.0
+    for name, arr in param_arrays(model):
+        grad = analytic[name]
+        iterator = np.nditer(arr, flags=["multi_index"])
+        while not iterator.finished:
+            index = iterator.multi_index
+            if name == "transitions" and not model.allowed[index]:
+                iterator.iternext()
+                continue
+            original = arr[index]
+            arr[index] = original + epsilon
+            plus = total_loss()
+            arr[index] = original - epsilon
+            minus = total_loss()
+            arr[index] = original
+            numeric = (plus - minus) / (2.0 * epsilon)
+            deviation = abs(numeric - grad[index]) / max(1.0, abs(numeric), abs(grad[index]))
+            worst = max(worst, deviation)
+            iterator.iternext()
+    return worst
+
+
+# -- graph ---------------------------------------------------------------
+
+
+def triples_from(graph: KnowledgeGraph, node_id: int) -> list[Triple]:
+    """The head index's triples for ``node_id``."""
+    return list(graph._by_head.get(node_id, {}))
+
+
+def triples_to(graph: KnowledgeGraph, node_id: int) -> list[Triple]:
+    """The tail index's triples for ``node_id``."""
+    return list(graph._by_tail.get(node_id, {}))

@@ -36,16 +36,17 @@ from emrkg.corpus import (
 )
 from emrkg.derm import DermConfig, build_dictionary, derm_transform, mask_count, read_dictionary_file
 from emrkg.errors import DataError
-from emrkg.fusion import align, build_index, fuse, inverse_document_frequency, ngrams
+from emrkg.fusion import align, build_index, fuse, ngrams
 from emrkg.graph import KnowledgeGraph, add_patient_record, normalize_name
 from emrkg.kb import kb_into_graph, load_kb
 from emrkg.metrics import EvalCounts, count_matches, precision_recall_f1
 from emrkg.schema import EntitySchema
-from emrkg.tagger import TrainConfig, Vocabulary, gradient_check, predict, train
+from emrkg.tagger import TrainConfig, Vocabulary, predict, train
 from emrkg.tagger.crf import log_partition, nll, viterbi
 from emrkg.tagger.model import init_model
 from emrkg.tagger.vocab import TagSet
 from tests.oracles import cosine_align, enumerate_paths, path_score, pattern_scan, tfidf_vectors
+from tests.support import gradient_check, inverse_document_frequency, triples_from, triples_to
 from tests.test_corpus import ANN, SURFACE, TEXT, _random_document, assert_round_trip
 from tests.test_crf import random_instance
 from tests.test_graph import _random_graph
@@ -211,7 +212,7 @@ def test_criterion_06_memorization(corpus_dir, schema):
     assert config.epochs <= 200
     # Validation set == training set, so the logged F1 is train-set F1.
     split = DatasetSplit(tuple(sentences), tuple(sentences), ())
-    result = train(split, build_dictionary(docs), config, schema)
+    result = train(split, build_dictionary(sentences), config, schema)
     best = max(record.f1 for record in result.log)
     assert best >= 0.99, f"train-set F1 only reached {best:.4f}"
 
@@ -310,7 +311,7 @@ def test_criterion_09_fusion(kb_file):
     started = time.monotonic()
     graph, patient, alignments = _fused_fixture(kb_file)
     graph.upsert_node("Disease", "不明疾病")  # extracted, no KB counterpart
-    incident_before = len(graph.triples_from(patient)) + len(graph.triples_to(patient))
+    incident_before = len(triples_from(graph, patient)) + len(triples_to(graph, patient))
 
     report = fuse(graph, alignments)
     assert [row[:2] for row in report.merged] == [("原发性肝细胞", "原发性肝细胞癌")]
@@ -319,7 +320,7 @@ def test_criterion_09_fusion(kb_file):
     assert canonical.attributes.get("aliases") == ["原发性肝细胞"]
     assert graph.find_node("Disease", "不明疾病") is not None  # retained
 
-    incident_after = len(graph.triples_from(patient)) + len(graph.triples_to(patient))
+    incident_after = len(triples_from(graph, patient)) + len(triples_to(graph, patient))
     assert incident_after == incident_before
 
     nodes_snapshot = {nid: (n.label, n.name) for nid, n in graph.nodes.items()}

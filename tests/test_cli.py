@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+import emrkg.cli
 from emrkg.cli import derive_seed, main
 from emrkg.corpus import read_bio_file
 
@@ -91,6 +93,49 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
         "--label", "Disease", "--name", "肝癌", "--relation", "RecommendedFood",
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, code, culprit",
+    [
+        pytest.param(["split", "--bio", "{missing}"], 3, "missing", id="split-bio"),
+        pytest.param(["train", "--train", "{missing}"], 3, "missing", id="train-train"),
+        pytest.param(["evaluate", "--gold", "{missing}"], 3, "missing", id="evaluate-gold"),
+        pytest.param(["tag", "--model-file", "{missing}"], 3, "missing", id="tag-model-file"),
+        pytest.param(["tag", "--text", "{missing}"], 3, "missing", id="tag-text"),
+        pytest.param(["fuse", "--graph", "{present}", "--alignments", "{missing}"], 3, "missing",
+                     id="fuse-alignments"),
+        pytest.param(["align", "--names", "{missing}"], 3, "missing", id="align-names"),
+        pytest.param(["augment", "--bio", "{present}", "--dictionary", "{missing}"], 3, "missing",
+                     id="augment-dictionary"),
+        pytest.param(["align", "--entities", "{bad_header}"], 3, "bad_header",
+                     id="entities-header"),
+        pytest.param(["convert", "--max-len", "1"], 2, None, id="max-len"),
+    ],
+)
+def test_bad_inputs_exit_with_their_code_and_no_traceback(
+    argv, code, culprit, tmp_path, corpus_dir, kb_file, capsys, caplog
+):
+    """Each case has one bad input, and the log names it. ``{present}`` is
+    a file that exists but is never read: the bad input is rejected first."""
+    paths = {
+        "missing": tmp_path / "missing.txt",
+        "present": tmp_path / "present.txt",
+        "bad_header": tmp_path / "bad_header.jsonl",
+    }
+    paths["present"].write_text("", encoding="utf-8")
+    paths["bad_header"].write_text(
+        'schema: entities/1\n{"doc_id": "d1", "entities": []}\n', encoding="utf-8"
+    )
+    argv = [arg.format(**paths) for arg in argv] + [
+        "--seed", "1", "--output-dir", str(tmp_path / "out"),
+        "--corpus-dir", str(corpus_dir), "--kb-file", str(kb_file),
+    ]
+    assert main(argv) == code
+    if culprit is not None:
+        assert str(paths[culprit]) in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in caplog.text
 
 
 # -- seed derivation --------------------------------------------------------
@@ -243,11 +288,8 @@ def test_align_without_a_source_flag_is_a_config_error(tmp_path, kb_file):
 # -- chained stages ------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory, corpus_dir, kb_file):
-    """Run convert/split/train/tag/evaluate/kb-load/align/fuse/export in
-    sequence with a deliberately tiny model so the chain stays fast."""
-    out = tmp_path_factory.mktemp("cli_chain") / "out"
+def _tiny_config(out, corpus_dir, kb_file):
+    """Fixture paths and a deliberately tiny model so a whole run stays fast."""
     config_path = out.parent / "config.json"
     config_path.write_text(json.dumps({
         "seed": 20240811,
@@ -259,7 +301,38 @@ def workdir(tmp_path_factory, corpus_dir, kb_file):
             "hidden": 8, "d_emb": 8,
         },
     }), encoding="utf-8")
-    base = ["--config", str(config_path)]
+    return config_path
+
+
+STAGE_FUNCTIONS = (
+    "run_convert", "run_split", "run_train", "run_tag_corpus", "run_evaluate",
+    "run_kb_load", "run_align", "run_fuse", "run_export",
+)
+
+
+def test_pipeline_calls_each_stage_once_through_the_module(
+    tmp_path, corpus_dir, kb_file, monkeypatch
+):
+    """The pipeline looks each stage function up on ``emrkg.cli`` at call
+    time, so a wrapper installed there sees every stage exactly once."""
+    calls = Counter()
+    for name in STAGE_FUNCTIONS:
+        def counted(*args, _name=name, _run=getattr(emrkg.cli, name), **kwargs):
+            calls[_name] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(emrkg.cli, name, counted)
+    config_path = _tiny_config(tmp_path / "out", corpus_dir, kb_file)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    assert calls == Counter(STAGE_FUNCTIONS)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory, corpus_dir, kb_file):
+    """Run convert/split/train/tag/evaluate/kb-load/align/fuse/export in
+    sequence."""
+    out = tmp_path_factory.mktemp("cli_chain") / "out"
+    base = ["--config", str(_tiny_config(out, corpus_dir, kb_file))]
     for step in (
         ["convert"],
         ["split"],

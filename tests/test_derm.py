@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from emrkg.corpus import AnnotatedDocument, BioSentence, EntitySpan, from_bio
+from emrkg.corpus import BioSentence, from_bio
 from emrkg.derm import (
     MASK,
     MASK_SYMBOL,
@@ -229,23 +229,11 @@ def test_dictionary_rejects_empty_surfaces():
         EntityDictionary({"Symptom": ("",)})
 
 
-def test_build_dictionary_merges_corpus_and_kb_names(schema):
-    doc = AnnotatedDocument(
-        "d1",
-        "肝癌伴腹痛",
-        [
-            EntitySpan("T1", "Disease", 0, 2, "肝癌"),
-            EntitySpan("T2", "Symptom", 3, 5, "腹痛"),
-        ],
-    )
-    dictionary = build_dictionary([doc], {"disease": ["肝硬化"]}, schema)
+def test_build_dictionary_merges_corpus_and_kb_names():
+    sentence = BioSentence("肝癌伴腹痛", ("B-Disease", "I-Disease", "O", "B-Symptom", "I-Symptom"))
+    dictionary = build_dictionary([sentence], {"Disease": ("肝硬化",)})
     assert dictionary.surfaces("Disease") == ("肝癌", "肝硬化")
     assert dictionary.surfaces("Symptom") == ("腹痛",)
-
-
-def test_build_dictionary_rejects_unknown_kb_type(schema):
-    with pytest.raises(DataError):
-        build_dictionary([], {"gene": ["BRCA1"]}, schema)
 
 
 def test_dictionary_file_round_trip(tmp_path):

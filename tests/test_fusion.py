@@ -16,13 +16,12 @@ from emrkg.fusion import (
     align,
     build_index,
     fuse,
-    inverse_document_frequency,
     ngrams,
-    term_frequency,
 )
 from emrkg.graph import KnowledgeGraph, add_patient_record
 from emrkg.kb import kb_into_graph, load_kb
 from tests.oracles import char_ngrams, cosine_align, tfidf_vectors
+from tests.support import inverse_document_frequency, term_frequency, triples_from, triples_to
 
 
 # -- n-grams and weights ----------------------------------------------------
@@ -216,9 +215,9 @@ def test_fuse_replaces_matched_source_with_canonical_node(fused_graph_setup):
 
 def test_fuse_preserves_patient_incident_triple_count(fused_graph_setup):
     graph, patient_id, alignments = fused_graph_setup
-    before = len(graph.triples_from(patient_id)) + len(graph.triples_to(patient_id))
+    before = len(triples_from(graph, patient_id)) + len(triples_to(graph, patient_id))
     fuse(graph, alignments)
-    after = len(graph.triples_from(patient_id)) + len(graph.triples_to(patient_id))
+    after = len(triples_from(graph, patient_id)) + len(triples_to(graph, patient_id))
     assert after == before
 
 

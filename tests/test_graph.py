@@ -26,6 +26,7 @@ from emrkg.graph import (
 )
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS
 from tests.oracles import pattern_scan
+from tests.support import triples_from, triples_to
 
 
 # -- name normalization ----------------------------------------------------
@@ -241,9 +242,9 @@ def test_triples_from_and_to_list_incident_edges():
     patient = graph.upsert_node("Patient", "p1")
     disease = graph.upsert_node("Disease", "肝癌")
     graph.add_triple(patient, "HasDisease", disease)
-    assert [t.relation for t in graph.triples_from(patient)] == ["HasDisease"]
-    assert graph.triples_from(disease) == []
-    assert [t.head for t in graph.triples_to(disease)] == [patient]
+    assert [t.relation for t in triples_from(graph, patient)] == ["HasDisease"]
+    assert triples_from(graph, disease) == []
+    assert [t.head for t in triples_to(graph, disease)] == [patient]
 
 
 def test_validate_detects_index_corruption():

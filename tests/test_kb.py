@@ -14,9 +14,9 @@ from emrkg.kb import (
     ParseError,
     UnknownRelationType,
     kb_into_graph,
-    kb_to_triples,
     load_kb,
 )
+from tests.support import kb_to_triples
 
 
 def write_kb(path, records) -> None:

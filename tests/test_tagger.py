@@ -14,7 +14,6 @@ from emrkg.tagger import (
     TagSet,
     Vocabulary,
     encode,
-    gradient_check,
     load_model,
     predict,
     save_model,
@@ -23,11 +22,11 @@ from emrkg.tagger.model import (
     ModelFormatError,
     init_model,
     param_arrays,
-    sentence_loss,
     sentence_loss_and_grads,
 )
 from emrkg.tagger.crf import nll
 from emrkg.tagger.vocab import PAD_TOKEN, UNK_TOKEN
+from tests.support import gradient_check, sentence_loss
 
 
 @pytest.fixture(scope="module")

@@ -44,7 +44,7 @@ from emrkg.derm import (
     read_dictionary_file,
     write_dictionary_file,
 )
-from emrkg.errors import ConfigError, DataError, EmrkgError
+from emrkg.errors import ConfigError, DataError, EmrkgError, read_text
 from emrkg.fusion import Alignment, align, build_index, fuse
 from emrkg.graph import (
     KnowledgeGraph,
@@ -160,7 +160,7 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigError(f"config file {path} does not exist")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: expected a JSON object")
@@ -378,7 +378,7 @@ def run_tag_text(cfg: PipelineConfig, model_path: Path, text_path: Path) -> Path
     model = load_model(model_path)
     out_path = cfg.output_dir / "predicted.bio"
     sentences: list[BioSentence] = []
-    text = Path(text_path).read_text(encoding="utf-8")
+    text = read_text(text_path)
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
@@ -419,7 +419,7 @@ def run_kb_load(cfg: PipelineConfig) -> Path:
 
 
 def _read_entities_file(path: Path) -> list[tuple[str, list[tuple[str, str]]]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty entities file")
     try:
@@ -461,7 +461,7 @@ def run_align(cfg: PipelineConfig, sources: list[str]) -> Path:
 
 
 def read_alignment_file(path: Path, threshold: float) -> list[Alignment]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "source\ttarget\tsimilarity":
         raise DataError(f"{path}: missing alignment header row")
     alignments = []
@@ -588,7 +588,7 @@ def cmd_kb_load(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 def cmd_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     source_path = _input(args, "names")
     if source_path is not None:
-        text = source_path.read_text(encoding="utf-8")
+        text = read_text(source_path)
         sources = [line.strip() for line in text.splitlines() if line.strip()]
     else:
         source_path = _input(args, "entities")

@@ -13,13 +13,14 @@ BIO tag sequences.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from emrkg.errors import DataError
+from emrkg.errors import DataError, read_text
 from emrkg.schema import EntitySchema
 
 log = logging.getLogger(__name__)
@@ -187,12 +188,23 @@ def parse_ann(
             )
         spans.append(EntitySpan(span_id, label, start, end, surface))
 
+    # Accepted spans are disjoint, so sorted by start they are sorted by end
+    # too, and the ones a new span overlaps form one run found by bisection.
     accepted: list[EntitySpan] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    ranks: list[int] = []  # index into ``accepted``, in start order
     for span in spans:
-        clash = next((a for a in accepted if span.start < a.end and a.start < span.end), None)
-        if clash is None:
+        lo = bisect.bisect_right(ends, span.start)
+        hi = bisect.bisect_left(starts, span.end)
+        if lo >= hi:
+            starts.insert(hi, span.start)
+            ends.insert(hi, span.end)
+            ranks.insert(hi, len(accepted))
             accepted.append(span)
-        elif report is not None:
+            continue
+        clash = accepted[min(ranks[lo:hi])]  # the earliest-listed one
+        if report is not None:
             report.record(doc_id, span, f"overlaps accepted span {clash.id}")
         else:
             log.warning("%s: dropped span %s, overlaps %s", doc_id, span.id, clash.id)
@@ -205,16 +217,6 @@ class Segment:
 
     text: str
     spans: tuple[EntitySpan, ...]
-
-
-def _remap(spans: list[EntitySpan], seg_start: int, seg_end: int) -> tuple[EntitySpan, ...]:
-    local = []
-    for s in spans:
-        if s.start >= seg_start and s.end <= seg_end:
-            local.append(
-                EntitySpan(s.id, s.label, s.start - seg_start, s.end - seg_start, s.surface)
-            )
-    return tuple(local)
 
 
 def segment(doc: AnnotatedDocument, max_len: int = 50) -> list[Segment]:
@@ -230,11 +232,23 @@ def segment(doc: AnnotatedDocument, max_len: int = 50) -> list[Segment]:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
     text, spans = doc.text, doc.spans
 
-    def inside_span(pos: int) -> EntitySpan | None:
-        for s in spans:
-            if s.start < pos < s.end:
-                return s
-        return None
+    # owner[pos]: the first-listed span with start < pos < end, else -1
+    owner = np.full(len(text) + 1, -1)
+    for k in reversed(range(len(spans))):
+        owner[spans[k].start + 1 : spans[k].end] = k
+    owner = owner.tolist()
+    by_start = sorted(range(len(spans)), key=lambda k: spans[k].start)
+    starts = [spans[k].start for k in by_start]
+
+    def local_spans(seg_start: int, seg_end: int) -> tuple[EntitySpan, ...]:
+        """Spans inside [seg_start, seg_end), in file order, shifted."""
+        first = bisect.bisect_left(starts, seg_start)
+        last = bisect.bisect_right(starts, seg_end)
+        inside = sorted(k for k in by_start[first:last] if spans[k].end <= seg_end)
+        return tuple(
+            EntitySpan(s.id, s.label, s.start - seg_start, s.end - seg_start, s.surface)
+            for s in (spans[k] for k in inside)
+        )
 
     # Sentence pass: [start, end) slices between delimiter-induced cuts.
     sentences: list[tuple[int, int]] = []
@@ -242,10 +256,10 @@ def segment(doc: AnnotatedDocument, max_len: int = 50) -> list[Segment]:
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch in DROPPED_DELIMITERS and inside_span(i) is None and inside_span(i + 1) is None:
+        if ch in DROPPED_DELIMITERS and owner[i] < 0 and owner[i + 1] < 0:
             sentences.append((start, i))
             start = i + 1
-        elif ch in SENTENCE_DELIMITERS and inside_span(i + 1) is None:
+        elif ch in SENTENCE_DELIMITERS and owner[i + 1] < 0:
             sentences.append((start, i + 1))
             start = i + 1
         i += 1
@@ -256,8 +270,8 @@ def segment(doc: AnnotatedDocument, max_len: int = 50) -> list[Segment]:
         pos = sent_start
         while pos < sent_end:
             cut = min(pos + max_len, sent_end)
-            blocker = inside_span(cut)
-            if blocker is not None:
+            if owner[cut] >= 0:
+                blocker = spans[owner[cut]]
                 if blocker.start <= pos:
                     raise UnsplittableEntity(
                         f"{doc.doc_id}: entity {blocker.id} ({blocker.end - blocker.start} chars) "
@@ -266,7 +280,7 @@ def segment(doc: AnnotatedDocument, max_len: int = 50) -> list[Segment]:
                 cut = blocker.start
             seg_text = text[pos:cut]
             if seg_text:
-                segments.append(Segment(seg_text, _remap(spans, pos, cut)))
+                segments.append(Segment(seg_text, local_spans(pos, cut)))
             pos = cut
 
     mapped = sum(len(s.spans) for s in segments)
@@ -358,7 +372,7 @@ def read_bio_file(path: str | Path) -> list[BioSentence]:
     sentences: list[BioSentence] = []
     chars: list[str] = []
     tags: list[str] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if line == "":
             if chars:
                 sentences.append(BioSentence("".join(chars), tuple(tags)))
@@ -382,8 +396,8 @@ def load_document_pair(
     """Load a `<name>.txt` / `<name>.ann` pair; doc_id is the stem."""
     txt_path = Path(txt_path)
     ann_path = txt_path.with_suffix(".ann")
-    text = txt_path.read_text(encoding="utf-8")
-    ann = ann_path.read_text(encoding="utf-8") if ann_path.exists() else ""
+    text = read_text(txt_path)
+    ann = read_text(ann_path) if ann_path.exists() else ""
     return parse_ann(ann, text, schema, doc_id=txt_path.stem, report=report)
 
 

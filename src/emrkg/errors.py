@@ -4,6 +4,8 @@ Module-specific exceptions subclass one of the three bases so the CLI can
 map any failure onto its exit-code contract (config=2, data=3, internal=4).
 """
 
+from pathlib import Path
+
 
 class EmrkgError(Exception):
     """Base class for all package errors."""
@@ -19,3 +21,12 @@ class DataError(EmrkgError):
 
 class InternalError(EmrkgError):
     """Invariant violation that should be unreachable."""
+
+
+def read_text(path: str | Path) -> str:
+    """The contents of a UTF-8 text file. A file that cannot be read or is
+    not UTF-8 is a data error that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc

@@ -7,6 +7,16 @@ log(|D|/df); a term found in every document therefore weighs zero. Only
 terms absent from the whole corpus get the smoothed weight
 log(|D|/(1+df)) + 1, which keeps query vectors finite without disturbing
 corpus-term weights.
+
+The index is term-major, an inverted index in the manner of Manning et
+al., *Introduction to Information Retrieval*, ch. 6-7. For every vocabulary
+term it keeps the KB rows that contain the term and their L2-normalized
+weights, in flat (nnz,) arrays grouped by term; each term also has
+precomputed views of its rows and of its weights times its term weight.
+``align`` gathers the postings of the query terms found in the vocabulary
+and sums them into the full similarity vector with one ``np.bincount``: its
+cost follows the postings the query touches, not the N x V size of a dense
+matrix.
 """
 
 from __future__ import annotations
@@ -41,10 +51,7 @@ class DanglingAlignment(DataError):
 
 def ngrams(name: str, orders: tuple[int, ...] = DEFAULT_NGRAM_ORDERS) -> list[str]:
     """Character n-grams of every requested order, with multiplicity."""
-    terms: list[str] = []
-    for n in orders:
-        terms.extend(name[i : i + n] for i in range(len(name) - n + 1))
-    return terms
+    return [name[i : i + n] for n in orders for i in range(len(name) - n + 1)]
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,11 @@ class TfIdfIndex:
     names: tuple[str, ...]
     vocabulary: dict[str, int]  # term -> column
     idf: np.ndarray  # (V,)
-    doc_vectors: np.ndarray  # (N, V), rows L2-normalized unless zero
+    doc_ids: np.ndarray  # (nnz,) row of each posting, grouped by column
+    doc_vectors: np.ndarray  # (nnz,) posting weights; rows L2-normalized unless zero
+    # term -> (term weight, rows, row weights times term weight), the last
+    # two as views of flat (nnz,) arrays in column order
+    postings: dict[str, tuple[float, np.ndarray, np.ndarray]]
     orders: tuple[int, ...]
     uniform: bool  # degenerate corpus: every defined IDF was 0
     zero_rows: tuple[int, ...]
@@ -73,83 +84,88 @@ class Alignment:
 def build_index(
     kb_names: list[str], orders: tuple[int, ...] = DEFAULT_NGRAM_ORDERS
 ) -> TfIdfIndex:
-    """TF-IDF vectors for every KB name, L2-normalized, with a sorted
-    (hence deterministic) n-gram vocabulary. A corpus whose every IDF is
-    zero (e.g. a single name) falls back to uniform weights so cosine
-    similarity stays defined."""
+    """Inverted TF-IDF index over the KB names, rows L2-normalized, with a
+    sorted (hence deterministic) n-gram vocabulary. A corpus whose every
+    IDF is zero (e.g. a single name) falls back to uniform weights so
+    cosine similarity stays defined."""
     if not kb_names:
         raise EmptyCatalog("cannot build an index over zero names")
-    docs = []
+    counts = []
     for name in kb_names:
         terms = ngrams(name, orders)
         if not terms:
             raise EmptyDocument(f"name {name!r} yields no terms for orders {orders}")
-        docs.append(terms)
+        counts.append((len(terms), Counter(terms)))
 
-    vocabulary = {term: col for col, term in enumerate(sorted({t for d in docs for t in d}))}
-    n_docs = len(docs)
-    df = np.zeros(len(vocabulary))
-    for doc in docs:
-        for term in set(doc):
-            df[vocabulary[term]] += 1
+    vocabulary = {term: col for col, term in enumerate(sorted({t for _, c in counts for t in c}))}
+    n_docs = len(counts)
+    rows = np.repeat(np.arange(n_docs), [len(c) for _, c in counts])
+    cols = np.array([vocabulary[t] for _, c in counts for t in c], dtype=np.intp)
+    tf = np.array([n / length for length, c in counts for n in c.values()])
+    df = np.bincount(cols, minlength=len(vocabulary))
     idf = np.log(n_docs / df)
 
     uniform = bool(np.all(idf == 0.0))
     weights = np.ones_like(idf) if uniform else idf
+    values = tf * weights[cols]
+    norms = np.sqrt(np.bincount(rows, values * values, minlength=n_docs))
+    zero_rows = tuple(np.flatnonzero(norms == 0.0).tolist())
+    values /= np.where(norms > 0.0, norms, 1.0)[rows]  # a zero row stays zero
 
-    matrix = np.zeros((n_docs, len(vocabulary)))
-    for row, doc in enumerate(docs):
-        counts = Counter(doc)
-        for term, count in counts.items():
-            col = vocabulary[term]
-            matrix[row, col] = (count / len(doc)) * weights[col]
-    norms = np.linalg.norm(matrix, axis=1)
-    zero_rows = tuple(int(i) for i in np.flatnonzero(norms == 0.0))
-    nonzero = norms > 0.0
-    matrix[nonzero] /= norms[nonzero, None]
-
+    order = np.argsort(cols, kind="stable")  # rows stay ascending within a term
+    doc_ids, doc_vectors = rows[order], values[order]
+    # the postings carry row weight times term weight, so that a query only
+    # has to count its terms (see align)
+    scaled = doc_vectors * weights[cols[order]]
+    bounds = np.concatenate(([0], np.cumsum(df))).tolist()
+    term_weights = weights.tolist()
+    postings = {
+        term: (term_weights[col], doc_ids[bounds[col] : bounds[col + 1]],
+               scaled[bounds[col] : bounds[col + 1]])
+        for term, col in vocabulary.items()
+    }
     return TfIdfIndex(
         names=tuple(kb_names),
         vocabulary=vocabulary,
         idf=idf,
-        doc_vectors=matrix,
+        doc_ids=doc_ids,
+        doc_vectors=doc_vectors,
+        postings=postings,
         orders=tuple(orders),
         uniform=uniform,
         zero_rows=zero_rows,
     )
 
 
-def _query_weights(index: TfIdfIndex, terms: list[str]) -> tuple[np.ndarray, float]:
-    """Weighted query vector restricted to index columns, plus the squared
-    norm mass of terms outside the vocabulary (they overlap nothing but
-    still count toward the query norm)."""
-    seen = np.zeros(len(index.vocabulary))
-    unseen_sq = 0.0
-    length = len(terms)
-    n_docs = len(index.names)
-    for term, count in Counter(terms).items():
-        tf = count / length
-        col = index.vocabulary.get(term)
-        if col is not None:
-            weight = 1.0 if index.uniform else index.idf[col]
-            seen[col] = tf * weight
-        else:
-            weight = 1.0 if index.uniform else math.log(n_docs / 1) + 1.0
-            unseen_sq += (tf * weight) ** 2
-    return seen, unseen_sq
-
-
 def align(query: str, index: TfIdfIndex, threshold: float = DEFAULT_THRESHOLD) -> Alignment:
     """Best cosine match over the index, accepted iff similarity >=
-    threshold; exact ties resolve to the lexicographically smallest name."""
+    threshold; exact ties resolve to the lexicographically smallest name.
+    Query terms outside the vocabulary overlap no name but still count
+    toward the query norm."""
     terms = ngrams(query, index.orders)
     if not terms:
         return Alignment(query, None, 0.0, threshold)
-    seen, unseen_sq = _query_weights(index, terms)
-    norm = math.sqrt(float(seen @ seen) + unseen_sq)
+    # raw counts stand in for the query's tf: its 1/len(terms) cancels in
+    # the cosine, and a term's weight is already in its scaled postings
+    unseen = 1.0 if index.uniform else math.log(len(index.names)) + 1.0
+    rows, scaled = [], []
+    norm_sq = 0.0
+    for term, count in Counter(terms).items():
+        posting = index.postings.get(term)
+        weight = count * (unseen if posting is None else posting[0])
+        norm_sq += weight * weight
+        if posting is not None:
+            rows += [posting[1]] * count
+            scaled += [posting[2]] * count
+    norm = math.sqrt(norm_sq)
     if norm == 0.0:
         return Alignment(query, None, 0.0, threshold)
-    sims = index.doc_vectors @ (seen / norm)
+    if rows:
+        sims = np.bincount(
+            np.concatenate(rows), np.concatenate(scaled), minlength=len(index.names)
+        ) / norm
+    else:  # no n-gram in common with any name: every name ties at 0
+        sims = np.zeros(len(index.names))
     best = float(sims.max())
     best = min(1.0, max(0.0, best))
     name = min(index.names[i] for i in np.flatnonzero(sims == sims.max()))

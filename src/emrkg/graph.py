@@ -347,7 +347,7 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines:

@@ -228,7 +228,12 @@ def load_model(path: str | Path) -> TaggerModel:
         if version != FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model format version {version}")
         (meta_len,) = struct.unpack("<Q", _read_exact(handle, 8, "metadata length"))
-        meta = json.loads(_read_exact(handle, meta_len, "metadata").decode("utf-8"))
+        try:
+            meta = json.loads(_read_exact(handle, meta_len, "metadata").decode("utf-8"))
+            vocab = Vocabulary(tuple(meta["vocab"]))
+            schema = EntitySchema(tuple(meta["entity_types"]))
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ModelFormatError(f"{path}: bad model metadata: {exc!r}") from exc
         (count,) = struct.unpack("<I", _read_exact(handle, 4, "array count"))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -242,8 +247,7 @@ def load_model(path: str | Path) -> TaggerModel:
             raw = _read_exact(handle, n_bytes, f"array {name} data")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
-    vocab = Vocabulary(tuple(meta["vocab"]))
-    tagset = TagSet(EntitySchema(tuple(meta["entity_types"])))
+    tagset = TagSet(schema)
     if set(arrays) != set(PARAM_NAMES):
         raise ModelFormatError(f"model file arrays {sorted(arrays)} != expected set")
     model = TaggerModel.from_arrays(vocab, tagset, arrays)

@@ -4,7 +4,8 @@ Everything here is written the slow, obvious way: explicit path
 enumeration, dictionary-backed vectors, linear scans. The optimized code
 under test must agree with these, not the other way round, so nothing in
 this module may import from the modules it checks (except plain data
-types and the name normalizer, which has its own direct tests).
+types, exception types and the name normalizer, which has its own direct
+tests).
 """
 
 from __future__ import annotations
@@ -15,7 +16,79 @@ from collections import Counter
 
 import numpy as np
 
+from emrkg.corpus import EntitySpan, Segment, UnsplittableEntity
+from emrkg.errors import DataError
 from emrkg.graph import KnowledgeGraph, Node, normalize_name
+
+
+# -- standoff spans and segmentation ----------------------------------------
+
+
+def first_fit_spans(
+    spans: list[EntitySpan],
+) -> tuple[list[EntitySpan], list[tuple[EntitySpan, EntitySpan]]]:
+    """Keep each span unless it overlaps an earlier kept one, scanning every
+    kept span; returns the kept spans and (dropped, first clash) pairs."""
+    accepted: list[EntitySpan] = []
+    dropped: list[tuple[EntitySpan, EntitySpan]] = []
+    for span in spans:
+        clash = next((a for a in accepted if span.start < a.end and a.start < span.end), None)
+        if clash is None:
+            accepted.append(span)
+        else:
+            dropped.append((span, clash))
+    return accepted, dropped
+
+
+def segment_by_scan(
+    doc_id: str, text: str, spans: list[EntitySpan], max_len: int
+) -> list[Segment]:
+    """Sentence split and hard wrap that asks every span, at every position,
+    whether the position lies strictly inside it."""
+
+    def inside_span(pos: int) -> EntitySpan | None:
+        for s in spans:
+            if s.start < pos < s.end:
+                return s
+        return None
+
+    sentences: list[tuple[int, int]] = []
+    start = 0
+    for i, ch in enumerate(text):
+        if ch == "\n" and inside_span(i) is None and inside_span(i + 1) is None:
+            sentences.append((start, i))
+            start = i + 1
+        elif ch in "。！？；" and inside_span(i + 1) is None:
+            sentences.append((start, i + 1))
+            start = i + 1
+    sentences.append((start, len(text)))
+
+    segments: list[Segment] = []
+    for sent_start, sent_end in sentences:
+        pos = sent_start
+        while pos < sent_end:
+            cut = min(pos + max_len, sent_end)
+            blocker = inside_span(cut)
+            if blocker is not None:
+                if blocker.start <= pos:
+                    raise UnsplittableEntity(
+                        f"{doc_id}: entity {blocker.id} ({blocker.end - blocker.start} chars) "
+                        f"exceeds max_len {max_len}"
+                    )
+                cut = blocker.start
+            if text[pos:cut]:
+                local = tuple(
+                    EntitySpan(s.id, s.label, s.start - pos, s.end - pos, s.surface)
+                    for s in spans
+                    if s.start >= pos and s.end <= cut
+                )
+                segments.append(Segment(text[pos:cut], local))
+            pos = cut
+
+    mapped = sum(len(s.spans) for s in segments)
+    if mapped != len(spans):
+        raise DataError(f"{doc_id}: {len(spans) - mapped} span(s) lost during segmentation")
+    return segments
 
 
 # -- CRF ---------------------------------------------------------------

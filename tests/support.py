@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from emrkg.fusion import EmptyCatalog, EmptyDocument
+from emrkg.fusion import EmptyCatalog, EmptyDocument, TfIdfIndex
 from emrkg.graph import KnowledgeGraph, Triple
 from emrkg.kb import DiseaseEntry
 from emrkg.tagger.crf import EmptySentence, nll
@@ -37,6 +37,16 @@ def inverse_document_frequency(term: str, corpus: list[list[str]]) -> float:
     if df == 0:
         return math.log(len(corpus) / (1 + df)) + 1.0
     return math.log(len(corpus) / df)
+
+
+def dense_doc_vectors(index: TfIdfIndex) -> np.ndarray:
+    """The (N, V) document matrix that the index's flat postings encode:
+    they are grouped by column, one run of ``len(rows)`` per term."""
+    by_column = sorted(index.vocabulary, key=index.vocabulary.get)
+    cols = np.repeat(np.arange(len(by_column)), [len(index.postings[t][1]) for t in by_column])
+    dense = np.zeros((len(index.names), len(index.vocabulary)))
+    dense[index.doc_ids, cols] = index.doc_vectors
+    return dense
 
 
 # -- knowledge base ------------------------------------------------------

@@ -46,7 +46,13 @@ from emrkg.tagger.crf import log_partition, nll, viterbi
 from emrkg.tagger.model import init_model
 from emrkg.tagger.vocab import TagSet
 from tests.oracles import cosine_align, enumerate_paths, path_score, pattern_scan, tfidf_vectors
-from tests.support import gradient_check, inverse_document_frequency, triples_from, triples_to
+from tests.support import (
+    dense_doc_vectors,
+    gradient_check,
+    inverse_document_frequency,
+    triples_from,
+    triples_to,
+)
 from tests.test_corpus import ANN, SURFACE, TEXT, _random_document, assert_round_trip
 from tests.test_crf import random_instance
 from tests.test_graph import _random_graph
@@ -261,12 +267,13 @@ def test_criterion_08_tfidf_alignment(kb_file):
     index = build_index(names)
 
     expected_rows = tfidf_vectors(names, (1, 2))
+    doc_vectors = dense_doc_vectors(index)
     for row, name in enumerate(names):
         for term, value in expected_rows[row].items():
-            got = index.doc_vectors[row, index.vocabulary[term]]
+            got = doc_vectors[row, index.vocabulary[term]]
             assert got == pytest.approx(value, abs=1e-12)
         # no weight outside the oracle's support
-        assert np.count_nonzero(index.doc_vectors[row]) == len(expected_rows[row])
+        assert np.count_nonzero(doc_vectors[row]) == len(expected_rows[row])
 
     # A term occurring in every document carries no information.
     all_docs = [ngrams(name) for name in ["肝癌", "肝炎", "肝硬化"]]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import emrkg.cli
 from emrkg.cli import derive_seed, main
 from emrkg.corpus import read_bio_file
+from emrkg.tagger.model import FORMAT_VERSION, MAGIC
 
 
 def _write_config(path, **overrides):
@@ -84,6 +86,16 @@ def test_malformed_kb_file_is_a_data_error(tmp_path):
     assert code == 3
 
 
+def test_kb_file_that_is_not_utf8_is_a_data_error(tmp_path):
+    kb = tmp_path / "kb.jsonl"
+    kb.write_bytes('{"schema": "kb/1"}\n{"name": "肝癌"}\n'.encode("gbk"))
+    code = main([
+        "kb-load", "--seed", "1", "--kb-file", str(kb),
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert code == 3
+
+
 def test_unversioned_graph_file_is_a_data_error(tmp_path):
     graph = tmp_path / "graph.jsonl"
     graph.write_text('{"kind": "node"}\n', encoding="utf-8")
@@ -111,6 +123,17 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
         pytest.param(["align", "--entities", "{bad_header}"], 3, "bad_header",
                      id="entities-header"),
         pytest.param(["convert", "--max-len", "1"], 2, None, id="max-len"),
+        pytest.param(["split", "--bio", "{gbk}"], 3, "gbk", id="split-bio-not-utf8"),
+        pytest.param(["align", "--names", "{gbk}"], 3, "gbk", id="align-names-not-utf8"),
+        pytest.param(["augment", "--bio", "{present}", "--dictionary", "{gbk}"], 3, "gbk",
+                     id="augment-dictionary-not-utf8"),
+        pytest.param(["query", "--graph", "{gbk}", "--label", "Disease", "--name", "肝癌",
+                      "--relation", "RecommendedFood"], 3, "gbk", id="query-graph-not-utf8"),
+        pytest.param(["convert", "--config", "{gbk}"], 2, "gbk", id="config-not-utf8"),
+        pytest.param(["tag", "--model-file", "{meta_not_utf8}"], 3, "meta_not_utf8",
+                     id="model-metadata-not-utf8"),
+        pytest.param(["tag", "--model-file", "{meta_no_vocab}"], 3, "meta_no_vocab",
+                     id="model-metadata-missing-key"),
     ],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(
@@ -122,8 +145,16 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         "missing": tmp_path / "missing.txt",
         "present": tmp_path / "present.txt",
         "bad_header": tmp_path / "bad_header.jsonl",
+        "gbk": tmp_path / "gbk.txt",
+        "meta_not_utf8": tmp_path / "meta_not_utf8.bin",
+        "meta_no_vocab": tmp_path / "meta_no_vocab.bin",
     }
     paths["present"].write_text("", encoding="utf-8")
+    paths["gbk"].write_bytes("肝\tB-Disease\n癌\tI-Disease\n".encode("gbk"))
+    for name, meta in [("meta_not_utf8", '{"vocab": ["肝"]}'.encode("gbk")),
+                       ("meta_no_vocab", b'{"entity_types": ["Disease"]}')]:
+        header = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(meta))
+        paths[name].write_bytes(header + meta + struct.pack("<I", 0))
     paths["bad_header"].write_text(
         'schema: entities/1\n{"doc_id": "d1", "entities": []}\n', encoding="utf-8"
     )

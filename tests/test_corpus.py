@@ -24,6 +24,7 @@ from emrkg.corpus import (
     ValidationReport,
     from_bio,
     load_corpus_dir,
+    load_document_pair,
     parse_ann,
     read_bio_file,
     segment,
@@ -32,7 +33,9 @@ from emrkg.corpus import (
     to_bio,
     write_bio_file,
 )
+from emrkg.errors import DataError
 from emrkg.schema import DEFAULT_ENTITY_TYPES, EntitySchema
+from tests.oracles import first_fit_spans, segment_by_scan
 
 
 # -- standoff parsing ----------------------------------------------------
@@ -168,6 +171,76 @@ def test_segment_conserves_every_span():
     assert sum(len(s.spans) for s in segments) == 3
     surfaces = [span.surface for seg in segments for span in seg.spans]
     assert surfaces == ["甲状腺结节", "乏力", "CT"]
+
+
+# -- against the scanning reference ----------------------------------------
+
+
+def _long_note(rng: random.Random, overlaps: bool) -> AnnotatedDocument:
+    """A seeded note of 2k-6k chars, dense with spans of up to 30 chars;
+    with ``overlaps`` about one span in five overlaps its predecessor, as a
+    hand-built document may."""
+    alphabet = "肝癌症状腹痛头晕恶心治疗检查手术，、a1" * 4 + "。！？；\n"
+    text = "".join(rng.choice(alphabet) for _ in range(rng.randint(2000, 6000)))
+    spans: list[EntitySpan] = []
+    cursor = rng.randint(0, 5)
+    while cursor < len(text):
+        end = min(len(text), cursor + rng.randint(1, 30))
+        spans.append(EntitySpan(f"T{len(spans) + 1}", rng.choice(DEFAULT_ENTITY_TYPES),
+                                cursor, end, text[cursor:end]))
+        if overlaps and rng.random() < 0.2:
+            cursor = rng.randint(max(0, cursor - 10), end)
+        else:
+            cursor = end + rng.randint(0, 12)
+    rng.shuffle(spans)  # file order need not be text order
+    return AnnotatedDocument(f"note{rng.randint(0, 999)}", text, spans)
+
+
+def _segment_outcome(segmenter, doc: AnnotatedDocument, max_len: int):
+    """The segments, or the type and message of the error raised."""
+    try:
+        if segmenter is segment:
+            return segment(doc, max_len)
+        return segment_by_scan(doc.doc_id, doc.text, doc.spans, max_len)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def test_segment_matches_scanning_reference_on_fixtures(corpus_dir, schema):
+    for doc in load_corpus_dir(corpus_dir, schema):
+        for max_len in (2, 8, 20, 50, 200):
+            want = _segment_outcome(segment_by_scan, doc, max_len)
+            assert _segment_outcome(segment, doc, max_len) == want, (doc.doc_id, max_len)
+
+
+def test_segment_matches_scanning_reference_on_long_notes():
+    rng = random.Random(29)
+    outcomes = Counter()
+    for n in range(24):
+        doc = _long_note(rng, overlaps=n % 3 == 0)
+        for max_len in (16, 40, 120):
+            want = _segment_outcome(segment_by_scan, doc, max_len)
+            assert _segment_outcome(segment, doc, max_len) == want, (n, max_len)
+            outcomes[want[0].__name__ if isinstance(want, tuple) else "segments"] += 1
+    # the comparison covers both errors and successful segmentations
+    assert set(outcomes) == {"segments", "UnsplittableEntity", "DataError"}, outcomes
+
+
+def test_parse_ann_overlap_check_matches_first_fit_reference(schema):
+    rng = random.Random(31)
+    for _ in range(20):
+        doc = _long_note(rng, overlaps=True)
+        ann = "\n".join(f"{s.id}\t{s.label} {s.start} {s.end}\t{s.surface}"
+                        for s in doc.spans if "\n" not in s.surface)
+        report = ValidationReport()
+        got = parse_ann(ann, doc.text, schema, doc_id=doc.doc_id, report=report)
+        written = [s for s in doc.spans if "\n" not in s.surface]
+        want, dropped = first_fit_spans(written)
+        assert got.spans == want
+        assert report.dropped == [
+            (doc.doc_id, span, f"overlaps accepted span {clash.id}") for span, clash in dropped
+        ]
+        assert dropped
 
 
 # -- BIO conversion ----------------------------------------------------------
@@ -348,6 +421,21 @@ def test_read_bio_file_rejects_malformed_rows(tmp_path):
     path.write_text("肝癌\tB-Disease\n", encoding="utf-8")
     with pytest.raises(MalformedBio, match="line 1"):
         read_bio_file(path)
+
+
+def test_readers_name_a_file_that_is_not_utf8(tmp_path, schema):
+    bio = tmp_path / "gbk.bio"
+    bio.write_bytes("肝\tB-Disease\n".encode("gbk"))
+    with pytest.raises(DataError, match="gbk.bio"):
+        read_bio_file(bio)
+    txt = tmp_path / "doc.txt"
+    txt.write_bytes("肝癌".encode("gbk"))
+    with pytest.raises(DataError, match="doc.txt"):
+        load_document_pair(txt, schema)
+    txt.write_text("肝癌", encoding="utf-8")
+    txt.with_suffix(".ann").write_bytes("T1\tDisease 0 2\t肝癌".encode("gbk"))
+    with pytest.raises(DataError, match="doc.ann"):
+        load_document_pair(txt, schema)
 
 
 # -- fixture corpus ----------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from emrkg.fusion import (
 from emrkg.graph import KnowledgeGraph, add_patient_record
 from emrkg.kb import kb_into_graph, load_kb
 from tests.oracles import char_ngrams, cosine_align, tfidf_vectors
-from tests.support import inverse_document_frequency, term_frequency, triples_from, triples_to
+from tests.support import (
+    dense_doc_vectors,
+    inverse_document_frequency,
+    term_frequency,
+    triples_from,
+    triples_to,
+)
 
 
 # -- n-grams and weights ----------------------------------------------------
@@ -59,7 +66,7 @@ def test_idf_follows_log_ratio():
 
 def test_index_rows_are_unit_vectors():
     index = build_index(["肝癌", "肝硬化", "乙型肝炎"])
-    norms = np.linalg.norm(index.doc_vectors, axis=1)
+    norms = np.linalg.norm(dense_doc_vectors(index), axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
     assert not index.uniform
     assert index.zero_rows == ()
@@ -69,11 +76,12 @@ def test_index_matches_oracle_vectors(kb_file):
     _, catalogs = load_kb(kb_file)
     names = list(catalogs.disease)
     index = build_index(names)
+    doc_vectors = dense_doc_vectors(index)
     for row, vec in enumerate(tfidf_vectors(names)):
         dense = np.zeros(len(index.vocabulary))
         for term, value in vec.items():
             dense[index.vocabulary[term]] = value
-        np.testing.assert_allclose(index.doc_vectors[row], dense, atol=1e-12)
+        np.testing.assert_allclose(doc_vectors[row], dense, atol=1e-12)
 
 
 def test_single_name_catalog_falls_back_to_uniform_weights():
@@ -167,6 +175,67 @@ def test_exact_tie_resolves_to_lexicographically_smallest():
     assert result.target == "甲丙"  # 丙 (U+4E19) sorts before 乙 (U+4E59)
     assert result.target == oracle_target
     assert result.similarity == pytest.approx(oracle_sim, abs=1e-12)
+
+
+def _seeded_kb(rng: random.Random, n_names: int = 300) -> tuple[list[str], list[str]]:
+    """KB names drawn from a 120-char pool, every one ending in 病 (a term
+    of every name, so its IDF is 0), plus 病 itself (a zero-norm row) and
+    a pair that ties exactly; with two noisy variants of every third name."""
+    pool = [chr(0x4E00 + 37 * i) for i in range(120)]
+    names = {"病", "鑫淼病", "鑫焱病"}
+    while len(names) < n_names:
+        names.add("".join(rng.choice(pool) for _ in range(rng.randint(1, 7))) + "病")
+    names = sorted(names)
+    variants = []
+    for name in names[::3]:
+        chars = list(name)
+        at = rng.randrange(len(chars))
+        kind = rng.choice(["drop", "swap", "insert"])
+        if kind == "drop" and len(chars) > 1:
+            del chars[at]
+        elif kind == "swap":
+            chars[at] = rng.choice(pool)
+        else:
+            chars.insert(at, rng.choice(pool))
+        variants += ["".join(chars), name[: max(1, len(name) // 2)]]
+    return names, variants
+
+
+def test_align_matches_oracle_at_scale_and_on_edge_cases():
+    names, variants = _seeded_kb(random.Random(17))
+    index = build_index(names)
+    nnz = sum(len(set(ngrams(name))) for name in names)
+    assert index.doc_vectors.nbytes == 8 * nnz != 8 * len(names) * len(index.vocabulary)
+    assert index.idf[index.vocabulary["病"]] == 0.0  # a term of every name
+    assert index.zero_rows == (names.index("病"),)
+
+    unseen = "ＡＢＣ"  # only n-grams outside the vocabulary
+    tie = "鑫淼鑫焱"  # shares exactly as much with 鑫淼病 as with 鑫焱病
+    queries = names + variants + [unseen, tie, "鑫", "病病"]
+    for threshold in (0.8, 0.0):
+        for query in queries:
+            if threshold == 0.0 and set(ngrams(query)) <= {"病"}:
+                continue  # no weight at all: no alignment can meet threshold 0
+            got = align(query, index, threshold)
+            want_target, want_similarity = cosine_align(query, names, threshold=threshold)
+            assert got.target == want_target, (query, threshold)
+            assert abs(got.similarity - want_similarity) <= 1e-12, (query, threshold)
+
+    zero = align("病", index)  # only the IDF-0 term: the query has no weight
+    assert (zero.target, zero.similarity) == (None, 0.0)
+    none_shared = align(unseen, index, threshold=0.0)  # every name ties at 0
+    assert (none_shared.target, none_shared.similarity) == (min(names), 0.0)
+    tied = align(tie, index, threshold=0.0)
+    assert tied.target == "鑫淼病" < "鑫焱病" and 0.0 < tied.similarity < 1.0
+
+    single = build_index(["肝癌"])  # one name: uniform weights
+    assert single.uniform
+    for query in ["肝癌", "肝", "癌症", "肝癌肝癌", unseen]:
+        for threshold in (0.8, 0.0):
+            got = align(query, single, threshold)
+            want_target, want_similarity = cosine_align(query, ["肝癌"], threshold=threshold)
+            assert got.target == want_target, (query, threshold)
+            assert abs(got.similarity - want_similarity) <= 1e-12, (query, threshold)
 
 
 def test_alignment_invariant_ties_target_to_threshold():

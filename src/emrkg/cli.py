@@ -45,7 +45,7 @@ from emrkg.derm import (
     write_dictionary_file,
 )
 from emrkg.errors import ConfigError, DataError, EmrkgError, read_text
-from emrkg.fusion import Alignment, align, build_index, fuse
+from emrkg.fusion import DEFAULT_NGRAM_ORDERS, DEFAULT_THRESHOLD, Alignment, align, build_index, fuse
 from emrkg.graph import (
     KnowledgeGraph,
     add_patient_record,
@@ -97,8 +97,8 @@ class PipelineConfig:
     entity_types: tuple[str, ...] | None = None
     derm: DermConfig = field(default_factory=DermConfig)
     train_params: dict = field(default_factory=dict)
-    threshold: float = 0.8
-    ngram_orders: tuple[int, ...] = (1, 2)
+    threshold: float = DEFAULT_THRESHOLD
+    ngram_orders: tuple[int, ...] = DEFAULT_NGRAM_ORDERS
 
     def schema(self) -> EntitySchema:
         if self.entity_types is None:
@@ -204,17 +204,24 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
             corpus_dir=Path(corpus_dir) if corpus_dir else None,
             kb_file=Path(kb_file) if kb_file else None,
             model_file=Path(model_file) if model_file else None,
-            max_len=int(pick("max_len", "max_len", 50)),
+            max_len=int(pick("max_len", "max_len", PipelineConfig.max_len)),
             entity_types=tuple(entity_types) if entity_types else None,
             derm=derm,
             train_params=train_raw,
-            threshold=float(fusion_raw.get("threshold", 0.8)),
-            ngram_orders=tuple(int(n) for n in fusion_raw.get("ngram_orders", (1, 2))),
+            threshold=float(fusion_raw.get("threshold", PipelineConfig.threshold)),
+            ngram_orders=tuple(fusion_raw.get("ngram_orders", PipelineConfig.ngram_orders)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if cfg.max_len < 2:
         raise ConfigError(f"max_len must be at least 2, got {cfg.max_len}")
+    if not 0 < cfg.threshold <= 1:
+        raise ConfigError(f"fusion.threshold must be in (0, 1], got {cfg.threshold}")
+    if not cfg.ngram_orders or not all(type(n) is int and n >= 1 for n in cfg.ngram_orders):
+        raise ConfigError(
+            f"fusion.ngram_orders must be a non-empty list of integers >= 1, "
+            f"got {list(cfg.ngram_orders)}"
+        )
     return cfg
 
 
@@ -260,20 +267,32 @@ def _corpus_inputs(corpus_dir: Path) -> list[Path]:
     return sorted(corpus_dir.glob("*.txt")) + sorted(corpus_dir.glob("*.ann"))
 
 
-# -- stage implementations ---------------------------------------------
+# -- subcommands -----------------------------------------------------------
+#
+# Each subcommand is one ``run_<name>(cfg, args)`` function: it resolves its
+# input files through ``_input``, does its stage's work and returns the
+# inputs its manifest records; None writes no manifest.
 
 
-def run_convert(cfg: PipelineConfig) -> Path:
+def _input(args: argparse.Namespace, flag: str, default: Path | None = None) -> Path | None:
+    """The file ``--flag`` names, else ``default``; None when neither is
+    given. A file that does not exist is a data error."""
+    value = getattr(args, flag, None)
+    path = Path(value) if value else default
+    if path is not None and not path.is_file():
+        raise DataError(f"input file {path} (--{flag.replace('_', '-')}) does not exist")
+    return path
+
+
+def run_convert(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     """Standoff corpus to one BIO file plus a conversion report."""
     corpus_dir = cfg.require_corpus_dir()
-    schema = cfg.schema()
     report = ValidationReport()
-    docs = load_corpus_dir(corpus_dir, schema, report)
+    docs = load_corpus_dir(corpus_dir, cfg.schema(), report)
     sentences: list[BioSentence] = []
     for doc in docs:
         sentences.extend(to_bio(segment(doc, cfg.max_len)))
-    bio_path = cfg.output_dir / "corpus.bio"
-    write_bio_file(sentences, bio_path)
+    write_bio_file(sentences, cfg.output_dir / "corpus.bio")
     _write_json(cfg.output_dir / "conversion_report.json", {
         "documents": len(docs),
         "sentences": len(sentences),
@@ -284,30 +303,42 @@ def run_convert(cfg: PipelineConfig) -> Path:
         ],
     })
     log.info("converted %d documents to %d sentences", len(docs), len(sentences))
-    return bio_path
+    return _corpus_inputs(corpus_dir)
 
 
-def run_split(cfg: PipelineConfig, bio_path: Path) -> dict[str, Path]:
+def run_split(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    bio_path = _input(args, "bio", cfg.output_dir / "corpus.bio")
     sentences = read_bio_file(bio_path)
     parts = split_dataset(sentences, derive_seed(cfg.seed, "split"))
-    paths = {}
     for name, part in (("train", parts.train), ("validation", parts.validation), ("test", parts.test)):
-        path = cfg.output_dir / f"{name}.bio"
-        write_bio_file(list(part), path)
-        paths[name] = path
+        write_bio_file(list(part), cfg.output_dir / f"{name}.bio")
     log.info(
         "split %d sentences into %d/%d/%d",
         len(sentences), len(parts.train), len(parts.validation), len(parts.test),
     )
-    return paths
+    return [bio_path]
 
 
-def run_train(
-    cfg: PipelineConfig,
-    train_path: Path,
-    validation_path: Path,
-    dict_path: Path | None = None,
-) -> Path:
+def run_augment(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    bio_path = _input(args, "bio")
+    dict_path = _input(args, "dictionary")
+    sentences = read_bio_file(bio_path)
+    dictionary = read_dictionary_file(dict_path)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "augment"))
+    outcomes = augment_epoch(sentences, dictionary, cfg.derm, rng)
+    out = Path(args.out) if args.out else cfg.output_dir / "augmented.bio"
+    write_bio_file([o.sentence for o in outcomes], out)
+    actions: dict[str, int] = {}
+    for outcome in outcomes:
+        actions[outcome.action] = actions.get(outcome.action, 0) + 1
+    _write_json(cfg.output_dir / "augment_report.json", {"actions": actions})
+    return [bio_path, dict_path]
+
+
+def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    train_path = _input(args, "train", cfg.output_dir / "train.bio")
+    validation_path = _input(args, "validation", cfg.output_dir / "validation.bio")
+    dict_path = _input(args, "dictionary")
     train_sentences = read_bio_file(train_path)
     validation_sentences = read_bio_file(validation_path)
     if dict_path is not None:
@@ -340,18 +371,36 @@ def run_train(
     })
     log.info("trained %d epochs; best validation F1 %.4f at epoch %d",
              len(result.log), result.log[result.best_epoch - 1].f1, result.best_epoch)
-    return model_path
+    return [train_path, validation_path] + ([dict_path] if dict_path else [])
 
 
-def run_tag_corpus(cfg: PipelineConfig, model_path: Path) -> tuple[Path, Path]:
+def run_tag(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    """With ``--text``, tag plain text, one sentence per line, wrapped at
+    max_len; without it, tag the corpus."""
+    text_path = _input(args, "text")
+    if text_path is None:
+        return run_tag_corpus(cfg, args)
+    model_path = _input(args, "model_file", cfg.resolved_model_file())
+    model = load_model(model_path)
+    sentences: list[BioSentence] = []
+    for i, line in enumerate(read_text(text_path).splitlines()):
+        if not line.strip():
+            continue
+        doc = AnnotatedDocument(doc_id=f"line{i + 1}", text=line, spans=[])
+        sentences.extend(to_bio(segment(doc, cfg.max_len)))
+    if not sentences:
+        raise DataError(f"{text_path} contains no sentences")
+    write_bio_file(predict(model, sentences), cfg.output_dir / "predicted.bio")
+    return [model_path, text_path]
+
+
+def run_tag_corpus(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     """Tag every corpus document with the trained model; emit the predicted
     BIO file and a per-document extracted-entities file."""
+    model_path = _input(args, "model_file", cfg.resolved_model_file())
     corpus_dir = cfg.require_corpus_dir()
     model = load_model(model_path)
-    schema = cfg.schema()
-    docs = load_corpus_dir(corpus_dir, schema)
-    predicted_path = cfg.output_dir / "predicted.bio"
-    entities_path = cfg.output_dir / "entities.jsonl"
+    docs = load_corpus_dir(corpus_dir, cfg.schema())
     all_predicted: list[BioSentence] = []
     lines = [json.dumps({"schema": ENTITIES_SCHEMA_TAG})]
     for doc in docs:
@@ -367,30 +416,17 @@ def run_tag_corpus(cfg: PipelineConfig, model_path: Path) -> tuple[Path, Path]:
         lines.append(json.dumps(
             {"doc_id": doc.doc_id, "entities": entities}, ensure_ascii=False
         ))
-    write_bio_file(all_predicted, predicted_path)
-    entities_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_bio_file(all_predicted, cfg.output_dir / "predicted.bio")
+    (cfg.output_dir / "entities.jsonl").write_text(
+        "".join(line + "\n" for line in lines), encoding="utf-8"
+    )
     log.info("tagged %d documents", len(docs))
-    return predicted_path, entities_path
+    return [model_path] + _corpus_inputs(corpus_dir)
 
 
-def run_tag_text(cfg: PipelineConfig, model_path: Path, text_path: Path) -> Path:
-    """Tag plain text, one sentence per line; wraps at max_len."""
-    model = load_model(model_path)
-    out_path = cfg.output_dir / "predicted.bio"
-    sentences: list[BioSentence] = []
-    text = read_text(text_path)
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        doc = AnnotatedDocument(doc_id=f"line{i + 1}", text=line, spans=[])
-        sentences.extend(to_bio(segment(doc, cfg.max_len)))
-    if not sentences:
-        raise DataError(f"{text_path} contains no sentences")
-    write_bio_file(predict(model, sentences), out_path)
-    return out_path
-
-
-def run_evaluate(cfg: PipelineConfig, model_path: Path, gold_path: Path) -> Path:
+def run_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    gold_path = _input(args, "gold", cfg.output_dir / "test.bio")
+    model_path = _input(args, "model_file", cfg.resolved_model_file())
     model = load_model(model_path)
     gold = read_bio_file(gold_path)
     predicted = predict(model, gold)
@@ -402,20 +438,19 @@ def run_evaluate(cfg: PipelineConfig, model_path: Path, gold_path: Path) -> Path
     })
     (cfg.output_dir / "eval.txt").write_text(report_table(report) + "\n", encoding="utf-8")
     log.info("evaluated %s: micro F1 %.4f", gold_path, report.micro.f1)
-    return cfg.output_dir / "eval.json"
+    return [model_path, gold_path]
 
 
-def run_kb_load(cfg: PipelineConfig) -> Path:
+def run_kb_load(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     kb_file = cfg.require_kb_file()
     entries, catalogs = load_kb(kb_file)
     graph = KnowledgeGraph()
     triples = kb_into_graph(graph, entries)
-    kb_graph_path = cfg.output_dir / "kb_graph.jsonl"
-    save_graph(graph, kb_graph_path)
+    save_graph(graph, cfg.output_dir / "kb_graph.jsonl")
     _write_json(cfg.output_dir / "catalogs.json", asdict(catalogs))
     log.info("loaded %d diseases, %d triples, %d nodes",
              len(entries), triples, len(graph.nodes))
-    return kb_graph_path
+    return [kb_file]
 
 
 def _read_entities_file(path: Path) -> list[tuple[str, list[tuple[str, str]]]]:
@@ -442,9 +477,23 @@ def _read_entities_file(path: Path) -> list[tuple[str, list[tuple[str, str]]]]:
     return records
 
 
-def run_align(cfg: PipelineConfig, sources: list[str]) -> Path:
-    """Align source names against the KB disease catalog; write a TSV
-    report of source, matched target (empty if none) and similarity."""
+def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    """Align source names (``--names``, else the Disease surfaces of
+    ``--entities``) against the KB disease catalog; write a TSV report of
+    source, matched target (empty if none) and similarity."""
+    source_path = _input(args, "names")
+    if source_path is not None:
+        sources = [line.strip() for line in read_text(source_path).splitlines() if line.strip()]
+    else:
+        source_path = _input(args, "entities")
+        if source_path is None:
+            raise ConfigError("align requires --names or --entities")
+        sources = sorted({
+            surface
+            for _, entities in _read_entities_file(source_path)
+            for label, surface in entities
+            if label == "Disease"
+        })
     kb_file = cfg.require_kb_file()
     _, catalogs = load_kb(kb_file)
     if not catalogs.disease:
@@ -454,10 +503,11 @@ def run_align(cfg: PipelineConfig, sources: list[str]) -> Path:
     for source in sources:
         result = align(source, index, cfg.threshold)
         rows.append(f"{result.source}\t{result.target or ''}\t{result.similarity:.12g}")
-    path = cfg.output_dir / "alignments.tsv"
-    path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    (cfg.output_dir / "alignments.tsv").write_text(
+        "".join(row + "\n" for row in rows), encoding="utf-8"
+    )
     log.info("aligned %d names against %d KB diseases", len(sources), len(catalogs.disease))
-    return path
+    return [source_path, kb_file]
 
 
 def read_alignment_file(path: Path, threshold: float) -> list[Alignment]:
@@ -481,19 +531,18 @@ def read_alignment_file(path: Path, threshold: float) -> list[Alignment]:
     return alignments
 
 
-def run_fuse(
-    cfg: PipelineConfig, graph_path: Path, entities_path: Path | None, alignments_path: Path
-) -> Path:
+def run_fuse(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     """Insert extracted patient records into the KB graph, then merge
     aligned disease nodes into their canonical KB nodes."""
+    graph_path = _input(args, "graph", cfg.output_dir / "kb_graph.jsonl")
+    entities_path = _input(args, "entities")
+    alignments_path = _input(args, "alignments", cfg.output_dir / "alignments.tsv")
     graph = load_graph(graph_path)
     if entities_path is not None:
         for doc_id, entities in _read_entities_file(entities_path):
             add_patient_record(graph, doc_id, entities)
-    alignments = read_alignment_file(alignments_path, cfg.threshold)
-    report = fuse(graph, alignments)
-    fused_path = cfg.output_dir / "graph.jsonl"
-    save_graph(graph, fused_path)
+    report = fuse(graph, read_alignment_file(alignments_path, cfg.threshold))
+    save_graph(graph, cfg.output_dir / "graph.jsonl")
     _write_json(cfg.output_dir / "fusion_report.json", {
         "merged": [list(row) for row in report.merged],
         "unmatched": list(report.unmatched),
@@ -501,124 +550,19 @@ def run_fuse(
     })
     log.info("fused graph: %d merged, %d unmatched, %d skipped",
              len(report.merged), len(report.unmatched), len(report.skipped))
-    return fused_path
+    return [graph_path, alignments_path] + ([entities_path] if entities_path else [])
 
 
-def run_export(cfg: PipelineConfig, graph_path: Path) -> int:
+def run_export(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+    graph_path = _input(args, "graph", cfg.output_dir / "graph.jsonl")
     graph = load_graph(graph_path)
     count = export_cypher(graph, cfg.output_dir / "graph.cypher")
     export_csv(graph, cfg.output_dir / "nodes.csv", cfg.output_dir / "rels.csv")
     log.info("exported %d statements", count)
-    return count
-
-
-# -- subcommands -----------------------------------------------------------
-#
-# Each subcommand resolves its input files, runs its stage and returns the
-# inputs its manifest records; None writes no manifest.
-
-
-def _input(args: argparse.Namespace, flag: str, default: Path | None = None) -> Path | None:
-    """The file ``--flag`` names, else ``default``; None when neither is
-    given. A file that does not exist is a data error."""
-    value = getattr(args, flag, None)
-    path = Path(value) if value else default
-    if path is not None and not path.is_file():
-        raise DataError(f"input file {path} (--{flag.replace('_', '-')}) does not exist")
-    return path
-
-
-def cmd_convert(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
-    run_convert(cfg)
-    return _corpus_inputs(cfg.require_corpus_dir())
-
-
-def cmd_split(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
-    bio_path = _input(args, "bio", cfg.output_dir / "corpus.bio")
-    run_split(cfg, bio_path)
-    return [bio_path]
-
-
-def cmd_augment(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
-    bio_path = _input(args, "bio")
-    dict_path = _input(args, "dictionary")
-    sentences = read_bio_file(bio_path)
-    dictionary = read_dictionary_file(dict_path)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "augment"))
-    outcomes = augment_epoch(sentences, dictionary, cfg.derm, rng)
-    out = Path(args.out) if args.out else cfg.output_dir / "augmented.bio"
-    write_bio_file([o.sentence for o in outcomes], out)
-    actions: dict[str, int] = {}
-    for outcome in outcomes:
-        actions[outcome.action] = actions.get(outcome.action, 0) + 1
-    _write_json(cfg.output_dir / "augment_report.json", {"actions": actions})
-    return [bio_path, dict_path]
-
-
-def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
-    train_path = _input(args, "train", cfg.output_dir / "train.bio")
-    validation_path = _input(args, "validation", cfg.output_dir / "validation.bio")
-    dict_path = _input(args, "dictionary")
-    run_train(cfg, train_path, validation_path, dict_path)
-    return [train_path, validation_path] + ([dict_path] if dict_path else [])
-
-
-def cmd_tag(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
-    text_path = _input(args, "text")
-    model_path = _input(args, "model_file", cfg.resolved_model_file())
-    if text_path is not None:
-        run_tag_text(cfg, model_path, text_path)
-        return [model_path, text_path]
-    run_tag_corpus(cfg, model_path)
-    return [model_path] + _corpus_inputs(cfg.require_corpus_dir())
-
-
-def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
-    gold_path = _input(args, "gold", cfg.output_dir / "test.bio")
-    model_path = _input(args, "model_file", cfg.resolved_model_file())
-    run_evaluate(cfg, model_path, gold_path)
-    return [model_path, gold_path]
-
-
-def cmd_kb_load(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
-    run_kb_load(cfg)
-    return [cfg.require_kb_file()]
-
-
-def cmd_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
-    source_path = _input(args, "names")
-    if source_path is not None:
-        text = read_text(source_path)
-        sources = [line.strip() for line in text.splitlines() if line.strip()]
-    else:
-        source_path = _input(args, "entities")
-        if source_path is None:
-            raise ConfigError("align requires --names or --entities")
-        sources = sorted({
-            surface
-            for _, entities in _read_entities_file(source_path)
-            for label, surface in entities
-            if label == "Disease"
-        })
-    run_align(cfg, sources)
-    return [source_path, cfg.require_kb_file()]
-
-
-def cmd_fuse(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
-    graph_path = _input(args, "graph", cfg.output_dir / "kb_graph.jsonl")
-    entities_path = _input(args, "entities")
-    alignments_path = _input(args, "alignments", cfg.output_dir / "alignments.tsv")
-    run_fuse(cfg, graph_path, entities_path, alignments_path)
-    return [graph_path, alignments_path] + ([entities_path] if entities_path else [])
-
-
-def cmd_export(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
-    graph_path = _input(args, "graph", cfg.output_dir / "graph.jsonl")
-    run_export(cfg, graph_path)
     return [graph_path]
 
 
-def cmd_query(cfg: PipelineConfig, args: argparse.Namespace) -> None:
+def run_query(cfg: PipelineConfig, args: argparse.Namespace) -> None:
     """Read-only: writes no manifest."""
     graph = load_graph(_input(args, "graph", cfg.output_dir / "graph.jsonl"))
     nodes = graph.pattern_query(args.label, args.name, args.relation)
@@ -629,12 +573,14 @@ def cmd_query(cfg: PipelineConfig, args: argparse.Namespace) -> None:
         sys.stdout.write(output)
 
 
-def cmd_pipeline(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
+def run_pipeline(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     """Every stage in order, each on its default inputs under output_dir;
-    align and fuse take their names and records from the tag stage."""
+    align and fuse take their names and records from the tag stage. The
+    stages are looked up on this module at call time, so a wrapper
+    installed on ``emrkg.cli`` sees each of them."""
     stage_args = argparse.Namespace(entities=str(cfg.output_dir / "entities.jsonl"))
-    for stage in (cmd_convert, cmd_split, cmd_train, cmd_tag, cmd_evaluate,
-                  cmd_kb_load, cmd_align, cmd_fuse, cmd_export):
+    for stage in (run_convert, run_split, run_train, run_tag_corpus, run_evaluate,
+                  run_kb_load, run_align, run_fuse, run_export):
         stage(cfg, stage_args)
     return _corpus_inputs(cfg.require_corpus_dir()) + [cfg.require_kb_file()]
 
@@ -660,52 +606,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sub.add_parser("convert", parents=[common],
-                   help="standoff corpus to BIO sentences").set_defaults(func=cmd_convert)
+                   help="standoff corpus to BIO sentences").set_defaults(func=run_convert)
 
     p = sub.add_parser("split", parents=[common], help="8:1:1 dataset split")
     p.add_argument("--bio", help="input BIO file (default: <output-dir>/corpus.bio)")
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=run_split)
 
     p = sub.add_parser("augment", parents=[common],
                        help="one replace/mask augmentation pass over a BIO file")
     p.add_argument("--bio", required=True, help="input BIO file")
     p.add_argument("--dictionary", required=True, help="entity dictionary TSV")
     p.add_argument("--out", help="output BIO file")
-    p.set_defaults(func=cmd_augment)
+    p.set_defaults(func=run_augment)
 
     p = sub.add_parser("train", parents=[common], help="train the sequence tagger")
     p.add_argument("--train", help="training BIO file (default: <output-dir>/train.bio)")
     p.add_argument("--validation", help="validation BIO file (default: <output-dir>/validation.bio)")
     p.add_argument("--dictionary", help="entity dictionary TSV (default: built from data)")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=run_train)
 
     p = sub.add_parser("tag", parents=[common], help="tag a corpus or plain text")
     p.add_argument("--text", help="plain text file, one sentence per line")
-    p.set_defaults(func=cmd_tag)
+    p.set_defaults(func=run_tag)
 
     p = sub.add_parser("evaluate", parents=[common], help="entity-level P/R/F1")
     p.add_argument("--gold", help="gold BIO file (default: <output-dir>/test.bio)")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=run_evaluate)
 
     sub.add_parser("kb-load", parents=[common],
-                   help="load the KB into a graph file").set_defaults(func=cmd_kb_load)
+                   help="load the KB into a graph file").set_defaults(func=run_kb_load)
 
     p = sub.add_parser("align", parents=[common],
                        help="TF-IDF-align entity names to KB diseases")
     p.add_argument("--names", help="file of names, one per line")
     p.add_argument("--entities", help="extracted-entities JSONL from the tag step")
-    p.set_defaults(func=cmd_align)
+    p.set_defaults(func=run_align)
 
     p = sub.add_parser("fuse", parents=[common],
                        help="insert patient records and merge aligned nodes")
     p.add_argument("--graph", help="input graph file (default: <output-dir>/kb_graph.jsonl)")
     p.add_argument("--entities", help="extracted-entities JSONL to insert")
     p.add_argument("--alignments", help="alignment TSV (default: <output-dir>/alignments.tsv)")
-    p.set_defaults(func=cmd_fuse)
+    p.set_defaults(func=run_fuse)
 
     p = sub.add_parser("export", parents=[common], help="Cypher and CSV export")
     p.add_argument("--graph", help="input graph file (default: <output-dir>/graph.jsonl)")
-    p.set_defaults(func=cmd_export)
+    p.set_defaults(func=run_export)
 
     p = sub.add_parser("query", parents=[common], help="pattern query over a graph file")
     p.add_argument("--graph", help="graph file (default: <output-dir>/graph.jsonl)")
@@ -713,10 +659,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, help="head node name")
     p.add_argument("--relation", required=True, help="relation type")
     p.add_argument("--out", help="write results here instead of stdout")
-    p.set_defaults(func=cmd_query)
+    p.set_defaults(func=run_query)
 
     sub.add_parser("pipeline", parents=[common],
-                   help="run every stage end to end").set_defaults(func=cmd_pipeline)
+                   help="run every stage end to end").set_defaults(func=run_pipeline)
     return parser
 
 

@@ -21,6 +21,9 @@ log = logging.getLogger(__name__)
 
 SCHEMA_TAG = "kb/1"
 
+# The string attributes of a disease record, in the order graph nodes store them.
+_SCALAR_FIELDS = ("description", "prevention", "cure_time", "cause")
+
 # Tail catalog per KB relation (all KB relations are disease-headed).
 _TAIL_TYPE: dict[str, str] = {
     rel: RELATION_ENDPOINTS[rel][0][1] for rel in KB_RELATIONS
@@ -98,21 +101,15 @@ def _parse_record(obj: dict, lineno: int) -> DiseaseEntry:
 
     return DiseaseEntry(
         name=name,
-        description=scalar("description"),
-        prevention=scalar("prevention"),
-        cure_time=scalar("cure_time"),
         treatments=tuple(treatments),
-        cause=scalar("cause"),
         relations=tuple(relations),
+        **{key: scalar(key) for key in _SCALAR_FIELDS},
     )
 
 
 def _merge(earlier: DiseaseEntry, later: DiseaseEntry) -> DiseaseEntry:
     # Scalars: the later non-empty value wins; an absent field never erases
     # earlier data. Lists: order-preserving union.
-    def scalar(a: str, b: str) -> str:
-        return b if b else a
-
     def union(a: tuple, b: tuple) -> tuple:
         seen = set()
         out = []
@@ -124,12 +121,9 @@ def _merge(earlier: DiseaseEntry, later: DiseaseEntry) -> DiseaseEntry:
 
     return DiseaseEntry(
         name=earlier.name,
-        description=scalar(earlier.description, later.description),
-        prevention=scalar(earlier.prevention, later.prevention),
-        cure_time=scalar(earlier.cure_time, later.cure_time),
         treatments=union(earlier.treatments, later.treatments),
-        cause=scalar(earlier.cause, later.cause),
         relations=union(earlier.relations, later.relations),
+        **{key: getattr(later, key) or getattr(earlier, key) for key in _SCALAR_FIELDS},
     )
 
 
@@ -189,16 +183,7 @@ def kb_into_graph(graph, entries: list[DiseaseEntry]) -> int:
     number of triples added."""
     added = 0
     for entry in entries:
-        attributes = {
-            key: value
-            for key, value in (
-                ("description", entry.description),
-                ("prevention", entry.prevention),
-                ("cure_time", entry.cure_time),
-                ("cause", entry.cause),
-            )
-            if value
-        }
+        attributes = {key: getattr(entry, key) for key in _SCALAR_FIELDS if getattr(entry, key)}
         if entry.treatments:
             attributes["treatments"] = list(entry.treatments)
         head = graph.upsert_node("Disease", entry.name, attributes)

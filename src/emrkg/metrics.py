@@ -7,7 +7,7 @@ sentence. Overall scores are micro-averaged over the summed counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from emrkg.corpus import BioSentence, from_bio
 from emrkg.errors import DataError
@@ -100,15 +100,4 @@ def report_table(report: EvalReport) -> str:
 
 def report_dict(report: EvalReport) -> dict:
     """JSON-ready structure mirroring the table."""
-    return {
-        "per_type": {
-            t: {"precision": s.precision, "recall": s.recall, "f1": s.f1, "undefined": s.undefined}
-            for t, s in report.per_type.items()
-        },
-        "micro": {
-            "precision": report.micro.precision,
-            "recall": report.micro.recall,
-            "f1": report.micro.f1,
-            "undefined": report.micro.undefined,
-        },
-    }
+    return asdict(report)

@@ -13,6 +13,8 @@ produces byte-identical files, and a load/save round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,10 +216,11 @@ def save_model(model: TaggerModel, path: str | Path) -> None:
 
 
 def _read_exact(handle, n: int, what: str) -> bytes:
-    data = handle.read(n)
-    if len(data) != n:
-        raise ModelFormatError(f"truncated model file while reading {what}")
-    return data
+    """Checks ``n`` against the bytes left before reading, so that a corrupt
+    length is a format error, not an oversized read."""
+    if n > os.fstat(handle.fileno()).st_size - handle.tell():
+        raise ModelFormatError(f"{handle.name}: truncated model file while reading {what}")
+    return handle.read(n)
 
 
 def load_model(path: str | Path) -> TaggerModel:
@@ -238,13 +241,15 @@ def load_model(path: str | Path) -> TaggerModel:
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(handle, 2, "array name length"))
-            name = _read_exact(handle, name_len, "array name").decode("utf-8")
+            try:
+                name = _read_exact(handle, name_len, "array name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ModelFormatError(f"{path}: array name is not UTF-8: {exc}") from exc
             (ndim,) = struct.unpack("<B", _read_exact(handle, 1, "array rank"))
             shape = tuple(
                 struct.unpack("<Q", _read_exact(handle, 8, "array dim"))[0] for _ in range(ndim)
             )
-            n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if shape else 8
-            raw = _read_exact(handle, n_bytes, f"array {name} data")
+            raw = _read_exact(handle, 8 * math.prod(shape), f"array {name} data")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
     tagset = TagSet(schema)

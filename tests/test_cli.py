@@ -13,6 +13,7 @@ import emrkg.cli
 from emrkg.cli import derive_seed, main
 from emrkg.corpus import read_bio_file
 from emrkg.tagger.model import FORMAT_VERSION, MAGIC
+from emrkg.tagger.vocab import Vocabulary
 
 
 def _write_config(path, **overrides):
@@ -134,6 +135,33 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="model-metadata-not-utf8"),
         pytest.param(["tag", "--model-file", "{meta_no_vocab}"], 3, "meta_no_vocab",
                      id="model-metadata-missing-key"),
+        pytest.param(["tag", "--model-file", "{array_name_not_utf8}"], 3, "array_name_not_utf8",
+                     id="model-array-name-not-utf8"),
+        pytest.param(["tag", "--model-file", "{array_dim_huge}"], 3, "array_dim_huge",
+                     id="model-array-dim-huge"),
+        pytest.param(["align", "--names", "{present}", "--config", "{threshold_zero}"], 2, None,
+                     id="fusion-threshold-zero"),
+        pytest.param(["align", "--names", "{present}", "--config", "{threshold_above_one}"], 2,
+                     None, id="fusion-threshold-above-one"),
+        pytest.param(["align", "--names", "{present}", "--config", "{orders_zero}"], 2, None,
+                     id="fusion-ngram-orders-zero"),
+        pytest.param(["align", "--names", "{present}", "--config", "{orders_empty}"], 2, None,
+                     id="fusion-ngram-orders-empty"),
+        pytest.param(["train", "--train", "{present}", "--validation", "{missing}"], 3, "missing",
+                     id="train-validation"),
+        pytest.param(["train", "--train", "{present}", "--validation", "{present}",
+                      "--dictionary", "{missing}"], 3, "missing", id="train-dictionary"),
+        pytest.param(["evaluate", "--gold", "{present}", "--model-file", "{missing}"], 3,
+                     "missing", id="evaluate-model-file"),
+        pytest.param(["fuse", "--graph", "{missing}"], 3, "missing", id="fuse-graph"),
+        pytest.param(["fuse", "--graph", "{present}", "--entities", "{missing}"], 3, "missing",
+                     id="fuse-entities"),
+        pytest.param(["export", "--graph", "{missing}"], 3, "missing", id="export-graph"),
+        pytest.param(["query", "--graph", "{missing}", "--label", "Disease", "--name", "肝癌",
+                      "--relation", "RecommendedFood"], 3, "missing", id="query-graph"),
+        pytest.param(["align", "--entities", "{missing}"], 3, "missing", id="align-entities"),
+        pytest.param(["augment", "--bio", "{missing}", "--dictionary", "{present}"], 3, "missing",
+                     id="augment-bio"),
     ],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(
@@ -148,6 +176,8 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         "gbk": tmp_path / "gbk.txt",
         "meta_not_utf8": tmp_path / "meta_not_utf8.bin",
         "meta_no_vocab": tmp_path / "meta_no_vocab.bin",
+        "array_name_not_utf8": tmp_path / "array_name_not_utf8.bin",
+        "array_dim_huge": tmp_path / "array_dim_huge.bin",
     }
     paths["present"].write_text("", encoding="utf-8")
     paths["gbk"].write_bytes("肝\tB-Disease\n癌\tI-Disease\n".encode("gbk"))
@@ -155,6 +185,20 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
                        ("meta_no_vocab", b'{"entity_types": ["Disease"]}')]:
         header = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(meta))
         paths[name].write_bytes(header + meta + struct.pack("<I", 0))
+    # valid metadata, then one array table entry with a bad name or a bad dim
+    meta = json.dumps({"vocab": list(Vocabulary.build(["肝"]).tokens),
+                       "entity_types": ["Disease"]}).encode("utf-8")
+    header = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(meta)) + meta
+    for name, array_name, dim in [("array_name_not_utf8", "转移".encode("gbk"), 1),
+                                  ("array_dim_huge", b"embedding", 2**62)]:
+        table = struct.pack("<I", 1) + struct.pack("<H", len(array_name)) + array_name
+        table += struct.pack("<B", 1) + struct.pack("<Q", dim) + struct.pack("<d", 0.0)
+        paths[name].write_bytes(header + table)
+    for name, fusion in [("threshold_zero", {"threshold": 0}),
+                         ("threshold_above_one", {"threshold": 1.5}),
+                         ("orders_zero", {"ngram_orders": [0]}),
+                         ("orders_empty", {"ngram_orders": []})]:
+        paths[name] = _write_config(tmp_path / f"{name}.json", fusion=fusion)
     paths["bad_header"].write_text(
         'schema: entities/1\n{"doc_id": "d1", "entities": []}\n', encoding="utf-8"
     )

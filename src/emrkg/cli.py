@@ -18,6 +18,7 @@ import json
 import logging
 import platform
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -328,9 +329,7 @@ def run_augment(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     outcomes = augment_epoch(sentences, dictionary, cfg.derm, rng)
     out = Path(args.out) if args.out else cfg.output_dir / "augmented.bio"
     write_bio_file([o.sentence for o in outcomes], out)
-    actions: dict[str, int] = {}
-    for outcome in outcomes:
-        actions[outcome.action] = actions.get(outcome.action, 0) + 1
+    actions = Counter(outcome.action for outcome in outcomes)
     _write_json(cfg.output_dir / "augment_report.json", {"actions": actions})
     return [bio_path, dict_path]
 

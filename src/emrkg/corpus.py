@@ -253,16 +253,13 @@ def segment(doc: AnnotatedDocument, max_len: int = 50) -> list[Segment]:
     # Sentence pass: [start, end) slices between delimiter-induced cuts.
     sentences: list[tuple[int, int]] = []
     start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
+    for i, ch in enumerate(text):
         if ch in DROPPED_DELIMITERS and owner[i] < 0 and owner[i + 1] < 0:
             sentences.append((start, i))
             start = i + 1
         elif ch in SENTENCE_DELIMITERS and owner[i + 1] < 0:
             sentences.append((start, i + 1))
             start = i + 1
-        i += 1
     sentences.append((start, len(text)))
 
     segments: list[Segment] = []
@@ -295,17 +292,10 @@ def to_bio(segments: list[Segment]) -> list[BioSentence]:
     """Tag each segment character: B-t at span starts, I-t inside, O elsewhere."""
     sentences = []
     for seg in segments:
-        tags = ["O"] * len(seg.text)
-        for span in seg.spans:
-            for pos in range(span.start, span.end):
-                if tags[pos] != "O":
-                    raise OverlapAfterValidation(
-                        f"span {span.id} overlaps an already-tagged position {pos}"
-                    )
-            tags[span.start] = "B-" + span.label
-            for pos in range(span.start + 1, span.end):
-                tags[pos] = "I-" + span.label
-        sentences.append(BioSentence(seg.text, tuple(tags)))
+        tags = tags_for_spans(len(seg.text), [(s.label, s.start, s.end) for s in seg.spans])
+        if len(tags) - tags.count("O") != sum(len(s) for s in seg.spans):  # a shared position
+            raise OverlapAfterValidation(f"spans {[s.id for s in seg.spans]} overlap")
+        sentences.append(BioSentence(seg.text, tags))
     return sentences
 
 

@@ -141,16 +141,16 @@ def align(query: str, index: TfIdfIndex, threshold: float = DEFAULT_THRESHOLD) -
     """Best cosine match over the index, accepted iff similarity >=
     threshold; exact ties resolve to the lexicographically smallest name.
     Query terms outside the vocabulary overlap no name but still count
-    toward the query norm."""
-    terms = ngrams(query, index.orders)
-    if not terms:
-        return Alignment(query, None, 0.0, threshold)
+    toward the query norm. A query with no weight (no terms, or only terms
+    found in every name) scores 0 against every name."""
+    if not 0.0 <= threshold <= 1.0:
+        raise DataError(f"alignment threshold must be in [0, 1], got {threshold}")
     # raw counts stand in for the query's tf: its 1/len(terms) cancels in
     # the cosine, and a term's weight is already in its scaled postings
     unseen = 1.0 if index.uniform else math.log(len(index.names)) + 1.0
     rows, scaled = [], []
     norm_sq = 0.0
-    for term, count in Counter(terms).items():
+    for term, count in Counter(ngrams(query, index.orders)).items():
         posting = index.postings.get(term)
         weight = count * (unseen if posting is None else posting[0])
         norm_sq += weight * weight
@@ -158,20 +158,17 @@ def align(query: str, index: TfIdfIndex, threshold: float = DEFAULT_THRESHOLD) -
             rows += [posting[1]] * count
             scaled += [posting[2]] * count
     norm = math.sqrt(norm_sq)
-    if norm == 0.0:
-        return Alignment(query, None, 0.0, threshold)
-    if rows:
+    if rows and norm > 0.0:
         sims = np.bincount(
             np.concatenate(rows), np.concatenate(scaled), minlength=len(index.names)
         ) / norm
-    else:  # no n-gram in common with any name: every name ties at 0
+    else:  # no weight, or no n-gram in common with any name: every name ties at 0
         sims = np.zeros(len(index.names))
-    best = float(sims.max())
-    best = min(1.0, max(0.0, best))
+    best = min(1.0, max(0.0, float(sims.max())))
+    if best < threshold:
+        return Alignment(query, None, best, threshold)
     name = min(index.names[i] for i in np.flatnonzero(sims == sims.max()))
-    if best >= threshold:
-        return Alignment(query, name, best, threshold)
-    return Alignment(query, None, best, threshold)
+    return Alignment(query, name, best, threshold)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,17 @@ equivalents; clinical text mixes both widths freely. Triples are unique
 per (head, relation, tail) and every relation constrains its endpoint
 labels, so a malformed edge fails fast instead of surfacing as a bad
 query result later.
+
+Exports follow one canonical order, defined once in ``_canonical``: nodes
+by (label, normalized name), triples by (head, relation, tail) with each
+endpoint ranked by that node order. Node keys are unique, so the order
+depends only on the graph's content, never on its insertion history.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -45,19 +51,16 @@ class IoError(DataError):
     """Unreadable or truncated graph file; message carries the position."""
 
 
+_WIDTH_FOLD = {code: code - 0xFEE0 for code in range(0xFF01, 0xFF5F)} | {0x3000: " "}
+
+# every admitted (head label, relation, tail label)
+_ENDPOINTS = frozenset((h, r, t) for r, pairs in RELATION_ENDPOINTS.items() for h, t in pairs)
+
+
 def normalize_name(name: str) -> str:
     """Trim and fold full-width ASCII (U+FF01..U+FF5E, ideographic space)
     to half-width so width variants of the same name share one node."""
-    out = []
-    for ch in name.strip():
-        code = ord(ch)
-        if 0xFF01 <= code <= 0xFF5E:
-            out.append(chr(code - 0xFEE0))
-        elif code == 0x3000:
-            out.append(" ")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return name.strip().translate(_WIDTH_FOLD)
 
 
 @dataclass
@@ -122,17 +125,16 @@ class KnowledgeGraph:
     # -- triples -------------------------------------------------------
 
     def _check_triple(self, head: int, relation: str, tail: int) -> None:
-        if head not in self.nodes or tail not in self.nodes:
-            missing = head if head not in self.nodes else tail
+        nodes = self.nodes
+        if head not in nodes or tail not in nodes:
+            missing = head if head not in nodes else tail
             raise DanglingEndpoint(f"triple endpoint id {missing} not in graph")
-        pairs = RELATION_ENDPOINTS.get(relation)
-        if pairs is None:
+        head_label, tail_label = nodes[head].label, nodes[tail].label
+        if (head_label, relation, tail_label) in _ENDPOINTS:
+            return
+        if relation not in RELATION_ENDPOINTS:
             raise RelationTypeMismatch(f"unknown relation type {relation!r}")
-        endpoint = (self.nodes[head].label, self.nodes[tail].label)
-        if endpoint not in pairs:
-            raise RelationTypeMismatch(
-                f"{relation} does not admit {endpoint[0]} -> {endpoint[1]}"
-            )
+        raise RelationTypeMismatch(f"{relation} does not admit {head_label} -> {tail_label}")
 
     def add_triple(self, head: int, relation: str, tail: int) -> bool:
         """Add one typed edge; re-adding an existing triple is a no-op.
@@ -154,7 +156,9 @@ class KnowledgeGraph:
     def merge_node_into(self, source_id: int, target_id: int) -> int:
         """Re-point every triple incident to source onto target, then drop
         the source node. Duplicates created by re-pointing collapse.
-        Returns the number of re-pointed triples."""
+        Returns the number of re-pointed triples. Every re-pointed triple
+        is checked before any is moved, so a merge that fails leaves the
+        graph as it was."""
         if source_id not in self.nodes or target_id not in self.nodes:
             raise DanglingEndpoint("merge endpoints must exist")
         if source_id == target_id:
@@ -162,14 +166,16 @@ class KnowledgeGraph:
         incident = list(self._by_head.get(source_id, {})) + [
             t for t in self._by_tail.get(source_id, {}) if t.head != source_id
         ]
-        moved = 0
+        repointed = [
+            (target_id if t.head == source_id else t.head, t.relation,
+             target_id if t.tail == source_id else t.tail)
+            for t in incident
+        ]
+        for triple in repointed:
+            self._check_triple(*triple)
         for triple in incident:
             self._remove_triple(triple)
-            head = target_id if triple.head == source_id else triple.head
-            tail = target_id if triple.tail == source_id else triple.tail
-            self._check_triple(head, triple.relation, tail)
-            if self.add_triple(head, triple.relation, tail):
-                moved += 1
+        moved = sum(self.add_triple(*triple) for triple in repointed)
         node = self.nodes.pop(source_id)
         del self._by_key[(node.label, normalize_name(node.name))]
         self._by_head.pop(source_id, None)
@@ -231,22 +237,17 @@ def add_patient_record(
 # -- export --------------------------------------------------------------
 
 
-def _sorted_nodes(graph: KnowledgeGraph) -> list[Node]:
-    return sorted(graph.nodes.values(), key=lambda n: (n.label, normalize_name(n.name)))
+def _canonical(graph: KnowledgeGraph) -> tuple[list[Node], dict[int, int], list[Triple]]:
+    """The canonical export order: the nodes sorted by (label, normalized
+    name), each node's 1-based rank in that order, and the triples sorted
+    by (rank of head, relation, rank of tail)."""
+    nodes = sorted(graph.nodes.values(), key=lambda n: (n.label, normalize_name(n.name)))
+    rank = {node.id: i for i, node in enumerate(nodes, start=1)}
+    triples = sorted(graph._triples, key=lambda t: (rank[t.head], t.relation, rank[t.tail]))
+    return nodes, rank, triples
 
 
-def _node_sort_key(graph: KnowledgeGraph, node_id: int) -> tuple[str, str]:
-    node = graph.nodes[node_id]
-    return (node.label, normalize_name(node.name))
-
-
-def _sorted_triples(graph: KnowledgeGraph) -> list[Triple]:
-    return sorted(
-        graph.triples,
-        key=lambda t: (_node_sort_key(graph, t.head), t.relation, _node_sort_key(graph, t.tail)),
-    )
-
-
+@functools.cache
 def relation_identifier(relation: str) -> str:
     """CamelCase relation name to the upper snake case used in Cypher,
     e.g. RecommendedFood -> RECOMMENDED_FOOD."""
@@ -274,17 +275,18 @@ def _cypher_value(value) -> str:
 def export_cypher(graph: KnowledgeGraph, path: str | Path) -> int:
     """Write MERGE statements (one per node, one per triple) in canonical
     order; structurally identical graphs export byte-identically."""
+    nodes, _, triples = _canonical(graph)
     statements = []
-    for node in _sorted_nodes(graph):
+    match = {}  # node id -> its "Label {name: ...}" pattern
+    for node in nodes:
         props = {"name": node.name, **dict(sorted(node.attributes.items()))}
         rendered = ", ".join(f"{k}: {_cypher_value(v)}" for k, v in props.items())
         statements.append(f"MERGE (n:{node.label} {{{rendered}}});")
-    for triple in _sorted_triples(graph):
-        head, tail = graph.nodes[triple.head], graph.nodes[triple.tail]
+        match[node.id] = f"{node.label} {{name: {_cypher_value(node.name)}}}"
+    for head, relation, tail in triples:
         statements.append(
-            f"MATCH (a:{head.label} {{name: {_cypher_value(head.name)}}}), "
-            f"(b:{tail.label} {{name: {_cypher_value(tail.name)}}}) "
-            f"MERGE (a)-[:{relation_identifier(triple.relation)}]->(b);"
+            f"MATCH (a:{match[head]}), (b:{match[tail]}) "
+            f"MERGE (a)-[:{relation_identifier(relation)}]->(b);"
         )
     try:
         Path(path).write_text("".join(s + "\n" for s in statements), encoding="utf-8")
@@ -296,8 +298,7 @@ def export_cypher(graph: KnowledgeGraph, path: str | Path) -> int:
 def export_csv(graph: KnowledgeGraph, nodes_path: str | Path, rels_path: str | Path) -> None:
     """Bulk-import companion to the Cypher export: nodes.csv carries
     canonical re-numbered ids so identical graphs yield identical files."""
-    ordered = _sorted_nodes(graph)
-    export_id = {node.id: i for i, node in enumerate(ordered, start=1)}
+    ordered, export_id, triples = _canonical(graph)
     try:
         with open(nodes_path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
@@ -312,8 +313,8 @@ def export_csv(graph: KnowledgeGraph, nodes_path: str | Path, rels_path: str | P
         with open(rels_path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["head", "relation", "tail"])
-            for triple in _sorted_triples(graph):
-                writer.writerow([export_id[triple.head], triple.relation, export_id[triple.tail]])
+            writer.writerows([export_id[head], relation, export_id[tail]]
+                             for head, relation, tail in triples)
     except OSError as exc:
         raise IoError(f"cannot write CSV export: {exc}") from exc
 
@@ -321,22 +322,20 @@ def export_csv(graph: KnowledgeGraph, nodes_path: str | Path, rels_path: str | P
 # -- persistence ----------------------------------------------------------
 
 
+# the encoder json.dumps(..., ensure_ascii=False, sort_keys=True) builds,
+# and a decoder that reads one record without json.loads' whitespace scans
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     """Lossless line-delimited JSON snapshot (internal ids preserved)."""
-    lines = [json.dumps({"schema": SCHEMA_TAG}, ensure_ascii=False)]
-    for node_id in sorted(graph.nodes):
-        node = graph.nodes[node_id]
-        lines.append(json.dumps(
-            {"kind": "node", "id": node.id, "label": node.label,
-             "name": node.name, "attributes": node.attributes},
-            ensure_ascii=False, sort_keys=True,
-        ))
+    lines = [_encode({"schema": SCHEMA_TAG})]
+    for _, node in sorted(graph.nodes.items()):
+        lines.append(_encode({"kind": "node", "id": node.id, "label": node.label,
+                              "name": node.name, "attributes": node.attributes}))
     for triple in graph.triples:
-        lines.append(json.dumps(
-            {"kind": "triple", "head": triple.head, "relation": triple.relation,
-             "tail": triple.tail},
-            ensure_ascii=False, sort_keys=True,
-        ))
+        lines.append(_encode({"kind": "triple", **triple._asdict()}))
     try:
         Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     except OSError as exc:
@@ -367,9 +366,18 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IoError(f"{path}: line {lineno}: truncated or invalid record: {exc.msg}") from exc
+            obj, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):  # surrounding whitespace, or not one JSON value
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IoError(
+                    f"{path}: line {lineno}: truncated or invalid record: {exc.msg}"
+                ) from exc
+        if not isinstance(obj, dict):
+            raise IoError(f"{path}: line {lineno}: record is not a JSON object")
         kind = obj.get("kind")
         if kind == "node":
             try:
@@ -378,6 +386,8 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
                 attributes = obj.get("attributes", {})
             except (KeyError, TypeError, ValueError) as exc:
                 raise IoError(f"{path}: line {lineno}: malformed node record") from exc
+            if not isinstance(name, str) or not name.strip() or not isinstance(attributes, dict):
+                raise IoError(f"{path}: line {lineno}: malformed node record")
             if label not in GRAPH_LABELS:
                 raise IoError(f"{path}: line {lineno}: unknown label {label!r}")
             key = (label, normalize_name(name))
@@ -390,13 +400,20 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
             pending.append((lineno, obj))
         else:
             raise IoError(f"{path}: line {lineno}: unknown record kind {kind!r}")
+    triples, by_head, by_tail = graph._triples, graph._by_head, graph._by_tail
     for lineno, obj in pending:
         try:
             head, relation, tail = int(obj["head"]), obj["relation"], int(obj["tail"])
         except (KeyError, TypeError, ValueError) as exc:
             raise IoError(f"{path}: line {lineno}: malformed triple record") from exc
+        if not isinstance(relation, str):
+            raise IoError(f"{path}: line {lineno}: malformed triple record")
         try:
-            graph.add_triple(head, relation, tail)
+            graph._check_triple(head, relation, tail)
         except DataError as exc:
             raise IoError(f"{path}: line {lineno}: {exc}") from exc
+        triple = Triple(head, relation, tail)
+        triples[triple] = None  # a repeated triple keeps its first position
+        by_head.setdefault(head, {})[triple] = None
+        by_tail.setdefault(tail, {})[triple] = None
     return graph

@@ -110,19 +110,10 @@ def _parse_record(obj: dict, lineno: int) -> DiseaseEntry:
 def _merge(earlier: DiseaseEntry, later: DiseaseEntry) -> DiseaseEntry:
     # Scalars: the later non-empty value wins; an absent field never erases
     # earlier data. Lists: order-preserving union.
-    def union(a: tuple, b: tuple) -> tuple:
-        seen = set()
-        out = []
-        for item in a + b:
-            if item not in seen:
-                seen.add(item)
-                out.append(item)
-        return tuple(out)
-
     return DiseaseEntry(
         name=earlier.name,
-        treatments=union(earlier.treatments, later.treatments),
-        relations=union(earlier.relations, later.relations),
+        treatments=tuple(dict.fromkeys(earlier.treatments + later.treatments)),
+        relations=tuple(dict.fromkeys(earlier.relations + later.relations)),
         **{key: getattr(later, key) or getattr(earlier, key) for key in _SCALAR_FIELDS},
     )
 
@@ -147,8 +138,7 @@ def load_kb(path: str | Path) -> tuple[list[DiseaseEntry], Catalogs]:
     if not isinstance(header, dict) or header.get("schema") != SCHEMA_TAG:
         raise ParseError(f"line 1: expected schema header {{\"schema\": \"{SCHEMA_TAG}\"}}")
 
-    by_name: dict[str, DiseaseEntry] = {}
-    order: list[str] = []
+    by_name: dict[str, DiseaseEntry] = {}  # a merged entry keeps its first position
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -159,12 +149,10 @@ def load_kb(path: str | Path) -> tuple[list[DiseaseEntry], Catalogs]:
         entry = _parse_record(obj, lineno)
         if entry.name in by_name:
             log.warning("line %d: duplicate disease %r merged", lineno, entry.name)
-            by_name[entry.name] = _merge(by_name[entry.name], entry)
-        else:
-            by_name[entry.name] = entry
-            order.append(entry.name)
+            entry = _merge(by_name[entry.name], entry)
+        by_name[entry.name] = entry
 
-    entries = [by_name[name] for name in order]
+    entries = list(by_name.values())
     if not entries:
         log.warning("knowledge base %s contains no disease records", path)
 
@@ -188,7 +176,5 @@ def kb_into_graph(graph, entries: list[DiseaseEntry]) -> int:
             attributes["treatments"] = list(entry.treatments)
         head = graph.upsert_node("Disease", entry.name, attributes)
         for rel, target in entry.relations:
-            tail = graph.upsert_node(_TAIL_TYPE[rel], target)
-            if graph.add_triple(head, rel, tail):
-                added += 1
+            added += graph.add_triple(head, rel, graph.upsert_node(_TAIL_TYPE[rel], target))
     return added

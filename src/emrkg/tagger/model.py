@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from emrkg.corpus import BioSentence
-from emrkg.errors import DataError
+from emrkg.errors import ConfigError, DataError
 from emrkg.schema import EntitySchema
 from emrkg.tagger.crf import EmptySentence, nll_with_grad, viterbi
 from emrkg.tagger.lstm import LstmParams, lstm_backward, lstm_forward
@@ -229,13 +229,14 @@ def load_model(path: str | Path) -> TaggerModel:
             raise ModelFormatError(f"{path} is not a tagger model file")
         (version,) = struct.unpack("<I", _read_exact(handle, 4, "version"))
         if version != FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported model format version {version}")
+            raise ModelFormatError(f"{path}: unsupported model format version {version}")
         (meta_len,) = struct.unpack("<Q", _read_exact(handle, 8, "metadata length"))
+        raw_meta = _read_exact(handle, meta_len, "metadata")
         try:
-            meta = json.loads(_read_exact(handle, meta_len, "metadata").decode("utf-8"))
+            meta = json.loads(raw_meta.decode("utf-8"))
             vocab = Vocabulary(tuple(meta["vocab"]))
             schema = EntitySchema(tuple(meta["entity_types"]))
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, DataError, ConfigError) as exc:
             raise ModelFormatError(f"{path}: bad model metadata: {exc!r}") from exc
         (count,) = struct.unpack("<I", _read_exact(handle, 4, "array count"))
         arrays: dict[str, np.ndarray] = {}
@@ -254,11 +255,11 @@ def load_model(path: str | Path) -> TaggerModel:
 
     tagset = TagSet(schema)
     if set(arrays) != set(PARAM_NAMES):
-        raise ModelFormatError(f"model file arrays {sorted(arrays)} != expected set")
+        raise ModelFormatError(f"{path}: model file arrays {sorted(arrays)} != expected set")
     model = TaggerModel.from_arrays(vocab, tagset, arrays)
     k = len(tagset)
     if model.transitions.shape != (k + 2, k + 2) or model.proj_w.shape[1] != k:
-        raise ModelFormatError("model arrays inconsistent with tag set")
+        raise ModelFormatError(f"{path}: model arrays inconsistent with tag set")
     if model.embedding.shape[0] != len(vocab):
-        raise ModelFormatError("embedding rows inconsistent with vocabulary")
+        raise ModelFormatError(f"{path}: embedding rows inconsistent with vocabulary")
     return model

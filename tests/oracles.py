@@ -4,21 +4,25 @@ Everything here is written the slow, obvious way: explicit path
 enumeration, dictionary-backed vectors, linear scans. The optimized code
 under test must agree with these, not the other way round, so nothing in
 this module may import from the modules it checks (except plain data
-types, exception types and the name normalizer, which has its own direct
-tests).
+types, exception types and the name normalizer, which is checked against
+``normalize_name_by_loop`` here).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
 
 from emrkg.corpus import EntitySpan, Segment, UnsplittableEntity
 from emrkg.errors import DataError
-from emrkg.graph import KnowledgeGraph, Node, normalize_name
+from emrkg.graph import KnowledgeGraph, Node, Triple, normalize_name
 
 
 # -- standoff spans and segmentation ----------------------------------------
@@ -224,3 +228,85 @@ def pattern_scan(
     }
     tails = {t.tail for t in graph.triples if t.relation == relation and t.head in heads}
     return sorted((graph.nodes[i] for i in tails), key=lambda n: (n.name, n.id))
+
+
+def normalize_name_by_loop(name: str) -> str:
+    """Trim, then fold each full-width ASCII form (U+FF01..U+FF5E) and the
+    ideographic space (U+3000) to half width, one character at a time."""
+    out = []
+    for ch in name.strip():
+        code = ord(ch)
+        if 0xFF01 <= code <= 0xFF5E:
+            out.append(chr(code - 0xFEE0))
+        elif code == 0x3000:
+            out.append(" ")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _node_key(graph: KnowledgeGraph, node_id: int) -> tuple[str, str]:
+    node = graph.nodes[node_id]
+    return (node.label, normalize_name_by_loop(node.name))
+
+
+def canonical_nodes(graph: KnowledgeGraph) -> list[Node]:
+    """Nodes by (label, normalized name)."""
+    return sorted(graph.nodes.values(), key=lambda n: _node_key(graph, n.id))
+
+
+def canonical_triples(graph: KnowledgeGraph) -> list[Triple]:
+    """Triples by (head key, relation, tail key), each node key recomputed
+    for every triple that names it."""
+    return sorted(
+        graph.triples,
+        key=lambda t: (_node_key(graph, t.head), t.relation, _node_key(graph, t.tail)),
+    )
+
+
+def _cypher_literal(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    return "[" + ", ".join(_cypher_literal(v) for v in value) + "]"
+
+
+def cypher_by_sort(graph: KnowledgeGraph) -> str:
+    """The Cypher export text, nodes and triples in the sorted orders above."""
+    lines = []
+    for node in canonical_nodes(graph):
+        props = [("name", node.name)] + sorted(node.attributes.items())
+        rendered = ", ".join(f"{k}: {_cypher_literal(v)}" for k, v in props)
+        lines.append(f"MERGE (n:{node.label} {{{rendered}}});")
+    for triple in canonical_triples(graph):
+        head, tail = graph.nodes[triple.head], graph.nodes[triple.tail]
+        relation = re.sub(r"(?<=.)([A-Z])", r"_\1", triple.relation).upper()
+        lines.append(
+            f"MATCH (a:{head.label} {{name: {_cypher_literal(head.name)}}}), "
+            f"(b:{tail.label} {{name: {_cypher_literal(tail.name)}}}) "
+            f"MERGE (a)-[:{relation}]->(b);"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+def csv_by_sort(graph: KnowledgeGraph) -> tuple[str, str]:
+    """The nodes.csv and rels.csv texts, ids renumbered in node order."""
+    nodes = canonical_nodes(graph)
+    export_id = {node.id: i for i, node in enumerate(nodes, start=1)}
+    node_rows = [["id", "label", "name", "attributes"]] + [
+        [export_id[n.id], n.label, n.name,
+         json.dumps(dict(sorted(n.attributes.items())), ensure_ascii=False)]
+        for n in nodes
+    ]
+    rel_rows = [["head", "relation", "tail"]] + [
+        [export_id[t.head], t.relation, export_id[t.tail]] for t in canonical_triples(graph)
+    ]
+    texts = []
+    for rows in (node_rows, rel_rows):
+        buffer = io.StringIO(newline="")
+        csv.writer(buffer).writerows(rows)
+        texts.append(buffer.getvalue())
+    return texts[0], texts[1]

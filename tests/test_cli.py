@@ -25,6 +25,9 @@ def _write_config(path, **overrides):
 
 # -- exit codes --------------------------------------------------------------
 
+_QUERY = ["--label", "Disease", "--name", "肝癌", "--relation", "RecommendedFood"]
+
+
 
 def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == 1
@@ -162,6 +165,18 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
         pytest.param(["align", "--entities", "{missing}"], 3, "missing", id="align-entities"),
         pytest.param(["augment", "--bio", "{missing}", "--dictionary", "{present}"], 3, "missing",
                      id="augment-bio"),
+        pytest.param(["query", "--graph", "{graph_not_object}", *_QUERY], 3,
+                     "graph_not_object", id="graph-record-not-object"),
+        pytest.param(["query", "--graph", "{graph_attributes_not_object}", *_QUERY], 3,
+                     "graph_attributes_not_object", id="graph-node-attributes-not-object"),
+        pytest.param(["query", "--graph", "{graph_name_not_string}", *_QUERY], 3,
+                     "graph_name_not_string", id="graph-node-name-not-string"),
+        pytest.param(["query", "--graph", "{graph_name_blank}", *_QUERY], 3,
+                     "graph_name_blank", id="graph-node-name-blank"),
+        pytest.param(["query", "--graph", "{graph_relation_list}", *_QUERY], 3,
+                     "graph_relation_list", id="graph-triple-relation-list"),
+        pytest.param(["tag", "--model-file", "{meta_no_pad}"], 3, "meta_no_pad",
+                     id="model-vocab-without-pad"),
     ],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(
@@ -176,13 +191,17 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         "gbk": tmp_path / "gbk.txt",
         "meta_not_utf8": tmp_path / "meta_not_utf8.bin",
         "meta_no_vocab": tmp_path / "meta_no_vocab.bin",
+        "meta_no_pad": tmp_path / "meta_no_pad.bin",
         "array_name_not_utf8": tmp_path / "array_name_not_utf8.bin",
         "array_dim_huge": tmp_path / "array_dim_huge.bin",
     }
     paths["present"].write_text("", encoding="utf-8")
     paths["gbk"].write_bytes("肝\tB-Disease\n癌\tI-Disease\n".encode("gbk"))
+    no_pad = [t for t in Vocabulary.build(["肝"]).tokens if t != "<pad>"]
     for name, meta in [("meta_not_utf8", '{"vocab": ["肝"]}'.encode("gbk")),
-                       ("meta_no_vocab", b'{"entity_types": ["Disease"]}')]:
+                       ("meta_no_vocab", b'{"entity_types": ["Disease"]}'),
+                       ("meta_no_pad", json.dumps({"vocab": no_pad, "entity_types": ["Disease"]})
+                        .encode("utf-8"))]:
         header = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(meta))
         paths[name].write_bytes(header + meta + struct.pack("<I", 0))
     # valid metadata, then one array table entry with a bad name or a bad dim
@@ -199,6 +218,17 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
                          ("orders_zero", {"ngram_orders": [0]}),
                          ("orders_empty", {"ngram_orders": []})]:
         paths[name] = _write_config(tmp_path / f"{name}.json", fusion=fusion)
+    node = '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}'
+    for name, record in [
+        ("graph_not_object", "[1]"),
+        ("graph_attributes_not_object", node[:-1] + ', "attributes": 5}'),
+        ("graph_name_not_string", node.replace('"肝癌"', "5")),
+        ("graph_name_blank", node.replace('"肝癌"', '" "')),
+        ("graph_relation_list",
+         node + '\n{"kind": "triple", "head": 1, "relation": ["Complication"], "tail": 1}'),
+    ]:
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(f'{{"schema": "graph/1"}}\n{record}\n', encoding="utf-8")
     paths["bad_header"].write_text(
         'schema: entities/1\n{"doc_id": "d1", "entities": []}\n', encoding="utf-8"
     )

@@ -238,6 +238,23 @@ def test_align_matches_oracle_at_scale_and_on_edge_cases():
             assert abs(got.similarity - want_similarity) <= 1e-12, (query, threshold)
 
 
+def test_align_rejects_a_threshold_outside_the_unit_interval():
+    index = build_index(["肝癌", "肝炎"])
+    for threshold in (-0.1, 1.5, math.nan):
+        with pytest.raises(DataError, match=r"threshold must be in \[0, 1\]"):
+            align("肝癌", index, threshold)
+
+
+def test_a_query_without_weight_ties_every_name_at_zero():
+    """As a query that shares no n-gram with any name does: at threshold 0
+    it aligns to the smallest name (肝炎 < 肝癌), else to none."""
+    index = build_index(["肝癌", "肝炎"])
+    # no terms at all; only 肝, a term of every name (IDF 0); no shared term
+    for query in ("", "肝", "ＡＢ"):
+        assert align(query, index, 0.0) == Alignment(query, "肝炎", 0.0, 0.0)
+        assert align(query, index) == Alignment(query, None, 0.0)
+
+
 def test_alignment_invariant_ties_target_to_threshold():
     Alignment("a", "b", 0.9, threshold=0.8)
     Alignment("a", None, 0.5, threshold=0.8)

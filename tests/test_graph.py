@@ -7,6 +7,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emrkg.errors import DataError, InternalError
 from emrkg.graph import (
@@ -25,7 +27,12 @@ from emrkg.graph import (
     save_graph,
 )
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS
-from tests.oracles import pattern_scan
+from tests.oracles import (
+    csv_by_sort,
+    cypher_by_sort,
+    normalize_name_by_loop,
+    pattern_scan,
+)
 from tests.support import triples_from, triples_to
 
 
@@ -38,6 +45,17 @@ def test_normalize_name_folds_width_and_trims():
     assert normalize_name("Ｂ超１２") == "B超12"
     assert normalize_name("甲　乙") == "甲 乙"
     assert normalize_name("肝癌") == "肝癌"
+
+
+# the ends of the folded block and their neighbours, the ideographic space,
+# and whitespace that str.strip removes (so that trimming meets folding)
+_FOLD_EDGES = "\uff00\uff01\uff5e\uff5f\u3000 \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u2029"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from(_FOLD_EDGES), st.characters()), max_size=12))
+def test_normalize_name_matches_the_character_loop(name):
+    assert normalize_name(name) == normalize_name_by_loop(name)
 
 
 # -- node identity ----------------------------------------------------------
@@ -176,6 +194,24 @@ def test_merge_handles_self_loops_between_source_and_target():
     # The edge became target->target, which the type system allows here.
     assert graph.triples[0].head == target
     assert graph.triples[0].tail == target
+    graph.validate()
+
+
+def test_failed_merge_leaves_the_graph_unchanged():
+    graph = KnowledgeGraph()
+    patient = graph.upsert_node("Patient", "p1")
+    disease = graph.upsert_node("Disease", "肝癌")
+    food = graph.upsert_node("Food", "辣椒")
+    symptom = graph.upsert_node("Symptom", "腹痛")
+    graph.add_triple(disease, "AvoidFood", food)  # a Symptom may not avoid food
+    graph.add_triple(disease, "HasSymptom", symptom)
+    graph.add_triple(patient, "HasSymptom", symptom)
+    before = (graph.triples, dict(graph.nodes), triples_from(graph, disease),
+              triples_to(graph, symptom))
+    with pytest.raises(RelationTypeMismatch, match="AvoidFood"):
+        graph.merge_node_into(disease, symptom)
+    assert (graph.triples, dict(graph.nodes), triples_from(graph, disease),
+            triples_to(graph, symptom)) == before
     graph.validate()
 
 
@@ -360,6 +396,64 @@ def test_export_csv_renumbers_ids_canonically(tmp_path):
     assert rel_rows == [["head", "relation", "tail"], ["1", "RecommendedFood", "2"]]
 
 
+# A spec is nodes (label, name, attributes), one spelling per node key, and
+# admitted triples between them as (head index, relation, tail index). The
+# names mix widths, quotes and backslashes, so the export has to fold and
+# escape them.
+_NAME_CHARS = "肝癌腹痛甲乙CTab'\\ＣＴ１　 "
+
+
+def _random_spec(rng: random.Random, n_nodes: int = 40, n_triples: int = 80):
+    nodes, seen = [], set()
+    while len(nodes) < n_nodes:
+        label = rng.choice(GRAPH_LABELS + ("Patient", "Disease") * 3)
+        name = "".join(rng.choice(_NAME_CHARS) for _ in range(rng.randint(1, 4)))
+        key = (label, normalize_name_by_loop(name))
+        if not key[1] or key in seen:
+            continue
+        seen.add(key)
+        fields = rng.sample(["cause", "description", "aliases"], rng.randint(0, 2))
+        nodes.append((label, name, {f: rng.choice(["值", "a'b", "c\\d", 3, ["x", "y"]])
+                                    for f in fields}))
+    by_label: dict[str, list[int]] = {}
+    for i, (label, _, _) in enumerate(nodes):
+        by_label.setdefault(label, []).append(i)
+    kinds = [(relation, head, tail) for relation, pairs in RELATION_ENDPOINTS.items()
+             for head, tail in pairs if head in by_label and tail in by_label]
+    triples = set()
+    for _ in range(n_triples):
+        relation, head, tail = rng.choice(kinds)
+        triples.add((rng.choice(by_label[head]), relation, rng.choice(by_label[tail])))
+    return nodes, sorted(triples)
+
+
+def _build(spec, rng: random.Random) -> KnowledgeGraph:
+    """The spec's graph, nodes and triples inserted in a shuffled order."""
+    nodes, triples = spec
+    graph = KnowledgeGraph()
+    ids = {i: graph.upsert_node(*nodes[i]) for i in rng.sample(range(len(nodes)), len(nodes))}
+    for head, relation, tail in rng.sample(triples, len(triples)):
+        graph.add_triple(ids[head], relation, ids[tail])
+    return graph
+
+
+def test_export_equals_the_sorted_oracle_for_every_insertion_order(tmp_path):
+    rng = random.Random(29)
+    for _ in range(15):
+        spec = _random_spec(rng)
+        outputs = set()
+        for _ in range(3):
+            graph = _build(spec, rng)
+            count = export_cypher(graph, tmp_path / "graph.cypher")
+            export_csv(graph, tmp_path / "nodes.csv", tmp_path / "rels.csv")
+            got = tuple((tmp_path / name).read_bytes().decode("utf-8")
+                        for name in ("graph.cypher", "nodes.csv", "rels.csv"))
+            assert got == (cypher_by_sort(graph), *csv_by_sort(graph))
+            assert count == len(graph.nodes) + len(graph.triples)
+            outputs.add(got)
+        assert len(outputs) == 1
+
+
 # -- persistence ----------------------------------------------------------
 
 
@@ -390,6 +484,42 @@ def test_save_load_round_trip_preserves_everything(tmp_path):
     second = tmp_path / "again.jsonl"
     save_graph(loaded, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_save_load_round_trip_on_random_graphs(tmp_path):
+    rng = random.Random(31)
+    path, again = tmp_path / "graph.jsonl", tmp_path / "again.jsonl"
+    for _ in range(15):
+        graph = _build(_random_spec(rng), rng)
+        diseases = [n.id for n in graph.nodes.values() if n.label == "Disease"]
+        graph.merge_node_into(diseases[0], diseases[-1])  # leaves a gap in the ids
+        save_graph(graph, path)
+        loaded = load_graph(path)
+        loaded.validate()
+        assert loaded.nodes == graph.nodes
+        assert loaded.triples == graph.triples
+        save_graph(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_graph_reads_each_line_as_json_loads_does(tmp_path):
+    node = '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}'
+    path = tmp_path / "graph.jsonl"
+    path.write_text(f'{{"schema": "graph/1"}}\n \t{node} \n\n', encoding="utf-8")
+    assert load_graph(path).find_node("Disease", "肝癌").id == 1
+    for lines, message in [
+        ([node + " " + node], "line 2: truncated or invalid record: Extra data"),
+        ([node[:30], node[30:]], "line 2: truncated or invalid record"),  # one record, two lines
+        (["[1]"], "line 2: record is not a JSON object"),
+        ([node.replace('"肝癌"', '" "')], "line 2: malformed node record"),
+        ([node.replace('"肝癌"', "5")], "line 2: malformed node record"),
+        ([node[:-1] + ', "attributes": 5}'], "line 2: malformed node record"),
+        ([node, '{"kind": "triple", "head": 1, "relation": ["Complication"], "tail": 1}'],
+         "line 3: malformed triple record"),
+    ]:
+        path.write_text("\n".join(['{"schema": "graph/1"}'] + lines) + "\n", encoding="utf-8")
+        with pytest.raises(IoError, match=f"{path}: {message}"):
+            load_graph(path)
 
 
 def test_load_graph_rejects_empty_and_unversioned_files(tmp_path):

@@ -20,6 +20,7 @@ import platform
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from emrkg.derm import (
     read_dictionary_file,
     write_dictionary_file,
 )
-from emrkg.errors import ConfigError, DataError, EmrkgError, read_text
+from emrkg.errors import ConfigError, DataError, EmrkgError, read_lines, read_text
 from emrkg.fusion import DEFAULT_NGRAM_ORDERS, DEFAULT_THRESHOLD, Alignment, align, build_index, fuse
 from emrkg.graph import (
     KnowledgeGraph,
@@ -400,18 +401,16 @@ def run_tag_corpus(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     corpus_dir = cfg.require_corpus_dir()
     model = load_model(model_path)
     docs = load_corpus_dir(corpus_dir, cfg.schema())
-    all_predicted: list[BioSentence] = []
+    per_doc = [to_bio(segment(doc, cfg.max_len)) for doc in docs]
+    all_predicted = predict(model, [sentence for gold in per_doc for sentence in gold])
     lines = [json.dumps({"schema": ENTITIES_SCHEMA_TAG})]
-    for doc in docs:
-        gold = to_bio(segment(doc, cfg.max_len))
-        predicted = predict(model, gold)
-        all_predicted.extend(predicted)
-        entities = []
-        for sentence in predicted:
-            entities.extend(
-                [label, sentence.chars[start:end]]
-                for label, start, end in from_bio(sentence)
-            )
+    predicted = iter(all_predicted)
+    for doc, gold in zip(docs, per_doc):
+        entities = [
+            [label, sentence.chars[start:end]]
+            for sentence in islice(predicted, len(gold))
+            for label, start, end in from_bio(sentence)
+        ]
         lines.append(json.dumps(
             {"doc_id": doc.doc_id, "entities": entities}, ensure_ascii=False
         ))
@@ -453,7 +452,7 @@ def run_kb_load(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 
 
 def _read_entities_file(path: Path) -> list[tuple[str, list[tuple[str, str]]]]:
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty entities file")
     try:
@@ -510,7 +509,7 @@ def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 
 
 def read_alignment_file(path: Path, threshold: float) -> list[Alignment]:
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != "source\ttarget\tsimilarity":
         raise DataError(f"{path}: missing alignment header row")
     alignments = []

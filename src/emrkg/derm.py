@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from emrkg.corpus import BioSentence, from_bio, tags_for_spans
-from emrkg.errors import ConfigError, DataError, read_text
+from emrkg.errors import ConfigError, DataError, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -185,7 +185,7 @@ def write_dictionary_file(dictionary: EntityDictionary, path: str | Path) -> Non
 
 def read_dictionary_file(path: str | Path) -> EntityDictionary:
     by_type: dict[str, list[str]] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

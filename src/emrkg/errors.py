@@ -30,3 +30,14 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_lines(path: str | Path) -> list[str]:
+    r"""The lines of a UTF-8 text file, split at line ends only ("\n", and
+    "\r\n" or "\r", which :func:`read_text` reads as "\n").
+    ``str.splitlines`` would also split inside names holding U+2028, U+0085
+    and the like, which machine-written files keep raw."""
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from emrkg.errors import DataError, InternalError
+from emrkg.errors import DataError, InternalError, read_lines
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
 
 log = logging.getLogger(__name__)
@@ -345,10 +345,9 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
 def load_graph(path: str | Path) -> KnowledgeGraph:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+        lines = read_lines(path)
+    except DataError as exc:
+        raise IoError(str(exc)) from exc
     if not lines:
         raise SchemaVersionMismatch(f"{path}: empty graph file")
     try:

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from emrkg.errors import DataError, read_text
+from emrkg.errors import DataError, read_lines
 from emrkg.schema import KB_RELATIONS, RELATION_ENDPOINTS
 
 log = logging.getLogger(__name__)
@@ -126,7 +126,7 @@ def load_kb(path: str | Path) -> tuple[list[DiseaseEntry], Catalogs]:
     repeated loads are identical.
     """
     path = Path(path)
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     if not lines:
         log.warning("knowledge base %s is empty", path)
         return [], Catalogs()

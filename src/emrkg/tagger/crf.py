@@ -1,4 +1,5 @@
-"""Linear-chain CRF: log-partition, negative log-likelihood and Viterbi.
+"""Linear-chain CRF: log-partition, negative log-likelihood and Viterbi
+(one sentence, or a right-padded batch of them).
 
 Scores use a (K+2)x(K+2) transition matrix over K real tags plus two
 virtual positions, START = K and STOP = K+1:
@@ -35,7 +36,7 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _check(emissions: np.ndarray, transitions: np.ndarray) -> tuple[int, int]:
-    length, num_tags = emissions.shape
+    *_, length, num_tags = emissions.shape
     if length == 0:
         raise EmptySentence("emission matrix has zero rows")
     if transitions.shape != (num_tags + 2, num_tags + 2):
@@ -127,22 +128,40 @@ def nll_with_grad(
     return value, d_emissions, d_transitions
 
 
-def viterbi(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    """Highest-scoring tag path (argmax ties resolve to the lowest index)."""
+def viterbi(
+    emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray | None = None
+) -> np.ndarray | list[np.ndarray]:
+    """Highest-scoring tag path (argmax ties resolve to the lowest index).
+
+    An (L, K) input returns one path. A (B, L, K) input with ``lengths``
+    returns one path per row, scoring only its first ``lengths[b]`` steps,
+    so whatever follows them in the row is ignored.
+    """
+    if emissions.ndim == 2:
+        return viterbi(emissions[None], transitions, np.array([emissions.shape[0]]))[0]
     length, num_tags = _check(emissions, transitions)
+    batch = emissions.shape[0]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (batch,) or np.any(lengths > length):
+        raise ValueError(f"lengths {lengths} do not fit emissions of shape {emissions.shape}")
+    if np.any(lengths < 1):
+        raise EmptySentence("a row of the emission batch has zero length")
     start, stop = num_tags, num_tags + 1
     inner = transitions[:num_tags, :num_tags]
 
-    score = transitions[start, :num_tags] + emissions[0]
-    backptr = np.empty((length, num_tags), dtype=np.intp)
+    scores = np.empty((batch, length, num_tags))
+    backptr = np.empty((batch, length, num_tags), dtype=np.intp)
+    scores[:, 0] = transitions[start, :num_tags] + emissions[:, 0]
     for i in range(1, length):
-        candidates = score[:, None] + inner
-        backptr[i] = np.argmax(candidates, axis=0)
-        score = emissions[i] + np.max(candidates, axis=0)
-    score = score + transitions[:num_tags, stop]
+        candidates = scores[:, i - 1, :, None] + inner
+        backptr[:, i] = np.argmax(candidates, axis=1)
+        scores[:, i] = emissions[:, i] + np.max(candidates, axis=1)
+    rows = np.arange(batch)
+    last = np.argmax(scores[rows, lengths - 1] + transitions[:num_tags, stop], axis=1)
 
-    path = np.empty(length, dtype=np.intp)
-    path[-1] = int(np.argmax(score))
-    for i in range(length - 1, 0, -1):
-        path[i - 1] = backptr[i, path[i]]
-    return path
+    paths = np.empty((batch, length), dtype=np.intp)
+    paths[:, -1] = tag = last
+    for i in range(length - 2, -1, -1):
+        tag = np.where(i == lengths - 1, last, backptr[rows, i + 1, tag])
+        paths[:, i] = tag
+    return [paths[b, : lengths[b]] for b in range(batch)]

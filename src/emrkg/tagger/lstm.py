@@ -7,8 +7,13 @@ blocks [input, forget, cell, output], each of size ``hidden``:
     c_t = f * c_{t-1} + i * g
     h_t = o * tanh(c_t)
 
-The backward pass consumes d(loss)/d(h_t) for every step and returns
-parameter gradients plus d(loss)/d(x_t).
+Training runs one sentence at a time: :func:`lstm_forward` keeps every
+step's gates and cells, and :func:`lstm_backward` consumes d(loss)/d(h_t)
+for every step and returns parameter gradients plus d(loss)/d(x_t).
+
+Inference runs a batch of right-padded index rows through
+:func:`lstm_states`, which keeps only the hidden states. Padding sits after
+each row's last character, so it never feeds a step that matters.
 """
 
 from __future__ import annotations
@@ -72,6 +77,36 @@ def lstm_forward(params: LstmParams, inputs: np.ndarray) -> LstmCache:
         cells[t], tanh_cells[t], hidden_states[t] = c, tc, h_t
         h_prev, c_prev = h_t, c
     return LstmCache(inputs, gates, cells, tanh_cells, hidden_states)
+
+
+def lstm_states(params: LstmParams, table: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Hidden states (B, L, h) of right-padded index rows (B, L), with no cache.
+
+    ``table`` is ``embedding @ w.T + b``, shape (V, 4h): each step gathers
+    its rows instead of embedding the whole batch. All four gates come from
+    one tanh, since sigmoid(x) = tanh(x/2)/2 + 1/2.
+    """
+    batch, length = indices.shape
+    h = params.hidden
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h : 3 * h] = 1.0
+    shift = 1.0 - scale
+    u_t = params.u.T
+    states = np.empty((batch, length, h))
+    h_prev = np.zeros((batch, h))
+    c = np.zeros((batch, h))
+    for t in range(length):
+        a = table[indices[:, t]]
+        a += h_prev @ u_t
+        a *= scale
+        gates = np.tanh(a, out=a)
+        gates *= scale
+        gates += shift
+        c *= gates[:, h : 2 * h]
+        c += gates[:, :h] * gates[:, 2 * h : 3 * h]
+        h_prev = gates[:, 3 * h :] * np.tanh(c)
+        states[:, t] = h_prev
+    return states
 
 
 def lstm_backward(

@@ -133,6 +133,66 @@ def path_score(emissions: np.ndarray, transitions: np.ndarray, path) -> float:
     return float(score + transitions[path[-1], k + 1])
 
 
+def viterbi_by_sentence(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
+    """One sentence's best path by the step-at-a-time Viterbi recursion;
+    ties keep the lowest tag index."""
+    length, k = emissions.shape
+    start, stop = k, k + 1
+    inner = transitions[:k, :k]
+    score = transitions[start, :k] + emissions[0]
+    backptr = np.empty((length, k), dtype=np.intp)
+    for i in range(1, length):
+        candidates = score[:, None] + inner
+        backptr[i] = np.argmax(candidates, axis=0)
+        score = emissions[i] + np.max(candidates, axis=0)
+    score = score + transitions[:k, stop]
+    path = np.empty(length, dtype=np.intp)
+    path[-1] = int(np.argmax(score))
+    for i in range(length - 1, 0, -1):
+        path[i - 1] = backptr[i, path[i]]
+    return path
+
+
+# -- tagger inference --------------------------------------------------------
+
+
+def _lstm_by_step(w: np.ndarray, u: np.ndarray, b: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Hidden states of one direction, one character at a time."""
+    h = u.shape[1]
+
+    def sigmoid(x: np.ndarray) -> np.ndarray:
+        return np.exp(-np.logaddexp(0.0, -x))
+
+    h_t, c_t = np.zeros(h), np.zeros(h)
+    states = np.zeros((len(inputs), h))
+    for t, x in enumerate(inputs):
+        a = w @ x + u @ h_t + b
+        c_t = sigmoid(a[h : 2 * h]) * c_t + sigmoid(a[:h]) * np.tanh(a[2 * h : 3 * h])
+        h_t = sigmoid(a[3 * h :]) * np.tanh(c_t)
+        states[t] = h_t
+    return states
+
+
+def emissions_by_sentence(model, chars: str) -> np.ndarray:
+    """Emission scores (len(chars), K) of one sentence, from the model's
+    arrays: unknown characters read the ``<unk>`` row."""
+    unk = model.vocab.index["<unk>"]
+    inputs = model.embedding[[model.vocab.index.get(ch, unk) for ch in chars]]
+    forward = _lstm_by_step(model.fw.w, model.fw.u, model.fw.b, inputs)
+    backward = _lstm_by_step(model.bw.w, model.bw.u, model.bw.b, inputs[::-1])[::-1]
+    return np.concatenate([forward, backward], axis=1) @ model.proj_w + model.proj_b
+
+
+def predict_by_sentence(model, texts: list[str]) -> list[tuple[str, ...]]:
+    """Tags of each text, one sentence and one Viterbi at a time."""
+    return [
+        tuple(model.tagset.tags[k] for k in viterbi_by_sentence(
+            emissions_by_sentence(model, text), model.transitions
+        ))
+        for text in texts
+    ]
+
+
 # -- TF-IDF --------------------------------------------------------------
 
 

@@ -18,6 +18,11 @@ from emrkg.tagger.crf import EmptySentence, nll
 from emrkg.tagger.model import TaggerModel, _bilstm_states, param_arrays, sentence_loss_and_grads
 
 
+# One name per character that ``str.splitlines`` breaks a line at and a
+# "\n"-only reader does not.
+SEPARATOR_NAMES = tuple(f"肝{ch}癌" for ch in "\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 # -- TF-IDF --------------------------------------------------------------
 
 

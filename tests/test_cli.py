@@ -7,13 +7,23 @@ import json
 import struct
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import emrkg.cli
 from emrkg.cli import derive_seed, main
 from emrkg.corpus import read_bio_file
-from emrkg.tagger.model import FORMAT_VERSION, MAGIC
-from emrkg.tagger.vocab import Vocabulary
+from emrkg.schema import EntitySchema
+from emrkg.tagger.model import (
+    FORMAT_VERSION,
+    MAGIC,
+    TaggerModel,
+    init_model,
+    param_arrays,
+    save_model,
+)
+from emrkg.tagger.vocab import TagSet, Vocabulary
+from tests.support import SEPARATOR_NAMES
 
 
 def _write_config(path, **overrides):
@@ -177,6 +187,12 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      "graph_relation_list", id="graph-triple-relation-list"),
         pytest.param(["tag", "--model-file", "{meta_no_pad}"], 3, "meta_no_pad",
                      id="model-vocab-without-pad"),
+        pytest.param(["tag", "--model-file", "{proj_w_flat}"], 3, "proj_w_flat",
+                     id="model-proj-w-one-dimensional"),
+        pytest.param(["tag", "--model-file", "{fw_u_short}"], 3, "fw_u_short",
+                     id="model-fw-u-wrong-shape"),
+        pytest.param(["tag", "--model-file", "{hidden_wrong}"], 3, "hidden_wrong",
+                     id="model-hidden-not-the-arrays"),
     ],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(
@@ -213,6 +229,19 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         table = struct.pack("<I", 1) + struct.pack("<H", len(array_name)) + array_name
         table += struct.pack("<B", 1) + struct.pack("<Q", dim) + struct.pack("<d", 0.0)
         paths[name].write_bytes(header + table)
+    # a valid model but for one array's shape, or for the hidden size its
+    # metadata states
+    base = init_model(Vocabulary.build(["肝"]), TagSet(EntitySchema()), d_emb=2, hidden=2,
+                      rng=np.random.default_rng(0))
+    for name, change in [("proj_w_flat", {"proj_w": base.proj_w.ravel()}),
+                         ("fw_u_short", {"fw.u": base.fw.u[:-1]}),
+                         ("hidden_wrong", {})]:
+        paths[name] = tmp_path / f"{name}.bin"
+        arrays = {**dict(param_arrays(base)), **change}
+        save_model(TaggerModel.from_arrays(base.vocab, base.tagset, arrays), paths[name])
+    raw = paths["hidden_wrong"].read_bytes()
+    assert raw.count(b'"hidden": 2') == 1
+    paths["hidden_wrong"].write_bytes(raw.replace(b'"hidden": 2', b'"hidden": 3'))
     for name, fusion in [("threshold_zero", {"threshold": 0}),
                          ("threshold_above_one", {"threshold": 1.5}),
                          ("orders_zero", {"ngram_orders": [0]}),
@@ -380,6 +409,24 @@ def test_align_names_writes_a_tsv_with_matches_and_misses(tmp_path, kb_file):
     assert rows["糖尿病"][1] == ""  # below threshold: no target
     assert rows["肝癌"][1] == "肝癌"
     assert float(rows["肝癌"][2]) == pytest.approx(1.0)
+
+
+def test_entity_and_alignment_names_holding_line_separators_load_back(tmp_path, kb_file):
+    """Entities written as ``tag`` writes them feed ``align``, whose report
+    reads back with every such name whole."""
+    entities = tmp_path / "entities.jsonl"
+    records = [(f"d{i}", [("Disease", name)]) for i, name in enumerate(SEPARATOR_NAMES)]
+    entities.write_text("".join(
+        json.dumps(record, ensure_ascii=False) + "\n"
+        for record in [{"schema": emrkg.cli.ENTITIES_SCHEMA_TAG}]
+        + [{"doc_id": doc_id, "entities": [list(e) for e in found]} for doc_id, found in records]
+    ), encoding="utf-8")
+    assert emrkg.cli._read_entities_file(entities) == records
+    out = tmp_path / "out"
+    assert main(["align", "--seed", "4", "--kb-file", str(kb_file), "--output-dir", str(out),
+                 "--entities", str(entities)]) == 0
+    alignments = emrkg.cli.read_alignment_file(out / "alignments.tsv", 0.8)
+    assert [a.source for a in alignments] == sorted(SEPARATOR_NAMES)
 
 
 def test_align_without_a_source_flag_is_a_config_error(tmp_path, kb_file):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emrkg.tagger.crf import (
     EmptySentence,
@@ -19,7 +20,7 @@ from emrkg.tagger.crf import (
     nll_with_grad,
     viterbi,
 )
-from tests.oracles import enumerate_paths, path_score
+from tests.oracles import enumerate_paths, path_score, viterbi_by_sentence
 
 
 def random_instance(rng: np.random.Generator, forbid: bool = True):
@@ -65,6 +66,40 @@ def test_viterbi_matches_enumeration_argmax():
         assert path_score(emissions, transitions, path) == pytest.approx(
             best_score, abs=1e-10
         )
+
+
+# Few distinct scores, so that equal-scoring paths (exact ties) are common.
+_SCORES = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batched_viterbi_equals_the_per_sentence_oracle_row_by_row(data):
+    num_tags = data.draw(st.integers(1, 4))
+    lengths = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    width = max(lengths) + data.draw(st.integers(0, 2))
+    emissions = data.draw(arrays(np.float64, (len(lengths), width, num_tags), elements=_SCORES))
+    transitions = data.draw(arrays(
+        np.float64, (num_tags + 2, num_tags + 2), elements=_SCORES | st.just(-np.inf)
+    ))
+    paths = viterbi(emissions, transitions, np.array(lengths))
+    assert len(paths) == len(lengths)
+    for row, (length, path) in enumerate(zip(lengths, paths)):
+        np.testing.assert_array_equal(
+            path, viterbi_by_sentence(emissions[row, :length], transitions)
+        )
+    # One sentence alone is the same path through the two-dimensional call.
+    np.testing.assert_array_equal(
+        viterbi(emissions[0, : lengths[0]], transitions), paths[0]
+    )
+
+
+def test_batched_viterbi_rejects_zero_and_overlong_lengths():
+    emissions, transitions = np.zeros((2, 3, 2)), np.zeros((4, 4))
+    with pytest.raises(EmptySentence):
+        viterbi(emissions, transitions, np.array([3, 0]))
+    with pytest.raises(ValueError):
+        viterbi(emissions, transitions, np.array([3, 4]))
 
 
 def test_uniform_scores_give_log_of_path_count():

@@ -21,6 +21,7 @@ from emrkg.derm import (
     write_dictionary_file,
 )
 from emrkg.errors import ConfigError, DataError
+from tests.support import SEPARATOR_NAMES
 
 
 class ScriptedRng:
@@ -242,6 +243,19 @@ def test_dictionary_file_round_trip(tmp_path):
     assert read_dictionary_file(path) == DICTIONARY
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
     assert first_line == "Symptom\t呕吐"
+
+
+def test_dictionary_surfaces_holding_line_separators_round_trip(tmp_path):
+    path = tmp_path / "dict.tsv"
+    dictionary = EntityDictionary({"Disease": SEPARATOR_NAMES})
+    write_dictionary_file(dictionary, path)
+    assert read_dictionary_file(path) == dictionary
+
+
+def test_read_dictionary_drops_the_carriage_return_of_crlf_lines(tmp_path):
+    path = tmp_path / "dict.tsv"
+    path.write_bytes("Symptom\t头痛\r\nSymptom\t腹\u2028泻\r\n".encode("utf-8"))
+    assert read_dictionary_file(path) == EntityDictionary({"Symptom": ("头痛", "腹\u2028泻")})
 
 
 def test_read_dictionary_rejects_malformed_lines(tmp_path):

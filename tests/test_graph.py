@@ -33,7 +33,7 @@ from tests.oracles import (
     normalize_name_by_loop,
     pattern_scan,
 )
-from tests.support import triples_from, triples_to
+from tests.support import SEPARATOR_NAMES, triples_from, triples_to
 
 
 # -- name normalization ----------------------------------------------------
@@ -484,6 +484,18 @@ def test_save_load_round_trip_preserves_everything(tmp_path):
     second = tmp_path / "again.jsonl"
     save_graph(loaded, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_names_holding_line_separators_round_trip(tmp_path):
+    graph = KnowledgeGraph()
+    patient = graph.upsert_node("Patient", "p\u20281")
+    for name in SEPARATOR_NAMES:
+        graph.add_triple(patient, "HasDisease", graph.upsert_node("Disease", name))
+    path = tmp_path / "graph.jsonl"
+    save_graph(graph, path)
+    loaded = load_graph(path)
+    assert loaded.nodes == graph.nodes
+    assert loaded.triples == graph.triples
 
 
 def test_save_load_round_trip_on_random_graphs(tmp_path):

@@ -19,13 +19,15 @@ from emrkg.tagger import (
     save_model,
 )
 from emrkg.tagger.model import (
+    _PREDICT_CHUNK,
     ModelFormatError,
     init_model,
     param_arrays,
     sentence_loss_and_grads,
 )
-from emrkg.tagger.crf import nll
+from emrkg.tagger.crf import EmptySentence, nll
 from emrkg.tagger.vocab import PAD_TOKEN, UNK_TOKEN
+from tests.oracles import emissions_by_sentence, predict_by_sentence
 from tests.support import gradient_check, sentence_loss
 
 
@@ -149,6 +151,43 @@ def test_predict_returns_well_formed_sentences(model):
     # BioSentence construction validates the tag structure itself.
     assert all(isinstance(p, BioSentence) for p in predicted)
     assert predicted == predict(model, sentences)
+
+
+def test_predict_of_nothing_is_nothing(model):
+    assert predict(model, []) == []
+
+
+def test_predict_rejects_a_zero_length_sentence(model):
+    with pytest.raises(EmptySentence):
+        predict(model, [BioSentence("", ())])
+    with pytest.raises(EmptySentence):
+        predict(model, [BioSentence("肝癌", ("O", "O")), BioSentence("", ())])
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_batched_predict_equals_the_per_sentence_oracle(small_schema, seed):
+    """More than one chunk of sentences in shuffled lengths, with
+    out-of-vocabulary characters, through a model with large random
+    weights so that the tags vary."""
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary.build(["肝癌伴腹痛头晕乏力发热咳嗽。"])
+    model = init_model(vocab, TagSet(small_schema), d_emb=5, hidden=6, rng=rng)
+    for _, array in param_arrays(model):
+        finite = np.isfinite(array)
+        array[finite] = rng.normal(scale=2.0, size=int(finite.sum()))
+    pool = list("肝癌伴腹痛头晕乏力发热咳嗽。") + list("XY血")  # the last three are unknown
+    max_len = 50
+    lengths = rng.permutation(np.arange(2 * _PREDICT_CHUNK + 7) % max_len + 1)
+    texts = ["".join(rng.choice(pool, size=n)) for n in lengths]
+
+    predicted = predict(model, [BioSentence(t, ("O",) * len(t)) for t in texts])
+    assert [p.chars for p in predicted] == texts
+    assert [p.tags for p in predicted] == predict_by_sentence(model, texts)
+    assert len({tag for p in predicted for tag in p.tags}) > 2
+    for text in texts[:: _PREDICT_CHUNK // 4]:
+        np.testing.assert_allclose(
+            encode(model, text), emissions_by_sentence(model, text), rtol=0, atol=1e-10
+        )
 
 
 def test_sentence_loss_equals_crf_nll_of_encoded_emissions(model):

@@ -47,7 +47,7 @@ from emrkg.derm import (
     write_dictionary_file,
 )
 from emrkg.errors import ConfigError, DataError, EmrkgError, read_lines, read_text
-from emrkg.fusion import DEFAULT_NGRAM_ORDERS, DEFAULT_THRESHOLD, Alignment, align, build_index, fuse
+from emrkg.fusion import Alignment, FusionConfig, align, build_index, fuse
 from emrkg.graph import (
     KnowledgeGraph,
     add_patient_record,
@@ -71,15 +71,6 @@ EXIT_INTERNAL = 4
 
 ENTITIES_SCHEMA_TAG = "entities/1"
 
-# the seed is derived per stage and the derm block has its own section
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed", "derm"}
-_DERM_KEYS = {f.name for f in fields(DermConfig)}
-_TOP_KEYS = {
-    "seed", "corpus_dir", "kb_file", "output_dir", "model_file", "max_len",
-    "entity_types", "derm", "train", "fusion",
-}
-_FUSION_KEYS = {"threshold", "ngram_orders"}
-
 
 def derive_seed(seed: int, stage: str) -> int:
     """Per-stage seed: first eight bytes of sha256 over ``seed:stage``.
@@ -90,22 +81,23 @@ def derive_seed(seed: int, stage: str) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The resolved configuration; each section's dataclass checks its own values."""
+
     seed: int
     output_dir: Path
+    train: TrainConfig
     corpus_dir: Path | None = None
     kb_file: Path | None = None
     model_file: Path | None = None
     max_len: int = 50
-    entity_types: tuple[str, ...] | None = None
-    derm: DermConfig = field(default_factory=DermConfig)
-    train_params: dict = field(default_factory=dict)
-    threshold: float = DEFAULT_THRESHOLD
-    ngram_orders: tuple[int, ...] = DEFAULT_NGRAM_ORDERS
+    schema: EntitySchema = field(default_factory=EntitySchema)
+    fusion: FusionConfig = field(default_factory=FusionConfig)
 
-    def schema(self) -> EntitySchema:
-        if self.entity_types is None:
-            return EntitySchema()
-        return EntitySchema(tuple(self.entity_types))
+    def __post_init__(self) -> None:
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.max_len) is not int or self.max_len < 2:
+            raise ConfigError(f"max_len must be an integer of at least 2, got {self.max_len!r}")
 
     def resolved_model_file(self) -> Path:
         return self.model_file if self.model_file else self.output_dir / "model.bin"
@@ -124,14 +116,10 @@ class PipelineConfig:
             raise ConfigError(f"kb_file {self.kb_file} does not exist")
         return self.kb_file
 
-    def train_config(self) -> TrainConfig:
-        params = dict(self.train_params)
-        try:
-            return TrainConfig(seed=derive_seed(self.seed, "train"), derm=self.derm, **params)
-        except TypeError as exc:
-            raise ConfigError(f"bad train parameters: {exc}") from exc
-
     def as_dict(self) -> dict:
+        """Every resolved value, in the layout of the config file."""
+        train = asdict(self.train)
+        del train["seed"], train["derm"]
         return {
             "seed": self.seed,
             "output_dir": str(self.output_dir),
@@ -139,21 +127,32 @@ class PipelineConfig:
             "kb_file": str(self.kb_file) if self.kb_file else None,
             "model_file": str(self.resolved_model_file()),
             "max_len": self.max_len,
-            "entity_types": list(self.entity_types) if self.entity_types else None,
-            "derm": asdict(self.derm),
-            "train": dict(sorted(self.train_params.items())),
-            "fusion": {"threshold": self.threshold, "ngram_orders": list(self.ngram_orders)},
+            "entity_types": list(self.schema),
+            "derm": asdict(self.train.derm),
+            "train": train,
+            "fusion": asdict(self.fusion),
         }
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+# the file spells schema as entity_types and keeps train.derm as its own section
+_FILE_KEYS = {f.name for f in fields(PipelineConfig)} - {"schema"} | {"entity_types", "derm"}
+
+
+def _section(raw: dict, name: str, cls, **fixed):
+    """The file's ``name`` object as a ``cls``; ``fixed`` sets the fields
+    the file does not. The dataclass checks the values."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, got {section!r}")
+    unknown = set(section) - ({f.name for f in fields(cls)} - set(fixed))
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return cls(**section, **fixed)
 
 
 def load_config(args: argparse.Namespace) -> PipelineConfig:
-    """Merge defaults, config file and flags (flags win); validate keys."""
+    """Merge defaults, config file and flags (flags win), and check every
+    section, whichever subcommand runs."""
     raw: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -166,65 +165,37 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigError(f"config file {path}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: expected a JSON object")
-        _check_keys(raw, _TOP_KEYS, "config")
+        unknown = set(raw) - _FILE_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(flag: str, key: str, default=None):
-        value = getattr(args, flag, None)
-        if value is not None:
-            return value
-        return raw.get(key, default)
+    def pick(key: str, default=None):
+        value = getattr(args, key, None)
+        return value if value is not None else raw.get(key, default)
 
-    seed = pick("seed", "seed")
+    def as_path(key: str) -> Path | None:
+        value = pick(key)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a path string, got {value!r}")
+        return Path(value) if value else None
+
+    seed, output_dir, entity_types = pick("seed"), as_path("output_dir"), raw.get("entity_types")
     if seed is None:
         raise ConfigError("seed is mandatory (config key 'seed' or --seed)")
-    output_dir = pick("output_dir", "output_dir")
     if output_dir is None:
         raise ConfigError("output_dir is required (config key or --output-dir)")
-
-    derm_raw = raw.get("derm", {})
-    _check_keys(derm_raw, _DERM_KEYS, "derm")
-    try:
-        derm = DermConfig(**derm_raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad derm parameters: {exc}") from exc
-
-    train_raw = dict(raw.get("train", {}))
-    _check_keys(train_raw, _TRAIN_KEYS, "train")
-
-    fusion_raw = raw.get("fusion", {})
-    _check_keys(fusion_raw, _FUSION_KEYS, "fusion")
-
-    entity_types = raw.get("entity_types")
-    corpus_dir = pick("corpus_dir", "corpus_dir")
-    kb_file = pick("kb_file", "kb_file")
-    model_file = pick("model_file", "model_file")
-
-    try:
-        cfg = PipelineConfig(
-            seed=int(seed),
-            output_dir=Path(output_dir),
-            corpus_dir=Path(corpus_dir) if corpus_dir else None,
-            kb_file=Path(kb_file) if kb_file else None,
-            model_file=Path(model_file) if model_file else None,
-            max_len=int(pick("max_len", "max_len", PipelineConfig.max_len)),
-            entity_types=tuple(entity_types) if entity_types else None,
-            derm=derm,
-            train_params=train_raw,
-            threshold=float(fusion_raw.get("threshold", PipelineConfig.threshold)),
-            ngram_orders=tuple(fusion_raw.get("ngram_orders", PipelineConfig.ngram_orders)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from exc
-    if cfg.max_len < 2:
-        raise ConfigError(f"max_len must be at least 2, got {cfg.max_len}")
-    if not 0 < cfg.threshold <= 1:
-        raise ConfigError(f"fusion.threshold must be in (0, 1], got {cfg.threshold}")
-    if not cfg.ngram_orders or not all(type(n) is int and n >= 1 for n in cfg.ngram_orders):
-        raise ConfigError(
-            f"fusion.ngram_orders must be a non-empty list of integers >= 1, "
-            f"got {list(cfg.ngram_orders)}"
-        )
-    return cfg
+    return PipelineConfig(
+        seed=seed,
+        output_dir=output_dir,
+        corpus_dir=as_path("corpus_dir"),
+        kb_file=as_path("kb_file"),
+        model_file=as_path("model_file"),
+        max_len=pick("max_len", PipelineConfig.max_len),
+        schema=EntitySchema() if entity_types is None else EntitySchema(entity_types),
+        train=_section(raw, "train", TrainConfig, seed=derive_seed(seed, "train"),
+                       derm=_section(raw, "derm", DermConfig)),
+        fusion=_section(raw, "fusion", FusionConfig),
+    )
 
 
 # -- manifest --------------------------------------------------------------
@@ -290,7 +261,7 @@ def run_convert(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     """Standoff corpus to one BIO file plus a conversion report."""
     corpus_dir = cfg.require_corpus_dir()
     report = ValidationReport()
-    docs = load_corpus_dir(corpus_dir, cfg.schema(), report)
+    docs = load_corpus_dir(corpus_dir, cfg.schema, report)
     sentences: list[BioSentence] = []
     for doc in docs:
         sentences.extend(to_bio(segment(doc, cfg.max_len)))
@@ -327,7 +298,7 @@ def run_augment(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     sentences = read_bio_file(bio_path)
     dictionary = read_dictionary_file(dict_path)
     rng = np.random.default_rng(derive_seed(cfg.seed, "augment"))
-    outcomes = augment_epoch(sentences, dictionary, cfg.derm, rng)
+    outcomes = augment_epoch(sentences, dictionary, cfg.train.derm, rng)
     out = Path(args.out) if args.out else cfg.output_dir / "augmented.bio"
     write_bio_file([o.sentence for o in outcomes], out)
     actions = Counter(outcome.action for outcome in outcomes)
@@ -352,7 +323,7 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
         dictionary = build_dictionary(train_sentences, kb_names)
         write_dictionary_file(dictionary, cfg.output_dir / "dictionary.tsv")
     split = DatasetSplit(tuple(train_sentences), tuple(validation_sentences), ())
-    result = train(split, dictionary, cfg.train_config(), cfg.schema())
+    result = train(split, dictionary, cfg.train, cfg.schema)
 
     model_path = cfg.resolved_model_file()
     model_path.parent.mkdir(parents=True, exist_ok=True)
@@ -400,7 +371,7 @@ def run_tag_corpus(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     model_path = _input(args, "model_file", cfg.resolved_model_file())
     corpus_dir = cfg.require_corpus_dir()
     model = load_model(model_path)
-    docs = load_corpus_dir(corpus_dir, cfg.schema())
+    docs = load_corpus_dir(corpus_dir, cfg.schema)
     per_doc = [to_bio(segment(doc, cfg.max_len)) for doc in docs]
     all_predicted = predict(model, [sentence for gold in per_doc for sentence in gold])
     lines = [json.dumps({"schema": ENTITIES_SCHEMA_TAG})]
@@ -496,10 +467,10 @@ def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     _, catalogs = load_kb(kb_file)
     if not catalogs.disease:
         raise DataError(f"{kb_file}: KB has no disease names to align against")
-    index = build_index(list(catalogs.disease), cfg.ngram_orders)
+    index = build_index(list(catalogs.disease), cfg.fusion.ngram_orders)
     rows = ["source\ttarget\tsimilarity"]
     for source in sources:
-        result = align(source, index, cfg.threshold)
+        result = align(source, index, cfg.fusion.threshold)
         rows.append(f"{result.source}\t{result.target or ''}\t{result.similarity:.12g}")
     (cfg.output_dir / "alignments.tsv").write_text(
         "".join(row + "\n" for row in rows), encoding="utf-8"
@@ -539,7 +510,7 @@ def run_fuse(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     if entities_path is not None:
         for doc_id, entities in _read_entities_file(entities_path):
             add_patient_record(graph, doc_id, entities)
-    report = fuse(graph, read_alignment_file(alignments_path, cfg.threshold))
+    report = fuse(graph, read_alignment_file(alignments_path, cfg.fusion.threshold))
     save_graph(graph, cfg.output_dir / "graph.jsonl")
     _write_json(cfg.output_dir / "fusion_report.json", {
         "merged": [list(row) for row in report.merged],

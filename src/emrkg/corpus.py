@@ -150,15 +150,16 @@ def parse_ann(
     doc_id: str = "",
     report: ValidationReport | None = None,
 ) -> AnnotatedDocument:
-    """Parse standoff annotation lines against their source text.
+    r"""Parse standoff annotation lines against their source text.
 
     Every span is validated: offsets in bounds, surface equal to the text
     slice, label resolvable in the schema (case-insensitive). Overlapping
     spans keep the earlier-listed one; the later one is dropped with a
-    warning and recorded in ``report`` if given.
+    warning and recorded in ``report`` if given. Lines end at "\n" only,
+    as in :func:`emrkg.errors.read_lines`, so a surface may hold U+2028.
     """
     spans: list[EntitySpan] = []
-    for lineno, raw in enumerate(ann_content.splitlines(), start=1):
+    for lineno, raw in enumerate(ann_content.split("\n"), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t", 2)

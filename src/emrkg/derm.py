@@ -5,9 +5,9 @@ sampled as replace / mask / no-op with probabilities 0.30 / 0.30 / 0.40:
 
 - replace: swap one entity's surface for a same-type dictionary surface,
   realigning tags to the new length (the sentence may grow or shrink);
-- mask: overwrite a few characters inside one entity with the mask symbol,
-  leaving all tags untouched (one character for entities up to 5 chars,
-  20% of the length above that);
+- mask: overwrite a few characters inside one entity with ``MASK_SYMBOL``,
+  which the tagger vocabulary reserves, leaving all tags untouched (one
+  character for entities up to 5 chars, 20% of the length above that);
 - no-op: return the sentence unchanged.
 
 Augmentation is re-sampled every epoch from the pristine corpus, never
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from emrkg.corpus import BioSentence, from_bio, tags_for_spans
-from emrkg.errors import ConfigError, DataError, read_lines
+from emrkg.errors import ConfigError, DataError, is_real, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -63,20 +63,17 @@ class DermConfig:
     p_noop: float = 0.40
     short_threshold: int = 5
     mask_fraction: float = 0.20
-    mask_symbol: str = MASK_SYMBOL
 
     def __post_init__(self) -> None:
         probs = (self.p_replace, self.p_mask, self.p_noop)
-        if any(not 0.0 <= p <= 1.0 for p in probs):
-            raise ConfigError(f"action probabilities must lie in [0,1]: {probs}")
+        if not all(is_real(p) and 0.0 <= p <= 1.0 for p in probs):
+            raise ConfigError(f"action probabilities must be numbers in [0,1]: {probs}")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError(f"action probabilities must sum to 1: {probs}")
-        if self.short_threshold < 1:
-            raise ConfigError("short_threshold must be >= 1")
-        if not 0.0 < self.mask_fraction <= 1.0:
-            raise ConfigError("mask_fraction must lie in (0,1]")
-        if len(self.mask_symbol) != 1:
-            raise ConfigError("mask_symbol must be a single character")
+        if type(self.short_threshold) is not int or self.short_threshold < 1:
+            raise ConfigError(f"short_threshold must be an int >= 1, got {self.short_threshold!r}")
+        if not (is_real(self.mask_fraction) and 0.0 < self.mask_fraction <= 1.0):
+            raise ConfigError(f"mask_fraction must lie in (0,1], got {self.mask_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ def derm_transform(
     positions = rng.choice(end - start, size=count, replace=False)
     chars = list(sentence.chars)
     for offset in positions:
-        chars[start + int(offset)] = config.mask_symbol
+        chars[start + int(offset)] = MASK_SYMBOL
     return DermOutcome(BioSentence("".join(chars), sentence.tags), MASK, (etype, start, end))
 
 

@@ -4,6 +4,7 @@ Module-specific exceptions subclass one of the three bases so the CLI can
 map any failure onto its exit-code contract (config=2, data=3, internal=4).
 """
 
+import math
 from pathlib import Path
 
 
@@ -21,6 +22,11 @@ class DataError(EmrkgError):
 
 class InternalError(EmrkgError):
     """Invariant violation that should be unreachable."""
+
+
+def is_real(value) -> bool:
+    """A finite int or float, not a bool: a JSON number where a config wants a real."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def read_text(path: str | Path) -> str:

@@ -28,13 +28,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from emrkg.errors import DataError
+from emrkg.errors import ConfigError, DataError, is_real
 from emrkg.graph import KnowledgeGraph, normalize_name
 
 log = logging.getLogger(__name__)
 
 DEFAULT_NGRAM_ORDERS: tuple[int, ...] = (1, 2)
 DEFAULT_THRESHOLD = 0.8
+
+
+@dataclass(frozen=True)
+class FusionConfig:
+    threshold: float = DEFAULT_THRESHOLD
+    ngram_orders: tuple[int, ...] = DEFAULT_NGRAM_ORDERS
+
+    def __post_init__(self) -> None:
+        if not (is_real(self.threshold) and 0 < self.threshold <= 1):
+            raise ConfigError(f"fusion.threshold must be in (0, 1], got {self.threshold!r}")
+        orders = self.ngram_orders
+        if not (isinstance(orders, (list, tuple)) and orders
+                and all(type(n) is int and n >= 1 for n in orders)):
+            raise ConfigError(f"fusion.ngram_orders must be a non-empty list of ints >= 1: {orders!r}")
+        object.__setattr__(self, "ngram_orders", tuple(orders))
 
 
 class EmptyDocument(DataError):

@@ -32,8 +32,10 @@ class EntitySchema:
     _by_lower: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.entity_types:
-            raise ConfigError("entity schema must contain at least one type")
+        if not isinstance(self.entity_types, (list, tuple)) or not self.entity_types:
+            raise ConfigError(f"entity_types must be a non-empty list, got {self.entity_types!r}")
+        if not all(isinstance(t, str) and t for t in self.entity_types):
+            raise ConfigError(f"entity types must be non-empty strings: {self.entity_types!r}")
         lowered = [t.lower() for t in self.entity_types]
         if len(set(lowered)) != len(lowered):
             raise ConfigError(f"duplicate entity type names: {self.entity_types}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from emrkg.corpus import BioSentence, DatasetSplit
 from emrkg.derm import DermConfig, EntityDictionary, augment_epoch
-from emrkg.errors import ConfigError, DataError
+from emrkg.errors import ConfigError, DataError, is_real
 from emrkg.metrics import count_matches, precision_recall_f1
 from emrkg.schema import EntitySchema
 from emrkg.tagger.model import (
@@ -52,12 +52,18 @@ class TrainConfig:
     derm: DermConfig = field(default_factory=DermConfig)
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.epochs < 1 or self.hidden < 1 or self.d_emb < 1:
-            raise ConfigError("batch_size, epochs, hidden and d_emb must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0,1)")
+        sizes = (self.batch_size, self.epochs, self.hidden, self.d_emb)
+        if not all(type(n) is int and n >= 1 for n in sizes):
+            raise ConfigError(f"batch_size, epochs, hidden and d_emb must be positive ints: {sizes}")
+        if not (is_real(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be a positive number, got {self.learning_rate!r}")
+        clip = self.gradient_clip
+        if clip is not None and not (is_real(clip) and clip > 0):
+            raise ConfigError(f"gradient_clip must be a positive number or null, got {clip!r}")
+        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
+            raise ConfigError(f"momentum must be a number in [0,1), got {self.momentum!r}")
+        if type(self.derm_enabled) is not bool:
+            raise ConfigError(f"derm_enabled must be true or false, got {self.derm_enabled!r}")
 
 
 @dataclass(frozen=True)

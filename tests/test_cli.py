@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from collections import Counter
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import emrkg.cli
-from emrkg.cli import derive_seed, main
+from emrkg.cli import build_parser, derive_seed, load_config, main
 from emrkg.corpus import read_bio_file
-from emrkg.schema import EntitySchema
+from emrkg.derm import DermConfig
+from emrkg.fusion import FusionConfig
+from emrkg.schema import DEFAULT_ENTITY_TYPES, EntitySchema
+from emrkg.tagger import TrainConfig
 from emrkg.tagger.model import (
     FORMAT_VERSION,
     MAGIC,
@@ -26,6 +34,9 @@ from emrkg.tagger.vocab import TagSet, Vocabulary
 from tests.support import SEPARATOR_NAMES
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
 def _write_config(path, **overrides):
     config = {"seed": 7, "output_dir": str(path.parent / "out")}
     config.update(overrides)
@@ -36,6 +47,30 @@ def _write_config(path, **overrides):
 # -- exit codes --------------------------------------------------------------
 
 _QUERY = ["--label", "Disease", "--name", "肝癌", "--relation", "RecommendedFood"]
+_ALIGN = ["align", "--names", "{present}"]
+_CONVERT = ["convert"]
+# valid training files, so that only the config can be at fault
+_TRAIN = ["train", "--train", "{bio}", "--validation", "{bio}"]
+
+# one bad value each, and the subcommand that meets it; every subcommand
+# checks the whole file at load
+_BAD_CONFIGS = {
+    "fusion_threshold_zero": (_ALIGN, {"fusion": {"threshold": 0}}),
+    "fusion_threshold_above_one": (_ALIGN, {"fusion": {"threshold": 1.5}}),
+    "fusion_ngram_orders_zero": (_ALIGN, {"fusion": {"ngram_orders": [0]}}),
+    "fusion_ngram_orders_empty": (_ALIGN, {"fusion": {"ngram_orders": []}}),
+    "train_hidden_float": (_TRAIN, {"train": {"hidden": 2.5}}),
+    "train_epochs_float": (_TRAIN, {"train": {"epochs": 1.5}}),
+    "train_batch_size_float": (_TRAIN, {"train": {"batch_size": 2.5}}),
+    "train_gradient_clip_string": (_TRAIN, {"train": {"gradient_clip": "5"}}),
+    "train_gradient_clip_negative": (_TRAIN, {"train": {"gradient_clip": -1.0}}),
+    "train_not_object": (_CONVERT, {"train": [1]}),
+    "train_derm_enabled_string": (_CONVERT, {"train": {"derm_enabled": "no"}}),
+    "entity_types_not_strings": (_CONVERT, {"entity_types": [1, 2]}),
+    "entity_types_string": (_CONVERT, {"entity_types": "Disease"}),
+    "seed_float": (_CONVERT, {"seed": 1.7}),
+    "max_len_float": (_CONVERT, {"max_len": 20.9}),
+}
 
 
 
@@ -152,14 +187,6 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="model-array-name-not-utf8"),
         pytest.param(["tag", "--model-file", "{array_dim_huge}"], 3, "array_dim_huge",
                      id="model-array-dim-huge"),
-        pytest.param(["align", "--names", "{present}", "--config", "{threshold_zero}"], 2, None,
-                     id="fusion-threshold-zero"),
-        pytest.param(["align", "--names", "{present}", "--config", "{threshold_above_one}"], 2,
-                     None, id="fusion-threshold-above-one"),
-        pytest.param(["align", "--names", "{present}", "--config", "{orders_zero}"], 2, None,
-                     id="fusion-ngram-orders-zero"),
-        pytest.param(["align", "--names", "{present}", "--config", "{orders_empty}"], 2, None,
-                     id="fusion-ngram-orders-empty"),
         pytest.param(["train", "--train", "{present}", "--validation", "{missing}"], 3, "missing",
                      id="train-validation"),
         pytest.param(["train", "--train", "{present}", "--validation", "{present}",
@@ -193,6 +220,8 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="model-fw-u-wrong-shape"),
         pytest.param(["tag", "--model-file", "{hidden_wrong}"], 3, "hidden_wrong",
                      id="model-hidden-not-the-arrays"),
+        *[pytest.param([*stage, "--config", f"{{{name}}}"], 2, None, id=name.replace("_", "-"))
+          for name, (stage, _) in _BAD_CONFIGS.items()],
     ],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(
@@ -242,11 +271,10 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     raw = paths["hidden_wrong"].read_bytes()
     assert raw.count(b'"hidden": 2') == 1
     paths["hidden_wrong"].write_bytes(raw.replace(b'"hidden": 2', b'"hidden": 3'))
-    for name, fusion in [("threshold_zero", {"threshold": 0}),
-                         ("threshold_above_one", {"threshold": 1.5}),
-                         ("orders_zero", {"ngram_orders": [0]}),
-                         ("orders_empty", {"ngram_orders": []})]:
-        paths[name] = _write_config(tmp_path / f"{name}.json", fusion=fusion)
+    for name, (_, overrides) in _BAD_CONFIGS.items():
+        paths[name] = _write_config(tmp_path / f"{name}.json", **overrides)
+    paths["bio"] = tmp_path / "sentences.bio"
+    paths["bio"].write_text("肝\tB-Disease\n癌\tI-Disease\n", encoding="utf-8")
     node = '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}'
     for name, record in [
         ("graph_not_object", "[1]"),
@@ -261,15 +289,119 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     paths["bad_header"].write_text(
         'schema: entities/1\n{"doc_id": "d1", "entities": []}\n', encoding="utf-8"
     )
-    argv = [arg.format(**paths) for arg in argv] + [
-        "--seed", "1", "--output-dir", str(tmp_path / "out"),
-        "--corpus-dir", str(corpus_dir), "--kb-file", str(kb_file),
-    ]
+    flags = ["--output-dir", str(tmp_path / "out"),
+             "--corpus-dir", str(corpus_dir), "--kb-file", str(kb_file)]
+    if "--config" not in argv:  # a config file gives its own seed, which --seed would override
+        flags += ["--seed", "1"]
+    argv = [arg.format(**paths) for arg in argv] + flags
     assert main(argv) == code
     if culprit is not None:
         assert str(paths[culprit]) in caplog.text
     assert "Traceback" not in capsys.readouterr().err
     assert "Traceback" not in caplog.text
+
+
+# -- configuration -----------------------------------------------------------
+
+# each config key, by section (None: top level), and the values it takes
+_KINDS = {
+    "train": {"batch_size": "int", "epochs": "int", "learning_rate": "real", "hidden": "int",
+              "d_emb": "int", "derm_enabled": "bool", "gradient_clip": "real or null",
+              "momentum": "real"},
+    "derm": {"p_replace": "real", "p_mask": "real", "p_noop": "real", "short_threshold": "int",
+             "mask_fraction": "real"},
+    "fusion": {"threshold": "real", "ngram_orders": "list of ints"},
+    None: {"seed": "int", "max_len": "int", "output_dir": "path", "corpus_dir": "path or null",
+           "kb_file": "path or null", "model_file": "path or null",
+           "entity_types": "list of strs or null", "train": "object", "derm": "object",
+           "fusion": "object"},
+}
+_JSON = {
+    "str": st.text(max_size=4),
+    "bool": st.booleans(),
+    "int": st.integers(-3, 3),
+    "float": st.floats(-3, 3),
+    "list": st.lists(st.integers(-3, 3), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    "null": st.none(),
+}
+_WRONG = {  # the JSON types each kind rejects
+    "int": ("str", "bool", "float", "list", "object", "null"),
+    "real": ("str", "bool", "list", "object", "null"),
+    "real or null": ("str", "bool", "list", "object"),
+    "bool": ("str", "int", "float", "list", "object", "null"),
+    "list of ints": ("str", "bool", "int", "float", "object", "null"),
+    "path": ("bool", "int", "float", "list", "object", "null"),
+    "path or null": ("bool", "int", "float", "list", "object"),
+    "list of strs or null": ("str", "bool", "int", "float", "list", "object"),
+    "object": ("str", "bool", "int", "float", "list", "null"),
+}
+
+
+def _resolved(tmp_path, config: dict) -> dict:
+    """``config`` written to a file and loaded, as a manifest records it."""
+    path = tmp_path / "resolved.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    cfg = load_config(build_parser().parse_args(["convert", "--config", str(path)]))
+    return json.loads(json.dumps(cfg.as_dict()))
+
+
+def test_the_fuzzed_kinds_cover_every_config_key(tmp_path):
+    assert set(_KINDS["train"]) == {f.name for f in fields(TrainConfig)} - {"seed", "derm"}
+    assert set(_KINDS["derm"]) == {f.name for f in fields(DermConfig)}
+    assert set(_KINDS["fusion"]) == {f.name for f in fields(FusionConfig)}
+    assert set(_KINDS[None]) == set(_resolved(tmp_path, {"seed": 1, "output_dir": "out"}))
+
+
+@st.composite
+def _one_wrong_value(draw):
+    section = draw(st.sampled_from(list(_KINDS)))
+    key = draw(st.sampled_from(sorted(_KINDS[section])))
+    value = draw(_JSON[draw(st.sampled_from(_WRONG[_KINDS[section][key]]))])
+    return {section: {key: value}} if section else {key: value}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides=_one_wrong_value())
+def test_a_config_value_of_the_wrong_json_type_exits_2(
+    overrides, tmp_path, corpus_dir, capsys, caplog
+):
+    config = _write_config(tmp_path / "cfg.json", **{"corpus_dir": str(corpus_dir), **overrides})
+    caplog.clear()
+    assert main(["convert", "--config", str(config)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in caplog.text
+
+
+def test_manifest_config_loads_back_to_itself(tmp_path, corpus_dir):
+    """A config that sets only seed and output_dir records every default,
+    and a recorded config, as a config file, resolves to itself."""
+    out = tmp_path / "out"
+    config = _write_config(tmp_path / "cfg.json", output_dir=str(out))
+    assert main(["convert", "--config", str(config), "--corpus-dir", str(corpus_dir)]) == 0
+    recorded = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+    assert recorded["train"] == {
+        f.name: f.default for f in fields(TrainConfig) if f.name not in ("seed", "derm")
+    }
+    assert recorded["derm"] == asdict(DermConfig())
+    assert recorded["fusion"] == {"threshold": 0.8, "ngram_orders": [1, 2]}
+    assert recorded["entity_types"] == list(DEFAULT_ENTITY_TYPES)
+    assert _resolved(tmp_path, recorded) == recorded
+    fixture_file = _ROOT / "fixtures" / "pipeline.json"
+    fixture = _resolved(tmp_path, json.loads(fixture_file.read_text(encoding="utf-8")))
+    assert _resolved(tmp_path, fixture) == fixture
+
+
+def test_readme_configuration_example_loads(tmp_path):
+    """The JSON block under the README's Configuration heading is a valid
+    config that sets every section key."""
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    resolved = _resolved(tmp_path, example)
+    for name in ("train", "derm", "fusion"):
+        assert set(example[name]) == set(resolved[name]), name
 
 
 # -- seed derivation --------------------------------------------------------

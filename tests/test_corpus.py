@@ -36,6 +36,7 @@ from emrkg.corpus import (
 from emrkg.errors import DataError
 from emrkg.schema import DEFAULT_ENTITY_TYPES, EntitySchema
 from tests.oracles import first_fit_spans, segment_by_scan
+from tests.support import SEPARATOR_NAMES
 
 
 # -- standoff parsing ----------------------------------------------------
@@ -103,6 +104,24 @@ def test_parse_ann_drops_overlapping_span_and_reports(schema):
     doc_id, dropped_span, reason = report.dropped[0]
     assert (doc_id, dropped_span.id) == ("d", "T2")
     assert "T1" in reason
+
+
+@pytest.mark.parametrize("name", SEPARATOR_NAMES)
+def test_parse_ann_keeps_a_surface_holding_a_line_separator(schema, name):
+    doc = parse_ann(f"T1\tDisease 0 3\t{name}\n", name + "伴腹痛", schema)
+    assert [(s.label, s.start, s.end, s.surface) for s in doc.spans] == [("Disease", 0, 3, name)]
+
+
+@pytest.mark.parametrize("name", SEPARATOR_NAMES)
+def test_standoff_pair_holding_a_line_separator_converts_to_bio(tmp_path, schema, name):
+    (tmp_path / "d1.txt").write_text(name + "伴腹痛。", encoding="utf-8")
+    (tmp_path / "d1.ann").write_text(
+        f"T1\tDisease 0 3\t{name}\nT2\tSymptom 4 6\t腹痛\n", encoding="utf-8"
+    )
+    (doc,) = load_corpus_dir(tmp_path, schema)
+    (sentence,) = to_bio(segment(doc))
+    assert sentence.chars == name + "伴腹痛。"
+    assert from_bio(sentence) == [("Disease", 0, 3), ("Symptom", 4, 6)]
 
 
 # -- segmentation ----------------------------------------------------------

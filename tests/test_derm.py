@@ -206,14 +206,18 @@ def test_config_rejects_probabilities_not_summing_to_one():
         DermConfig(p_replace=0.5, p_mask=0.5, p_noop=0.5)
 
 
-def test_config_rejects_multicharacter_mask_symbol():
-    with pytest.raises(ConfigError):
-        DermConfig(mask_symbol="[MASK]")
-
-
 def test_config_rejects_out_of_range_mask_fraction():
     with pytest.raises(ConfigError):
         DermConfig(mask_fraction=0.0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"p_replace": "0.3"}, {"p_mask": True}, {"short_threshold": 5.0}, {"mask_fraction": None}],
+)
+def test_config_rejects_values_of_the_wrong_type(overrides):
+    with pytest.raises(ConfigError):
+        DermConfig(**overrides)
 
 
 # -- dictionary ----------------------------------------------------------

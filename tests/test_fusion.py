@@ -8,12 +8,13 @@ import random
 import numpy as np
 import pytest
 
-from emrkg.errors import DataError
+from emrkg.errors import ConfigError, DataError
 from emrkg.fusion import (
     Alignment,
     DanglingAlignment,
     EmptyCatalog,
     EmptyDocument,
+    FusionConfig,
     align,
     build_index,
     fuse,
@@ -243,6 +244,20 @@ def test_align_rejects_a_threshold_outside_the_unit_interval():
     for threshold in (-0.1, 1.5, math.nan):
         with pytest.raises(DataError, match=r"threshold must be in \[0, 1\]"):
             align("肝癌", index, threshold)
+
+
+def test_fusion_config_keeps_the_orders_as_a_tuple():
+    assert FusionConfig(0.5, [1, 3]) == FusionConfig(0.5, (1, 3))
+
+
+@pytest.mark.parametrize(
+    "threshold, orders",
+    [(0, (1,)), (1.5, (1,)), (True, (1,)), ("0.8", (1,)), (None, (1,)), (math.nan, (1,)),
+     (0.8, ()), (0.8, (0,)), (0.8, (1.0,)), (0.8, (True,)), (0.8, "12"), (0.8, None)],
+)
+def test_fusion_config_rejects_bad_values(threshold, orders):
+    with pytest.raises(ConfigError):
+        FusionConfig(threshold, orders)
 
 
 def test_a_query_without_weight_ties_every_name_at_zero():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -146,6 +147,14 @@ def test_gradient_clip_keeps_huge_rate_finite_longer():
         {"learning_rate": 0.0},
         {"momentum": 1.0},
         {"d_emb": 0},
+        {"hidden": 2.5},
+        {"epochs": True},
+        {"learning_rate": "0.1"},
+        {"learning_rate": math.inf},
+        {"gradient_clip": -1.0},
+        {"gradient_clip": 0},
+        {"momentum": None},
+        {"derm_enabled": "no"},
     ],
 )
 def test_config_validation_rejects_bad_values(overrides):

@@ -46,7 +46,7 @@ from emrkg.derm import (
     read_dictionary_file,
     write_dictionary_file,
 )
-from emrkg.errors import ConfigError, DataError, EmrkgError, read_lines, read_text
+from emrkg.errors import ConfigError, DataError, EmrkgError, read_lines, read_records, write_records
 from emrkg.fusion import Alignment, FusionConfig, align, build_index, fuse
 from emrkg.graph import (
     KnowledgeGraph,
@@ -236,6 +236,15 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
+def _mkdir(path: Path) -> None:
+    """Create ``path`` and its parents; a path that cannot be a directory
+    (it, or a parent, is a regular file) is a configuration error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc}") from exc
+
+
 def _corpus_inputs(corpus_dir: Path) -> list[Path]:
     return sorted(corpus_dir.glob("*.txt")) + sorted(corpus_dir.glob("*.ann"))
 
@@ -326,7 +335,7 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     result = train(split, dictionary, cfg.train, cfg.schema)
 
     model_path = cfg.resolved_model_file()
-    model_path.parent.mkdir(parents=True, exist_ok=True)
+    _mkdir(model_path.parent)
     save_model(result.model, model_path)
     log_lines = ["epoch,loss,precision,recall,f1"]
     log_lines += [
@@ -354,7 +363,7 @@ def run_tag(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     model_path = _input(args, "model_file", cfg.resolved_model_file())
     model = load_model(model_path)
     sentences: list[BioSentence] = []
-    for i, line in enumerate(read_text(text_path).splitlines()):
+    for i, line in enumerate(read_lines(text_path)):
         if not line.strip():
             continue
         doc = AnnotatedDocument(doc_id=f"line{i + 1}", text=line, spans=[])
@@ -374,21 +383,16 @@ def run_tag_corpus(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     docs = load_corpus_dir(corpus_dir, cfg.schema)
     per_doc = [to_bio(segment(doc, cfg.max_len)) for doc in docs]
     all_predicted = predict(model, [sentence for gold in per_doc for sentence in gold])
-    lines = [json.dumps({"schema": ENTITIES_SCHEMA_TAG})]
     predicted = iter(all_predicted)
-    for doc, gold in zip(docs, per_doc):
-        entities = [
+    write_records(cfg.output_dir / "entities.jsonl", ENTITIES_SCHEMA_TAG, (
+        {"doc_id": doc.doc_id, "entities": [
             [label, sentence.chars[start:end]]
             for sentence in islice(predicted, len(gold))
             for label, start, end in from_bio(sentence)
-        ]
-        lines.append(json.dumps(
-            {"doc_id": doc.doc_id, "entities": entities}, ensure_ascii=False
-        ))
+        ]}
+        for doc, gold in zip(docs, per_doc)
+    ))
     write_bio_file(all_predicted, cfg.output_dir / "predicted.bio")
-    (cfg.output_dir / "entities.jsonl").write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
     log.info("tagged %d documents", len(docs))
     return [model_path] + _corpus_inputs(corpus_dir)
 
@@ -423,26 +427,16 @@ def run_kb_load(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 
 
 def _read_entities_file(path: Path) -> list[tuple[str, list[tuple[str, str]]]]:
-    lines = read_lines(path)
-    if not lines:
-        raise DataError(f"{path}: empty entities file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: line 1 is not a JSON schema header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("schema") != ENTITIES_SCHEMA_TAG:
-        raise DataError(f"{path}: expected schema header {ENTITIES_SCHEMA_TAG!r}")
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            records.append(
-                (obj["doc_id"], [(label, surface) for label, surface in obj["entities"]])
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+    for lineno, obj in read_records(path, ENTITIES_SCHEMA_TAG):
+        doc_id, entities = obj.get("doc_id"), obj.get("entities")
+        if not isinstance(doc_id, str) or not isinstance(entities, list) or not all(
+            type(pair) is list and len(pair) == 2 and all(type(v) is str for v in pair)
+            for pair in entities
+        ):
+            raise DataError(f"{path}: line {lineno}: malformed record: expected a string "
+                            "doc_id and entities a list of [label, surface] string pairs")
+        records.append((doc_id, [(label, surface) for label, surface in entities]))
     return records
 
 
@@ -452,7 +446,7 @@ def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     source, matched target (empty if none) and similarity."""
     source_path = _input(args, "names")
     if source_path is not None:
-        sources = [line.strip() for line in read_text(source_path).splitlines() if line.strip()]
+        sources = [line.strip() for line in read_lines(source_path) if line.strip()]
     else:
         source_path = _input(args, "entities")
         if source_path is None:
@@ -481,10 +475,10 @@ def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 
 def read_alignment_file(path: Path, threshold: float) -> list[Alignment]:
     lines = read_lines(path)
-    if not lines or lines[0] != "source\ttarget\tsimilarity":
+    if next(lines, None) != "source\ttarget\tsimilarity":
         raise DataError(f"{path}: missing alignment header row")
     alignments = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -492,9 +486,10 @@ def read_alignment_file(path: Path, threshold: float) -> list[Alignment]:
             raise DataError(f"{path}: line {lineno}: expected 3 tab-separated fields")
         source, target, similarity = parts
         try:
-            alignments.append(
-                Alignment(source, target or None, float(similarity), threshold)
-            )
+            similarity = float(similarity)
+            if not 0.0 <= similarity <= 1.0:  # also rejects nan
+                raise ValueError(f"similarity {similarity} is not in [0, 1]")
+            alignments.append(Alignment(source, target or None, similarity, threshold))
         except (ValueError, DataError) as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
     return alignments
@@ -647,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         cfg = load_config(args)
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        _mkdir(cfg.output_dir)
         inputs = args.func(cfg, args)
         if inputs is not None:
             write_manifest(cfg, args.subcommand, inputs)

@@ -1,10 +1,13 @@
-"""Shared exception hierarchy.
+"""Shared exception hierarchy, and the text-file readers and the record
+writer whose failures it names.
 
 Module-specific exceptions subclass one of the three bases so the CLI can
 map any failure onto its exit-code contract (config=2, data=3, internal=4).
 """
 
+import json
 import math
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 
@@ -38,12 +41,73 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def read_lines(path: str | Path) -> list[str]:
-    r"""The lines of a UTF-8 text file, split at line ends only ("\n", and
-    "\r\n" or "\r", which :func:`read_text` reads as "\n").
+def read_lines(path: str | Path, error: type[DataError] = DataError) -> Iterator[str]:
+    r"""The lines of a UTF-8 text file, read one at a time and split at line
+    ends only ("\n", and "\r\n" or "\r", which the file reads as "\n").
     ``str.splitlines`` would also split inside names holding U+2028, U+0085
-    and the like, which machine-written files keep raw."""
-    lines = read_text(path).split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+    and the like, which machine-written files keep raw. A file that cannot
+    be read or is not UTF-8 raises ``error``, naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                yield line.rstrip("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+# -- versioned JSON-lines files (kb/1, graph/1, entities/1) -----------------
+#
+# A header line {"schema": TAG}, then one JSON object per line. Records are
+# written with json.dumps(..., ensure_ascii=False, sort_keys=True), built once,
+# and read with a decoder that skips json.loads' whitespace scans.
+
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def write_records(path: str | Path, schema: str, records: Iterable[dict]) -> None:
+    """Write the header ``{"schema": schema}``, then each record on its own
+    line; ``records`` is consumed as it is written."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_encode({"schema": schema}) + "\n")
+            handle.writelines(_encode(record) + "\n" for record in records)
+    except (OSError, UnicodeEncodeError) as exc:  # a lone surrogate read from a \ud800 escape
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def read_records(path: str | Path, schema: str, error: type[DataError] = DataError,
+                 header_error: type[DataError] | None = None) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each record after the header
+    ``{"schema": schema}``, reading the file line by line and skipping blank
+    lines. The header is required, so a zero-byte file is an error. A
+    missing or wrong header raises ``header_error`` (default ``error``); an
+    unreadable file or a line that is not one JSON object raises ``error``.
+    Each message names the file, and each record error the line."""
+    lines = read_lines(path, error)
+    first = next(lines, None)
+    try:
+        header = json.loads(first) if first is not None else None
+    except (json.JSONDecodeError, RecursionError):
+        header = None
+    if not isinstance(header, dict) or header.get("schema") != schema:
+        found = "an empty file" if first is None else repr(first[:80])
+        raise (header_error or error)(
+            f"{path}: line 1: expected the header {_encode({'schema': schema})}, got {found}"
+        )
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            obj, end = _raw_decode(line)
+        except (json.JSONDecodeError, RecursionError):
+            end = -1
+        if end != len(line):  # surrounding whitespace, or not one JSON value
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                reason = getattr(exc, "msg", "nested too deeply")
+                raise error(f"{path}: line {lineno}: truncated or invalid record: {reason}") from exc
+        if not isinstance(obj, dict):
+            raise error(f"{path}: line {lineno}: record is not a JSON object")
+        yield lineno, obj

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from emrkg.errors import DataError, InternalError, read_lines
+from emrkg.errors import DataError, InternalError, read_records, write_records
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
 
 log = logging.getLogger(__name__)
@@ -322,70 +323,25 @@ def export_csv(graph: KnowledgeGraph, nodes_path: str | Path, rels_path: str | P
 # -- persistence ----------------------------------------------------------
 
 
-# the encoder json.dumps(..., ensure_ascii=False, sort_keys=True) builds,
-# and a decoder that reads one record without json.loads' whitespace scans
-_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     """Lossless line-delimited JSON snapshot (internal ids preserved)."""
-    lines = [_encode({"schema": SCHEMA_TAG})]
-    for _, node in sorted(graph.nodes.items()):
-        lines.append(_encode({"kind": "node", "id": node.id, "label": node.label,
-                              "name": node.name, "attributes": node.attributes}))
-    for triple in graph.triples:
-        lines.append(_encode({"kind": "triple", **triple._asdict()}))
-    try:
-        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    nodes = ({"kind": "node", "id": node.id, "label": node.label, "name": node.name,
+              "attributes": node.attributes} for _, node in sorted(graph.nodes.items()))
+    triples = ({"kind": "triple", "head": head, "relation": relation, "tail": tail}
+               for head, relation, tail in graph._triples)
+    write_records(path, SCHEMA_TAG, itertools.chain(nodes, triples))
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
-    path = Path(path)
-    try:
-        lines = read_lines(path)
-    except DataError as exc:
-        raise IoError(str(exc)) from exc
-    if not lines:
-        raise SchemaVersionMismatch(f"{path}: empty graph file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        raise SchemaVersionMismatch(f"{path}: line 1 is not a schema header")
-    if not isinstance(header, dict) or header.get("schema") != SCHEMA_TAG:
-        raise SchemaVersionMismatch(
-            f"{path}: unsupported schema {header.get('schema') if isinstance(header, dict) else header!r}"
-        )
-
     graph = KnowledgeGraph()
     pending: list[tuple[int, dict]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj, end = _raw_decode(line)
-        except json.JSONDecodeError:
-            end = -1
-        if end != len(line):  # surrounding whitespace, or not one JSON value
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IoError(
-                    f"{path}: line {lineno}: truncated or invalid record: {exc.msg}"
-                ) from exc
-        if not isinstance(obj, dict):
-            raise IoError(f"{path}: line {lineno}: record is not a JSON object")
+    for lineno, obj in read_records(path, SCHEMA_TAG, IoError, SchemaVersionMismatch):
         kind = obj.get("kind")
         if kind == "node":
-            try:
-                node_id = int(obj["id"])
-                label, name = obj["label"], obj["name"]
-                attributes = obj.get("attributes", {})
-            except (KeyError, TypeError, ValueError) as exc:
-                raise IoError(f"{path}: line {lineno}: malformed node record") from exc
-            if not isinstance(name, str) or not name.strip() or not isinstance(attributes, dict):
+            node_id, label, name = obj.get("id"), obj.get("label"), obj.get("name")
+            attributes = obj.get("attributes", {})
+            if (type(node_id) is not int or not isinstance(name, str) or not name.strip()
+                    or not isinstance(attributes, dict)):
                 raise IoError(f"{path}: line {lineno}: malformed node record")
             if label not in GRAPH_LABELS:
                 raise IoError(f"{path}: line {lineno}: unknown label {label!r}")
@@ -401,11 +357,8 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
             raise IoError(f"{path}: line {lineno}: unknown record kind {kind!r}")
     triples, by_head, by_tail = graph._triples, graph._by_head, graph._by_tail
     for lineno, obj in pending:
-        try:
-            head, relation, tail = int(obj["head"]), obj["relation"], int(obj["tail"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IoError(f"{path}: line {lineno}: malformed triple record") from exc
-        if not isinstance(relation, str):
+        head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
+        if type(head) is not int or type(tail) is not int or not isinstance(relation, str):
             raise IoError(f"{path}: line {lineno}: malformed triple record")
         try:
             graph._check_triple(head, relation, tail)

@@ -9,12 +9,11 @@ live crawling of the source site so runs are reproducible offline.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from emrkg.errors import DataError, read_lines
+from emrkg.errors import DataError, read_records
 from emrkg.schema import KB_RELATIONS, RELATION_ENDPOINTS
 
 log = logging.getLogger(__name__)
@@ -31,7 +30,7 @@ _TAIL_TYPE: dict[str, str] = {
 
 
 class ParseError(DataError):
-    """Malformed KB line; message carries the 1-based line number."""
+    """Malformed KB line; message carries the file and the 1-based line number."""
 
 
 class UnknownRelationType(DataError):
@@ -71,32 +70,30 @@ class Catalogs:
     symptom: tuple[str, ...] = ()
 
 
-def _parse_record(obj: dict, lineno: int) -> DiseaseEntry:
-    if not isinstance(obj, dict):
-        raise ParseError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+def _parse_record(obj: dict, where: str) -> DiseaseEntry:
     name = obj.get("name", "")
     if not isinstance(name, str) or not name:
-        raise ParseError(f"line {lineno}: missing or empty disease name")
+        raise ParseError(f"{where}: missing or empty disease name")
 
     def scalar(key: str) -> str:
         value = obj.get(key, "")
         if not isinstance(value, str):
-            raise ParseError(f"line {lineno}: field {key!r} must be a string")
+            raise ParseError(f"{where}: field {key!r} must be a string")
         return value
 
     treatments = obj.get("treatments", [])
     if not isinstance(treatments, list) or not all(isinstance(t, str) for t in treatments):
-        raise ParseError(f"line {lineno}: 'treatments' must be a list of strings")
+        raise ParseError(f"{where}: 'treatments' must be a list of strings")
 
     raw_relations = obj.get("relations", {})
     if not isinstance(raw_relations, dict):
-        raise ParseError(f"line {lineno}: 'relations' must be an object")
+        raise ParseError(f"{where}: 'relations' must be an object")
     relations: list[tuple[str, str]] = []
     for rel, targets in raw_relations.items():
         if rel not in _TAIL_TYPE:
-            raise UnknownRelationType(f"line {lineno}: unknown relation type {rel!r}")
+            raise UnknownRelationType(f"{where}: unknown relation type {rel!r}")
         if not isinstance(targets, list) or not all(isinstance(t, str) and t for t in targets):
-            raise ParseError(f"line {lineno}: targets of {rel!r} must be non-empty strings")
+            raise ParseError(f"{where}: targets of {rel!r} must be non-empty strings")
         relations.extend((rel, t) for t in targets)
 
     return DiseaseEntry(
@@ -126,29 +123,11 @@ def load_kb(path: str | Path) -> tuple[list[DiseaseEntry], Catalogs]:
     repeated loads are identical.
     """
     path = Path(path)
-    lines = read_lines(path)
-    if not lines:
-        log.warning("knowledge base %s is empty", path)
-        return [], Catalogs()
-
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line 1: invalid JSON in header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("schema") != SCHEMA_TAG:
-        raise ParseError(f"line 1: expected schema header {{\"schema\": \"{SCHEMA_TAG}\"}}")
-
     by_name: dict[str, DiseaseEntry] = {}  # a merged entry keeps its first position
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON: {exc}") from exc
-        entry = _parse_record(obj, lineno)
+    for lineno, obj in read_records(path, SCHEMA_TAG, ParseError):
+        entry = _parse_record(obj, f"{path}: line {lineno}")
         if entry.name in by_name:
-            log.warning("line %d: duplicate disease %r merged", lineno, entry.name)
+            log.warning("%s: line %d: duplicate disease %r merged", path, lineno, entry.name)
             entry = _merge(by_name[entry.name], entry)
         by_name[entry.name] = entry
 

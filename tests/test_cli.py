@@ -52,6 +52,32 @@ _CONVERT = ["convert"]
 # valid training files, so that only the config can be at fault
 _TRAIN = ["train", "--train", "{bio}", "--validation", "{bio}"]
 
+_NODE = '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}'
+# one bad record each, after a valid header; ids and endpoints are JSON integers
+_BAD_GRAPH_RECORDS = {
+    "graph_node_id_overflows": _NODE.replace('"id": 1', '"id": 1e400'),
+    "graph_node_id_fraction": _NODE.replace('"id": 1', '"id": 1.9'),
+    "graph_node_id_bool": _NODE.replace('"id": 1', '"id": true'),
+    "graph_node_id_string": _NODE.replace('"id": 1', '"id": "12"'),
+    "graph_triple_head_overflows":
+        _NODE + '\n{"kind": "triple", "head": 1e400, "relation": "Complication", "tail": 1}',
+}
+# doc_id is a string and entities a list of [label, surface] string pairs
+_BAD_ENTITY_RECORDS = {
+    "entities_doc_id_number": '{"doc_id": 5, "entities": []}',
+    "entities_surface_number": '{"doc_id": "d1", "entities": [["Disease", 5]]}',
+    "entities_label_list": '{"doc_id": "d1", "entities": [[["Disease"], "肝癌"]]}',
+    "entities_object": '{"doc_id": "d1", "entities": {"ab": 1}}',
+}
+# a valid graph, and the alignments that are read after the entities
+_FUSE_ENTITIES = ["fuse", "--graph", "{graph_valid}", "--alignments", "{present}"]
+# the similarity is finite and in [0, 1]
+_BAD_SIMILARITIES = {
+    "similarity_overflows": "肝癌\t肝癌\t1e400",
+    "similarity_nan": "肝癌\t\tnan",
+    "similarity_above_one": "肝癌\t肝癌\t1.5",
+}
+
 # one bad value each, and the subcommand that meets it; every subcommand
 # checks the whole file at load
 _BAD_CONFIGS = {
@@ -222,6 +248,22 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="model-hidden-not-the-arrays"),
         *[pytest.param([*stage, "--config", f"{{{name}}}"], 2, None, id=name.replace("_", "-"))
           for name, (stage, _) in _BAD_CONFIGS.items()],
+        *[pytest.param(["query", "--graph", f"{{{name}}}", *_QUERY], 3, name,
+                       id=name.replace("_", "-"))
+          for name in _BAD_GRAPH_RECORDS],
+        *[pytest.param([*stage, "--entities", f"{{{name}}}"], 3, name,
+                       id=f"{stage[0]}-{name}".replace("_", "-"))
+          for name in _BAD_ENTITY_RECORDS
+          for stage in (_FUSE_ENTITIES, ["align"])],
+        *[pytest.param(["fuse", "--graph", "{graph_valid}", "--alignments", f"{{{name}}}"], 3,
+                       name, id=name.replace("_", "-"))
+          for name in _BAD_SIMILARITIES],
+        pytest.param(["convert", "--output-dir", "{afile}"], 2, "afile",
+                     id="output-dir-is-a-file"),
+        pytest.param(["convert", "--output-dir", "{afile}/sub"], 2, "afile",
+                     id="output-dir-under-a-file"),
+        pytest.param([*_TRAIN, "--model-file", "{afile}/model.bin"], 2, "afile",
+                     id="model-file-under-a-file"),
     ],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(
@@ -275,22 +317,32 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         paths[name] = _write_config(tmp_path / f"{name}.json", **overrides)
     paths["bio"] = tmp_path / "sentences.bio"
     paths["bio"].write_text("肝\tB-Disease\n癌\tI-Disease\n", encoding="utf-8")
-    node = '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}'
     for name, record in [
         ("graph_not_object", "[1]"),
-        ("graph_attributes_not_object", node[:-1] + ', "attributes": 5}'),
-        ("graph_name_not_string", node.replace('"肝癌"', "5")),
-        ("graph_name_blank", node.replace('"肝癌"', '" "')),
+        ("graph_attributes_not_object", _NODE[:-1] + ', "attributes": 5}'),
+        ("graph_name_not_string", _NODE.replace('"肝癌"', "5")),
+        ("graph_name_blank", _NODE.replace('"肝癌"', '" "')),
         ("graph_relation_list",
-         node + '\n{"kind": "triple", "head": 1, "relation": ["Complication"], "tail": 1}'),
+         _NODE + '\n{"kind": "triple", "head": 1, "relation": ["Complication"], "tail": 1}'),
+        ("graph_valid", _NODE),
+        *_BAD_GRAPH_RECORDS.items(),
     ]:
         paths[name] = tmp_path / f"{name}.jsonl"
         paths[name].write_text(f'{{"schema": "graph/1"}}\n{record}\n', encoding="utf-8")
+    for name, record in _BAD_ENTITY_RECORDS.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(f'{{"schema": "entities/1"}}\n{record}\n', encoding="utf-8")
+    for name, row in _BAD_SIMILARITIES.items():
+        paths[name] = tmp_path / f"{name}.tsv"
+        paths[name].write_text(f"source\ttarget\tsimilarity\n{row}\n", encoding="utf-8")
+    paths["afile"] = tmp_path / "afile"
+    paths["afile"].write_text("a regular file\n", encoding="utf-8")
     paths["bad_header"].write_text(
         'schema: entities/1\n{"doc_id": "d1", "entities": []}\n', encoding="utf-8"
     )
-    flags = ["--output-dir", str(tmp_path / "out"),
-             "--corpus-dir", str(corpus_dir), "--kb-file", str(kb_file)]
+    flags = ["--corpus-dir", str(corpus_dir), "--kb-file", str(kb_file)]
+    if "--output-dir" not in argv:
+        flags += ["--output-dir", str(tmp_path / "out")]
     if "--config" not in argv:  # a config file gives its own seed, which --seed would override
         flags += ["--seed", "1"]
     argv = [arg.format(**paths) for arg in argv] + flags
@@ -370,6 +422,101 @@ def test_a_config_value_of_the_wrong_json_type_exits_2(
     config = _write_config(tmp_path / "cfg.json", **{"corpus_dir": str(corpus_dir), **overrides})
     caplog.clear()
     assert main(["convert", "--config", str(config)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in caplog.text
+
+
+# -- file readers --------------------------------------------------------------
+
+# each reader, the valid file it is fed, and the subcommand that reads it;
+# ``{broken}`` is that file with one change
+_READERS = {
+    "kb-load --kb-file": ("kb", ["kb-load", "--kb-file", "{broken}"]),
+    "export --graph": ("graph", ["export", "--graph", "{broken}"]),
+    "fuse --entities": ("entities", ["fuse", "--graph", "{graph}", "--entities", "{broken}",
+                                     "--alignments", "{alignments}"]),
+    "align --entities": ("entities", ["align", "--entities", "{broken}", "--kb-file", "{kb}"]),
+    "fuse --alignments": ("alignments", ["fuse", "--graph", "{graph}", "--entities",
+                                         "{entities}", "--alignments", "{broken}"]),
+}
+_NOT_UTF8 = (b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", "肝".encode("gbk"))
+_TYPE_NAMES = {type(None): "null", bool: "bool", int: "int", float: "float", str: "str",
+               list: "list", dict: "object"}
+_RECORD_VALUES = {**_JSON, "int": st.integers(-2, 2) | st.just(10**400),
+                  "float": st.floats()}  # inf and nan too, which json writes and reads
+
+
+@pytest.fixture(scope="module")
+def record_files(tmp_path_factory, kb_file) -> dict[str, Path]:
+    """One valid file of each format the readers take."""
+    out = tmp_path_factory.mktemp("records")
+    assert main(["kb-load", "--seed", "1", "--kb-file", str(kb_file),
+                 "--output-dir", str(out)]) == 0
+    entities, alignments = out / "entities.jsonl", out / "alignments.tsv"
+    entities.write_text(
+        '{"schema": "entities/1"}\n'
+        '{"doc_id": "p1", "entities": [["Disease", "原发性肝细胞"], ["Symptom", "腹痛"]]}\n'
+        '{"doc_id": "p2", "entities": [["Disease", "肝癌"], ["Treatment", "手术"]]}\n'
+        '{"doc_id": "p3", "entities": []}\n', encoding="utf-8")
+    alignments.write_text("source\ttarget\tsimilarity\n原发性肝细胞\t原发性肝细胞癌\t0.9\n"
+                          "糖尿病\t\t0.1\n", encoding="utf-8")
+    files = {"kb": kb_file, "graph": out / "kb_graph.jsonl", "entities": entities,
+             "alignments": alignments}
+    for kind, argv in _READERS.values():  # each reader takes them all as they are
+        argv = [arg.format(broken=files[kind], **files) for arg in argv]
+        assert main(argv + ["--seed", "1", "--output-dir", str(out / "check")]) == 0
+    return files
+
+
+def _value_paths(value, path=()):
+    """The key path to every value inside a JSON object or array."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _value_paths(child, path + (key,))
+
+
+@st.composite
+def _broken(draw, valid: bytes, tsv: bool) -> bytes:
+    """``valid`` truncated at a byte, with bytes that are not UTF-8 spliced
+    in, or with one field of one record given a value of another JSON type."""
+    change = draw(st.sampled_from(["truncate", "not utf-8", "retype"]))
+    if change == "truncate":
+        return valid[:draw(st.integers(0, len(valid) - 1))]
+    if change == "not utf-8":
+        at = draw(st.integers(0, len(valid)))
+        return valid[:at] + draw(st.sampled_from(_NOT_UTF8)) + valid[at:]
+    lines = valid.decode("utf-8").split("\n")
+    i = draw(st.integers(0, len(lines) - 2))  # the last line is the empty one after "\n"
+    if tsv:
+        fields = lines[i].split("\t")
+        fields[draw(st.integers(0, len(fields) - 1))] = json.dumps(
+            draw(_RECORD_VALUES[draw(st.sampled_from(sorted(_RECORD_VALUES)))]))
+        lines[i] = "\t".join(fields)
+    else:
+        record = json.loads(lines[i])
+        *parents, key = draw(st.sampled_from(list(_value_paths(record))))
+        owner = record
+        for parent in parents:
+            owner = owner[parent]
+        other = sorted(set(_RECORD_VALUES) - {_TYPE_NAMES[type(owner[key])]})
+        owner[key] = draw(_RECORD_VALUES[draw(st.sampled_from(other))])
+        lines[i] = json.dumps(record, ensure_ascii=False)
+    return "\n".join(lines).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_broken_record_file_exits_0_or_3(data, record_files, tmp_path, capsys, caplog):
+    kind, argv = _READERS[data.draw(st.sampled_from(sorted(_READERS)))]
+    valid = record_files[kind].read_bytes()
+    broken = tmp_path / "broken"
+    broken.write_bytes(data.draw(_broken(valid, tsv=kind == "alignments")))
+    argv = [arg.format(broken=broken, **record_files) for arg in argv]
+    caplog.clear()
+    assert main(argv + ["--seed", "1", "--output-dir", str(tmp_path / "out")]) in (0, 3)
     assert "Traceback" not in capsys.readouterr().err
     assert "Traceback" not in caplog.text
 
@@ -559,6 +706,21 @@ def test_entity_and_alignment_names_holding_line_separators_load_back(tmp_path, 
                  "--entities", str(entities)]) == 0
     alignments = emrkg.cli.read_alignment_file(out / "alignments.tsv", 0.8)
     assert [a.source for a in alignments] == sorted(SEPARATOR_NAMES)
+
+
+def test_align_names_and_tag_text_split_at_line_ends_only(tmp_path, kb_file, workdir):
+    """A name holding U+2028 and the like is one name, one sentence."""
+    names = tmp_path / "names.txt"
+    names.write_text("".join(name + "\n" for name in SEPARATOR_NAMES), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["align", "--seed", "4", "--kb-file", str(kb_file), "--output-dir", str(out),
+                 "--names", str(names)]) == 0
+    alignments = emrkg.cli.read_alignment_file(out / "alignments.tsv", 0.8)
+    assert [a.source for a in alignments] == list(SEPARATOR_NAMES)
+    assert main(["tag", "--seed", "4", "--output-dir", str(out), "--text", str(names),
+                 "--model-file", str(workdir / "model.bin")]) == 0
+    predicted = read_bio_file(out / "predicted.bio")
+    assert ["".join(s.chars) for s in predicted] == list(SEPARATOR_NAMES)
 
 
 def test_align_without_a_source_flag_is_a_config_error(tmp_path, kb_file):

@@ -81,12 +81,17 @@ def test_load_kb_requires_schema_header(tmp_path):
         load_kb(path)
 
 
-def test_load_kb_empty_file_yields_no_entries(tmp_path):
+def test_load_kb_zero_byte_file_is_an_error_and_header_only_is_empty(tmp_path, caplog):
+    """The header is required, as in every versioned JSON-lines file."""
     path = tmp_path / "kb.jsonl"
     path.write_text("", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"{path}: line 1: .*empty file"):
+        load_kb(path)
+    write_kb(path, [])
     entries, catalogs = load_kb(path)
     assert entries == []
     assert catalogs.disease == ()
+    assert "contains no disease records" in caplog.text
 
 
 @pytest.mark.parametrize(
@@ -103,8 +108,9 @@ def test_load_kb_empty_file_yields_no_entries(tmp_path):
 def test_load_kb_rejects_malformed_records(tmp_path, record, exc, match):
     path = tmp_path / "kb.jsonl"
     write_kb(path, [record])
-    with pytest.raises(exc, match=match):
+    with pytest.raises(exc, match=match) as info:
         load_kb(path)
+    assert str(info.value).startswith(f"{path}: line 2: ")
 
 
 def test_load_kb_reports_invalid_json_with_line_number(tmp_path):

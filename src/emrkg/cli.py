@@ -46,7 +46,15 @@ from emrkg.derm import (
     read_dictionary_file,
     write_dictionary_file,
 )
-from emrkg.errors import ConfigError, DataError, EmrkgError, read_lines, read_records, write_records
+from emrkg.errors import (
+    ConfigError,
+    DataError,
+    EmrkgError,
+    find_lone_surrogate,
+    read_lines,
+    read_records,
+    write_records,
+)
 from emrkg.fusion import Alignment, FusionConfig, align, build_index, fuse
 from emrkg.graph import (
     KnowledgeGraph,
@@ -160,9 +168,13 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         if not path.is_file():
             raise ConfigError(f"config file {path} does not exist")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            text = path.read_text(encoding="utf-8")
+            raw = json.loads(text)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"config file {path}: invalid JSON: {exc}") from exc
+        bad = find_lone_surrogate(text, raw)
+        if bad is not None:
+            raise ConfigError(f"config file {path}: lone surrogate in the string {bad[:40]!r}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: expected a JSON object")
         unknown = set(raw) - _FILE_KEYS

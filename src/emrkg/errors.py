@@ -7,6 +7,7 @@ map any failure onto its exit-code contract (config=2, data=3, internal=4).
 
 import json
 import math
+import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -30,6 +31,32 @@ class InternalError(EmrkgError):
 def is_real(value) -> bool:
     """A finite int or float, not a bool: a JSON number where a config wants a real."""
     return type(value) in (int, float) and math.isfinite(value)
+
+
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def find_lone_surrogate(text: str, value) -> str | None:
+    """The first string or key of the JSON value decoded from ``text`` that
+    holds a lone surrogate (U+D800..U+DFFF), which no write can encode as
+    UTF-8, or None. Only a ``\\u`` escape decodes to one (a paired escape
+    decodes to a single character), so text without a backslash is not
+    walked; testing for the one character costs a third of testing for
+    the two on lines of CJK text."""
+    if "\\" not in text:
+        return None
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if _LONE_SURROGATE.search(item):
+                return item
+        elif isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+    return None
 
 
 def read_text(path: str | Path) -> str:
@@ -72,7 +99,7 @@ def write_records(path: str | Path, schema: str, records: Iterable[dict]) -> Non
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(_encode({"schema": schema}) + "\n")
             handle.writelines(_encode(record) + "\n" for record in records)
-    except (OSError, UnicodeEncodeError) as exc:  # a lone surrogate read from a \ud800 escape
+    except (OSError, UnicodeEncodeError) as exc:  # a string holding a lone surrogate
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
@@ -110,4 +137,7 @@ def read_records(path: str | Path, schema: str, error: type[DataError] = DataErr
                 raise error(f"{path}: line {lineno}: truncated or invalid record: {reason}") from exc
         if not isinstance(obj, dict):
             raise error(f"{path}: line {lineno}: record is not a JSON object")
+        bad = find_lone_surrogate(line, obj)
+        if bad is not None:
+            raise error(f"{path}: line {lineno}: lone surrogate in the string {bad[:40]!r}")
         yield lineno, obj

@@ -221,10 +221,15 @@ def fuse(
             skipped.append(alignment.source)
             continue
         if source.id != canonical.id:
+            aliases = canonical.attributes.get("aliases", [])
+            if type(aliases) is not list or not all(type(a) is str for a in aliases):
+                raise DataError(
+                    f"{label} node {canonical.name!r}: aliases must be a list of strings"
+                )
             graph.merge_node_into(source.id, canonical.id)
-            aliases = canonical.attributes.setdefault("aliases", [])
             if source.name not in aliases:
                 aliases.append(source.name)
                 aliases.sort()
+            canonical.attributes["aliases"] = aliases
         merged.append((alignment.source, alignment.target, alignment.similarity))
     return FusionReport(tuple(merged), tuple(unmatched), tuple(skipped))

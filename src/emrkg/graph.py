@@ -56,6 +56,8 @@ _WIDTH_FOLD = {code: code - 0xFEE0 for code in range(0xFF01, 0xFF5F)} | {0x3000:
 
 # every admitted (head label, relation, tail label)
 _ENDPOINTS = frozenset((h, r, t) for r, pairs in RELATION_ENDPOINTS.items() for h, t in pairs)
+# each relation name to one shared copy, so loaded triples do not each keep their own
+_RELATION_NAMES = {relation: relation for relation in RELATION_ENDPOINTS}
 
 
 def normalize_name(name: str) -> str:
@@ -275,25 +277,31 @@ def _cypher_value(value) -> str:
 
 def export_cypher(graph: KnowledgeGraph, path: str | Path) -> int:
     """Write MERGE statements (one per node, one per triple) in canonical
-    order; structurally identical graphs export byte-identically."""
+    order; structurally identical graphs export byte-identically.
+
+    The node statements are rendered before the file is opened: they are
+    the only ones ``_cypher_value`` can reject, so an export that fails
+    writes no file. The triple statements are then written as a stream."""
     nodes, _, triples = _canonical(graph)
     statements = []
     match = {}  # node id -> its "Label {name: ...}" pattern
     for node in nodes:
         props = {"name": node.name, **dict(sorted(node.attributes.items()))}
         rendered = ", ".join(f"{k}: {_cypher_value(v)}" for k, v in props.items())
-        statements.append(f"MERGE (n:{node.label} {{{rendered}}});")
+        statements.append(f"MERGE (n:{node.label} {{{rendered}}});\n")
         match[node.id] = f"{node.label} {{name: {_cypher_value(node.name)}}}"
-    for head, relation, tail in triples:
-        statements.append(
-            f"MATCH (a:{match[head]}), (b:{match[tail]}) "
-            f"MERGE (a)-[:{relation_identifier(relation)}]->(b);"
-        )
+    edges = (
+        f"MATCH (a:{match[head]}), (b:{match[tail]}) "
+        f"MERGE (a)-[:{relation_identifier(relation)}]->(b);\n"
+        for head, relation, tail in triples
+    )
     try:
-        Path(path).write_text("".join(s + "\n" for s in statements), encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(statements)
+            handle.writelines(edges)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-    return len(statements)
+    return len(statements) + len(triples)
 
 
 def export_csv(graph: KnowledgeGraph, nodes_path: str | Path, rels_path: str | Path) -> None:
@@ -333,11 +341,20 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
+    """Read a ``graph/1`` file. Nodes are inserted as they are read; each
+    triple is type-checked where it is read and held until every node is
+    in, then checked against its endpoints and inserted in file order."""
     graph = KnowledgeGraph()
-    pending: list[tuple[int, dict]] = []
+    pending: list[tuple[int, Triple]] = []
     for lineno, obj in read_records(path, SCHEMA_TAG, IoError, SchemaVersionMismatch):
         kind = obj.get("kind")
-        if kind == "node":
+        if kind == "triple":
+            head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
+            if type(head) is not int or type(tail) is not int or not isinstance(relation, str):
+                raise IoError(f"{path}: line {lineno}: malformed triple record")
+            relation = _RELATION_NAMES.get(relation, relation)
+            pending.append((lineno, Triple(head, relation, tail)))
+        elif kind == "node":
             node_id, label, name = obj.get("id"), obj.get("label"), obj.get("name")
             attributes = obj.get("attributes", {})
             if (type(node_id) is not int or not isinstance(name, str) or not name.strip()
@@ -348,23 +365,18 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
             key = (label, normalize_name(name))
             if key in graph._by_key or node_id in graph.nodes:
                 raise IoError(f"{path}: line {lineno}: duplicate node {key!r}")
-            graph.nodes[node_id] = Node(node_id, label, name, dict(attributes))
+            graph.nodes[node_id] = Node(node_id, label, name, attributes)
             graph._by_key[key] = node_id
             graph._next_id = max(graph._next_id, node_id + 1)
-        elif kind == "triple":
-            pending.append((lineno, obj))
         else:
             raise IoError(f"{path}: line {lineno}: unknown record kind {kind!r}")
     triples, by_head, by_tail = graph._triples, graph._by_head, graph._by_tail
-    for lineno, obj in pending:
-        head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
-        if type(head) is not int or type(tail) is not int or not isinstance(relation, str):
-            raise IoError(f"{path}: line {lineno}: malformed triple record")
+    for lineno, triple in pending:
+        head, relation, tail = triple
         try:
             graph._check_triple(head, relation, tail)
         except DataError as exc:
             raise IoError(f"{path}: line {lineno}: {exc}") from exc
-        triple = Triple(head, relation, tail)
         triples[triple] = None  # a repeated triple keeps its first position
         by_head.setdefault(head, {})[triple] = None
         by_tail.setdefault(tail, {})[triple] = None

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from emrkg.corpus import BioSentence
-from emrkg.errors import ConfigError, DataError
+from emrkg.errors import ConfigError, DataError, find_lone_surrogate
 from emrkg.schema import EntitySchema
 from emrkg.tagger.crf import EmptySentence, nll_with_grad, viterbi
 from emrkg.tagger.lstm import LstmCache, LstmParams, lstm_backward, lstm_forward, lstm_states
@@ -273,11 +273,18 @@ def load_model(path: str | Path) -> TaggerModel:
         (meta_len,) = struct.unpack("<Q", _read_exact(handle, 8, "metadata length"))
         raw_meta = _read_exact(handle, meta_len, "metadata")
         try:
-            meta = json.loads(raw_meta.decode("utf-8"))
+            meta_text = raw_meta.decode("utf-8")
+            meta = json.loads(meta_text)
             vocab = Vocabulary(tuple(meta["vocab"]))
             schema = EntitySchema(tuple(meta["entity_types"]))
-        except (ValueError, KeyError, TypeError, AttributeError, DataError, ConfigError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError, DataError,
+                ConfigError) as exc:
             raise ModelFormatError(f"{path}: bad model metadata: {exc!r}") from exc
+        bad = find_lone_surrogate(meta_text, meta)
+        if bad is not None:
+            raise ModelFormatError(
+                f"{path}: bad model metadata: lone surrogate in the string {bad[:40]!r}"
+            )
         (count,) = struct.unpack("<I", _read_exact(handle, 4, "array count"))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):

@@ -68,6 +68,7 @@ _BAD_ENTITY_RECORDS = {
     "entities_surface_number": '{"doc_id": "d1", "entities": [["Disease", 5]]}',
     "entities_label_list": '{"doc_id": "d1", "entities": [[["Disease"], "肝癌"]]}',
     "entities_object": '{"doc_id": "d1", "entities": {"ab": 1}}',
+    "entities_surface_lone_surrogate": '{"doc_id": "d1", "entities": [["Disease", "\\ud800"]]}',
 }
 # a valid graph, and the alignments that are read after the entities
 _FUSE_ENTITIES = ["fuse", "--graph", "{graph_valid}", "--alignments", "{present}"]
@@ -96,6 +97,9 @@ _BAD_CONFIGS = {
     "entity_types_string": (_CONVERT, {"entity_types": "Disease"}),
     "seed_float": (_CONVERT, {"seed": 1.7}),
     "max_len_float": (_CONVERT, {"max_len": 20.9}),
+    # json.dumps writes each lone surrogate as a \ud800 escape
+    "entity_types_lone_surrogate": (["kb-load"], {"entity_types": ["Disease", "\ud800"]}),
+    "output_dir_lone_surrogate": (["kb-load"], {"output_dir": "out\ud800"}),
 }
 
 
@@ -258,6 +262,16 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
         *[pytest.param(["fuse", "--graph", "{graph_valid}", "--alignments", f"{{{name}}}"], 3,
                        name, id=name.replace("_", "-"))
           for name in _BAD_SIMILARITIES],
+        pytest.param(["export", "--graph", "{graph_name_lone_surrogate}"], 3,
+                     "graph_name_lone_surrogate", id="export-graph-name-lone-surrogate"),
+        pytest.param(["fuse", "--graph", "{graph_aliases_string}", "--alignments",
+                      "{aligned_to_aliases_string}"], 3, None, id="fuse-aliases-not-a-list"),
+        pytest.param(["convert", "--config", "{deep_config}"], 2, "deep_config",
+                     id="config-nested-too-deeply"),
+        pytest.param(["tag", "--model-file", "{meta_deep}"], 3, "meta_deep",
+                     id="model-metadata-nested-too-deeply"),
+        pytest.param(["tag", "--model-file", "{meta_lone_surrogate}"], 3, "meta_lone_surrogate",
+                     id="model-metadata-lone-surrogate"),
         pytest.param(["convert", "--output-dir", "{afile}"], 2, "afile",
                      id="output-dir-is-a-file"),
         pytest.param(["convert", "--output-dir", "{afile}/sub"], 2, "afile",
@@ -279,6 +293,8 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         "meta_not_utf8": tmp_path / "meta_not_utf8.bin",
         "meta_no_vocab": tmp_path / "meta_no_vocab.bin",
         "meta_no_pad": tmp_path / "meta_no_pad.bin",
+        "meta_deep": tmp_path / "meta_deep.bin",
+        "meta_lone_surrogate": tmp_path / "meta_lone_surrogate.bin",
         "array_name_not_utf8": tmp_path / "array_name_not_utf8.bin",
         "array_dim_huge": tmp_path / "array_dim_huge.bin",
     }
@@ -288,7 +304,8 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     for name, meta in [("meta_not_utf8", '{"vocab": ["肝"]}'.encode("gbk")),
                        ("meta_no_vocab", b'{"entity_types": ["Disease"]}'),
                        ("meta_no_pad", json.dumps({"vocab": no_pad, "entity_types": ["Disease"]})
-                        .encode("utf-8"))]:
+                        .encode("utf-8")),
+                       ("meta_deep", b"[" * 100000)]:
         header = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(meta))
         paths[name].write_bytes(header + meta + struct.pack("<I", 0))
     # valid metadata, then one array table entry with a bad name or a bad dim
@@ -313,6 +330,15 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     raw = paths["hidden_wrong"].read_bytes()
     assert raw.count(b'"hidden": 2') == 1
     paths["hidden_wrong"].write_bytes(raw.replace(b'"hidden": 2', b'"hidden": 3'))
+    # a valid model whose vocabulary token 肝 is the escape of a lone surrogate
+    at = len(MAGIC) + 4
+    (meta_len,) = struct.unpack("<Q", raw[at:at + 8])
+    meta = raw[at + 8:at + 8 + meta_len]
+    assert meta.count('"肝"'.encode("utf-8")) == 1
+    meta = meta.replace('"肝"'.encode("utf-8"), b'"\\ud800"')
+    paths["meta_lone_surrogate"].write_bytes(
+        raw[:at] + struct.pack("<Q", len(meta)) + meta + raw[at + 8 + meta_len:]
+    )
     for name, (_, overrides) in _BAD_CONFIGS.items():
         paths[name] = _write_config(tmp_path / f"{name}.json", **overrides)
     paths["bio"] = tmp_path / "sentences.bio"
@@ -325,6 +351,10 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         ("graph_relation_list",
          _NODE + '\n{"kind": "triple", "head": 1, "relation": ["Complication"], "tail": 1}'),
         ("graph_valid", _NODE),
+        ("graph_name_lone_surrogate", _NODE.replace('"肝癌"', '"\\ud800x"')),
+        ("graph_aliases_string",
+         _NODE.replace('"肝癌"', '"原发性肝细胞癌", "attributes": {"aliases": "x"}') + "\n"
+         + _NODE.replace('"id": 1', '"id": 2').replace('"肝癌"', '"原发性肝细胞癌。"')),
         *_BAD_GRAPH_RECORDS.items(),
     ]:
         paths[name] = tmp_path / f"{name}.jsonl"
@@ -335,6 +365,12 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     for name, row in _BAD_SIMILARITIES.items():
         paths[name] = tmp_path / f"{name}.tsv"
         paths[name].write_text(f"source\ttarget\tsimilarity\n{row}\n", encoding="utf-8")
+    paths["aligned_to_aliases_string"] = tmp_path / "aligned_to_aliases_string.tsv"
+    paths["aligned_to_aliases_string"].write_text(
+        "source\ttarget\tsimilarity\n原发性肝细胞癌。\t原发性肝细胞癌\t0.9\n", encoding="utf-8"
+    )
+    paths["deep_config"] = tmp_path / "deep_config.json"
+    paths["deep_config"].write_text("[" * 100000, encoding="utf-8")
     paths["afile"] = tmp_path / "afile"
     paths["afile"].write_text("a regular file\n", encoding="utf-8")
     paths["bad_header"].write_text(

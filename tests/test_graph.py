@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emrkg.cli import main
 from emrkg.errors import DataError, InternalError
 from emrkg.graph import (
     DanglingEndpoint,
@@ -519,6 +522,9 @@ def test_load_graph_reads_each_line_as_json_loads_does(tmp_path):
     path = tmp_path / "graph.jsonl"
     path.write_text(f'{{"schema": "graph/1"}}\n \t{node} \n\n', encoding="utf-8")
     assert load_graph(path).find_node("Disease", "肝癌").id == 1
+    paired = node.replace("肝癌", "\\ud83d\\ude00")  # one escaped astral character
+    path.write_text(f'{{"schema": "graph/1"}}\n{paired}\n', encoding="utf-8")
+    assert load_graph(path).find_node("Disease", "\U0001F600").id == 1
     for lines, message in [
         ([node + " " + node], "line 2: truncated or invalid record: Extra data"),
         ([node[:30], node[30:]], "line 2: truncated or invalid record"),  # one record, two lines
@@ -528,6 +534,10 @@ def test_load_graph_reads_each_line_as_json_loads_does(tmp_path):
         ([node[:-1] + ', "attributes": 5}'], "line 2: malformed node record"),
         ([node, '{"kind": "triple", "head": 1, "relation": ["Complication"], "tail": 1}'],
          "line 3: malformed triple record"),
+        # a triple is type-checked where it is read, so the first bad record is reported
+        (['{"kind": "triple", "head": 1, "relation": 5, "tail": 1}', node.replace('"肝癌"', "5")],
+         "line 2: malformed triple record"),
+        ([node.replace('"肝癌"', '"\\ud800x"')], "line 2: lone surrogate"),
     ]:
         path.write_text("\n".join(['{"schema": "graph/1"}'] + lines) + "\n", encoding="utf-8")
         with pytest.raises(IoError, match=f"{path}: {message}"):
@@ -569,3 +579,62 @@ def test_load_graph_rejects_dangling_triples(tmp_path):
     )
     with pytest.raises(IoError):
         load_graph(path)
+
+
+def _large_graph() -> KnowledgeGraph:
+    """22,000 triples over 3,600 nodes, shaped like a fused KB graph."""
+    rng = random.Random(5)
+    graph = KnowledgeGraph()
+    diseases = [graph.upsert_node("Disease", f"疾病{i}", {"description": f"疾病{i}是一种常见疾病"})
+                for i in range(1000)]
+    foods = [graph.upsert_node("Food", f"食物{i}") for i in range(100)]
+    symptoms = [graph.upsert_node("Symptom", f"症状{i}") for i in range(500)]
+    for disease in diseases:
+        for food in rng.sample(foods, 4):
+            graph.add_triple(disease, "RecommendedFood", food)
+        for symptom in rng.sample(symptoms, 4):
+            graph.add_triple(disease, "HasSymptom", symptom)
+    for i in range(2000):
+        patient = graph.upsert_node("Patient", f"patient-{i:04d}")
+        for disease in rng.sample(diseases, 4):
+            graph.add_triple(patient, "HasDisease", disease)
+        for symptom in rng.sample(symptoms, 3):
+            graph.add_triple(patient, "HasSymptom", symptom)
+    return graph
+
+
+def test_load_and_export_need_the_graph_plus_one_record(tmp_path):
+    """Neither path holds a whole file: load keeps no decoded-record
+    backlog, and export writes its triple statements as a stream."""
+    path = tmp_path / "graph.jsonl"
+    graph = _large_graph()
+    assert len(graph.triples) >= 20_000
+    save_graph(graph, path)
+    del graph
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_graph(path)
+        after_load, load_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        export_cypher(loaded, tmp_path / "graph.cypher")
+        export_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = after_load - base
+    assert load_peak - base < 1.5 * kept
+    assert export_peak - after_load < 0.5 * kept
+
+
+def test_an_export_that_fails_writes_no_cypher_file(tmp_path):
+    path = tmp_path / "graph.jsonl"
+    path.write_text("\n".join([
+        '{"schema": "graph/1"}',
+        '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}',
+        '{"kind": "node", "id": 2, "label": "Symptom", "name": "腹痛", "attributes": {"x": null}}',
+        '{"kind": "triple", "head": 1, "relation": "HasSymptom", "tail": 2}',
+    ]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["export", "--seed", "1", "--graph", str(path), "--output-dir", str(out)]) == 3
+    assert not (out / "graph.cypher").exists()

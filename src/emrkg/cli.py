@@ -31,6 +31,7 @@ from emrkg.corpus import (
     BioSentence,
     DatasetSplit,
     ValidationReport,
+    corpus_files,
     from_bio,
     load_corpus_dir,
     read_bio_file,
@@ -258,7 +259,8 @@ def _mkdir(path: Path) -> None:
 
 
 def _corpus_inputs(corpus_dir: Path) -> list[Path]:
-    return sorted(corpus_dir.glob("*.txt")) + sorted(corpus_dir.glob("*.ann"))
+    texts, annotations = corpus_files(corpus_dir)
+    return texts + annotations
 
 
 # -- subcommands -----------------------------------------------------------
@@ -321,6 +323,7 @@ def run_augment(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     rng = np.random.default_rng(derive_seed(cfg.seed, "augment"))
     outcomes = augment_epoch(sentences, dictionary, cfg.train.derm, rng)
     out = Path(args.out) if args.out else cfg.output_dir / "augmented.bio"
+    _mkdir(out.parent)
     write_bio_file([o.sentence for o in outcomes], out)
     actions = Counter(outcome.action for outcome in outcomes)
     _write_json(cfg.output_dir / "augment_report.json", {"actions": actions})
@@ -333,13 +336,17 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     dict_path = _input(args, "dictionary")
     train_sentences = read_bio_file(train_path)
     validation_sentences = read_bio_file(validation_path)
+    inputs = [train_path, validation_path]
     if dict_path is not None:
         dictionary = read_dictionary_file(dict_path)
+        inputs.append(dict_path)
     else:
         # the KB disease and symptom catalogs: the two KB types that are also span types
         kb_names = {}
-        if cfg.kb_file is not None and cfg.kb_file.is_file():
-            _, catalogs = load_kb(cfg.kb_file)
+        if cfg.kb_file is not None:
+            kb_file = cfg.require_kb_file()
+            _, catalogs = load_kb(kb_file)
+            inputs.append(kb_file)
             kb_names = {"Disease": catalogs.disease, "Symptom": catalogs.symptom}
         dictionary = build_dictionary(train_sentences, kb_names)
         write_dictionary_file(dictionary, cfg.output_dir / "dictionary.tsv")
@@ -363,7 +370,7 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     })
     log.info("trained %d epochs; best validation F1 %.4f at epoch %d",
              len(result.log), result.log[result.best_epoch - 1].f1, result.best_epoch)
-    return [train_path, validation_path] + ([dict_path] if dict_path else [])
+    return inputs
 
 
 def run_tag(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
@@ -544,7 +551,9 @@ def run_query(cfg: PipelineConfig, args: argparse.Namespace) -> None:
     nodes = graph.pattern_query(args.label, args.name, args.relation)
     output = "".join(node.name + "\n" for node in nodes)
     if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
+        out = Path(args.out)
+        _mkdir(out.parent)
+        out.write_text(output, encoding="utf-8")
     else:
         sys.stdout.write(output)
 

@@ -392,13 +392,27 @@ def load_document_pair(
     return parse_ann(ann, text, schema, doc_id=txt_path.stem, report=report)
 
 
+def corpus_files(corpus_dir: str | Path) -> tuple[list[Path], list[Path]]:
+    """A corpus directory's .txt files and its .ann files, each sorted by
+    name. A path that does not encode as UTF-8 is a data error, since no
+    output file could record it."""
+    corpus_dir = Path(corpus_dir)
+    texts, annotations = sorted(corpus_dir.glob("*.txt")), sorted(corpus_dir.glob("*.ann"))
+    for path in texts + annotations:
+        try:
+            str(path).encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"{path}: file name is not UTF-8") from None
+    return texts, annotations
+
+
 def load_corpus_dir(
     corpus_dir: str | Path,
     schema: EntitySchema,
     report: ValidationReport | None = None,
 ) -> list[AnnotatedDocument]:
     """Load every .txt/.ann pair in a directory, sorted by name."""
-    paths = sorted(Path(corpus_dir).glob("*.txt"))
-    if not paths:
+    texts, _ = corpus_files(corpus_dir)
+    if not texts:
         raise DataError(f"no .txt files under {corpus_dir}")
-    return [load_document_pair(p, schema, report) for p in paths]
+    return [load_document_pair(p, schema, report) for p in texts]

@@ -1,12 +1,6 @@
 """Character BiLSTM-CRF sequence tagger trained from scratch."""
 
-from emrkg.tagger.model import (
-    TaggerModel,
-    encode,
-    load_model,
-    predict,
-    save_model,
-)
+from emrkg.tagger.model import TaggerModel, load_model, predict, save_model
 from emrkg.tagger.train import TrainConfig, TrainResult, train
 from emrkg.tagger.vocab import TagSet, Vocabulary
 
@@ -16,7 +10,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "Vocabulary",
-    "encode",
     "load_model",
     "predict",
     "save_model",

@@ -1,5 +1,5 @@
-"""Linear-chain CRF: log-partition, negative log-likelihood and Viterbi
-(one sentence, or a right-padded batch of them).
+"""Linear-chain CRF: gold-path score, negative log-likelihood with its
+gradients, and Viterbi (one sentence, or a right-padded batch of them).
 
 Scores use a (K+2)x(K+2) transition matrix over K real tags plus two
 virtual positions, START = K and STOP = K+1:
@@ -46,18 +46,6 @@ def _check(emissions: np.ndarray, transitions: np.ndarray) -> tuple[int, int]:
     return length, num_tags
 
 
-def log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
-    """log sum over all tag paths of exp(score(path)), by the forward algorithm."""
-    length, num_tags = _check(emissions, transitions)
-    start, stop = num_tags, num_tags + 1
-    alpha = transitions[start, :num_tags] + emissions[0]
-    for i in range(1, length):
-        alpha = emissions[i] + logsumexp(
-            alpha[:, None] + transitions[:num_tags, :num_tags], axis=0
-        )
-    return float(logsumexp(alpha + transitions[:num_tags, stop], axis=0))
-
-
 def gold_score(emissions: np.ndarray, transitions: np.ndarray, tags: np.ndarray) -> float:
     length, num_tags = _check(emissions, transitions)
     tags = np.asarray(tags, dtype=np.intp)
@@ -70,25 +58,21 @@ def gold_score(emissions: np.ndarray, transitions: np.ndarray, tags: np.ndarray)
     return float(score)
 
 
-def nll(emissions: np.ndarray, transitions: np.ndarray, tags: np.ndarray) -> float:
-    """Negative log-likelihood of the gold path: log_partition - gold_score."""
-    return log_partition(emissions, transitions) - gold_score(emissions, transitions, tags)
-
-
 def nll_with_grad(
     emissions: np.ndarray, transitions: np.ndarray, tags: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """NLL plus analytic gradients w.r.t. emissions and transitions.
+    """Negative log-likelihood of the gold path, log Z - gold_score, with
+    log Z (the log-partition) from the forward algorithm; plus analytic
+    gradients w.r.t. emissions and transitions.
 
     d nll / d E[i,k] = P(y_i = k) - 1{gold_i = k}
     d nll / d T[j,k] = expected transition count - gold transition count,
     including the virtual START row and STOP column. Forbidden (-inf)
     entries receive zero gradient.
     """
-    length, num_tags = _check(emissions, transitions)
+    gold = gold_score(emissions, transitions, tags)
+    length, num_tags = emissions.shape
     tags = np.asarray(tags, dtype=np.intp)
-    if tags.shape != (length,) or tags.min() < 0 or tags.max() >= num_tags:
-        raise InvalidGoldTag(f"gold tags invalid for length {length}, {num_tags} tags")
     start, stop = num_tags, num_tags + 1
     inner = transitions[:num_tags, :num_tags]
 
@@ -124,8 +108,7 @@ def nll_with_grad(
     np.add.at(d_transitions, (tags[:-1], tags[1:]), -1.0)
     d_transitions[tags[-1], stop] -= 1.0
 
-    value = log_z - gold_score(emissions, transitions, tags)
-    return value, d_emissions, d_transitions
+    return log_z - gold, d_emissions, d_transitions
 
 
 def viterbi(

@@ -3,14 +3,16 @@
 The model owns a character embedding table, one LSTM per direction, a
 linear projection to per-tag emission scores, and a CRF transition matrix
 whose structurally illegal entries (I-t after anything but B-t/I-t) are
-pinned to -inf so decoded sequences are always well-formed BIO.
+pinned to -inf so decoded sequences are always well-formed BIO. The
+model holds these arrays in one dict that :func:`param_shapes` names,
+shapes and orders; initialization, saving, loading, gradients and
+training updates all follow it.
 
 Training scores one sentence at a time through the cached per-sentence
-LSTM passes that backpropagation needs. Inference (:func:`predict`,
-:func:`encode`) sorts sentences by length and runs each chunk of
-``_PREDICT_CHUNK`` as one right-padded batch: one cache-free
-:func:`lstm_states` call per direction, one projection and one batched
-Viterbi.
+LSTM passes that backpropagation needs. Inference (:func:`predict`) sorts
+sentences by length and runs each chunk of ``_PREDICT_CHUNK`` as one
+right-padded batch: one cache-free :func:`lstm_states` call per
+direction, one projection and one batched Viterbi.
 
 Serialization is a flat little-endian binary container (magic, format
 version, JSON metadata, raw float64 arrays). Writing the same model twice
@@ -23,7 +25,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from emrkg.corpus import BioSentence
 from emrkg.errors import ConfigError, DataError, find_lone_surrogate
 from emrkg.schema import EntitySchema
 from emrkg.tagger.crf import EmptySentence, nll_with_grad, viterbi
-from emrkg.tagger.lstm import LstmCache, LstmParams, lstm_backward, lstm_forward, lstm_states
+from emrkg.tagger.lstm import LstmParams, lstm_backward, lstm_forward, lstm_states
 from emrkg.tagger.vocab import PAD_TOKEN, TagSet, Vocabulary
 
 MAGIC = b"EMRKGMD1"
@@ -48,48 +50,37 @@ class ModelFormatError(DataError):
     """Model file is truncated, corrupt, or has an unsupported version."""
 
 
-# Names of the learnable arrays, in the order they are saved.
-PARAM_NAMES: tuple[str, ...] = (
-    "embedding", "fw.w", "fw.u", "fw.b", "bw.w", "bw.u", "bw.b", "proj_w", "proj_b", "transitions",
-)
+def param_shapes(
+    vocab_size: int, num_tags: int, d_emb: int, hidden: int
+) -> dict[str, tuple[int, ...]]:
+    """Name and shape of each learnable array, in model-file order."""
+    lstm = {"w": (4 * hidden, d_emb), "u": (4 * hidden, hidden), "b": (4 * hidden,)}
+    return {
+        "embedding": (vocab_size, d_emb),
+        **{f"{side}.{part}": shape for side in ("fw", "bw") for part, shape in lstm.items()},
+        "proj_w": (2 * hidden, num_tags),
+        "proj_b": (num_tags,),
+        "transitions": (num_tags + 2, num_tags + 2),
+    }
 
 
 @dataclass
 class TaggerModel:
     vocab: Vocabulary
     tagset: TagSet
-    embedding: np.ndarray  # (V, d_emb)
-    fw: LstmParams
-    bw: LstmParams
-    proj_w: np.ndarray  # (2h, K)
-    proj_b: np.ndarray  # (K,)
-    transitions: np.ndarray  # (K+2, K+2), -inf at forbidden entries
-    allowed: np.ndarray  # bool (K+2, K+2)
+    params: dict[str, np.ndarray]  # the keys and order of param_shapes
+    allowed: np.ndarray = field(init=False)  # bool (K+2, K+2); transitions is -inf elsewhere
 
-    @classmethod
-    def from_arrays(
-        cls, vocab: Vocabulary, tagset: TagSet, arrays: dict[str, np.ndarray]
-    ) -> "TaggerModel":
-        """Assemble a model from its learnable arrays keyed by PARAM_NAMES."""
-        return cls(
-            vocab=vocab,
-            tagset=tagset,
-            embedding=arrays["embedding"],
-            fw=LstmParams(arrays["fw.w"], arrays["fw.u"], arrays["fw.b"]),
-            bw=LstmParams(arrays["bw.w"], arrays["bw.u"], arrays["bw.b"]),
-            proj_w=arrays["proj_w"],
-            proj_b=arrays["proj_b"],
-            transitions=arrays["transitions"],
-            allowed=tagset.allowed_transitions(),
-        )
+    def __post_init__(self) -> None:
+        self.allowed = self.tagset.allowed_transitions()
 
     @property
-    def d_emb(self) -> int:
-        return self.embedding.shape[1]
+    def fw(self) -> LstmParams:
+        return LstmParams(self.params["fw.w"], self.params["fw.u"], self.params["fw.b"])
 
     @property
-    def hidden(self) -> int:
-        return self.fw.hidden
+    def bw(self) -> LstmParams:
+        return LstmParams(self.params["bw.w"], self.params["bw.u"], self.params["bw.b"])
 
 
 def init_model(
@@ -100,53 +91,23 @@ def init_model(
     rng: np.random.Generator,
 ) -> TaggerModel:
     """Uniform(-0.1, 0.1) weights, zero biases except forget gate at 1."""
-
-    def uniform(*shape: int) -> np.ndarray:
-        return rng.uniform(-0.1, 0.1, size=shape)
-
-    def lstm(d_in: int) -> LstmParams:
-        b = np.zeros(4 * hidden)
-        b[hidden : 2 * hidden] = 1.0
-        return LstmParams(uniform(4 * hidden, d_in), uniform(4 * hidden, hidden), b)
-
-    k = len(tagset)
-    allowed = tagset.allowed_transitions()
-    transitions = uniform(k + 2, k + 2)
-    transitions[~allowed] = -np.inf
-    return TaggerModel(
-        vocab=vocab,
-        tagset=tagset,
-        embedding=uniform(len(vocab), d_emb),
-        fw=lstm(d_emb),
-        bw=lstm(d_emb),
-        proj_w=uniform(2 * hidden, k),
-        proj_b=np.zeros(k),
-        transitions=transitions,
-        allowed=allowed,
-    )
-
-
-def param_arrays(model: TaggerModel) -> list[tuple[str, np.ndarray]]:
-    """Named learnable arrays, in PARAM_NAMES order."""
-    return list(zip(PARAM_NAMES, (
-        model.embedding,
-        model.fw.w, model.fw.u, model.fw.b,
-        model.bw.w, model.bw.u, model.bw.b,
-        model.proj_w, model.proj_b, model.transitions,
-    )))
-
-
-def _bilstm_states(model: TaggerModel, indices: np.ndarray) -> tuple[LstmCache, LstmCache, np.ndarray]:
-    inputs = model.embedding[indices]
-    fw_cache = lstm_forward(model.fw, inputs)
-    bw_cache = lstm_forward(model.bw, inputs[::-1])
-    states = np.concatenate([fw_cache.hidden_states, bw_cache.hidden_states[::-1]], axis=1)
-    return fw_cache, bw_cache, states
+    shapes = param_shapes(len(vocab), len(tagset), d_emb, hidden)
+    params = {name: np.zeros(shape) for name, shape in shapes.items()}
+    # Model files depend on this draw order: transitions, then every other
+    # weight matrix in file order. Biases, the 1-D arrays, are not drawn.
+    weights = [name for name, shape in shapes.items() if len(shape) == 2]
+    for name in sorted(weights, key=lambda name: name != "transitions"):
+        params[name] = rng.uniform(-0.1, 0.1, size=shapes[name])
+    for side in ("fw", "bw"):
+        params[f"{side}.b"][hidden : 2 * hidden] = 1.0
+    model = TaggerModel(vocab, tagset, params)
+    params["transitions"][~model.allowed] = -np.inf
+    return model
 
 
 def _input_tables(model: TaggerModel) -> tuple[np.ndarray, np.ndarray]:
     """Per-character gate inputs ``embedding @ w.T + b``, (V, 4h), per direction."""
-    return tuple(model.embedding @ p.w.T + p.b for p in (model.fw, model.bw))
+    return tuple(model.params["embedding"] @ p.w.T + p.b for p in (model.fw, model.bw))
 
 
 def _batch_emissions(
@@ -167,15 +128,7 @@ def _batch_emissions(
     forward = lstm_states(model.fw, tables[0], indices)
     backward = lstm_states(model.bw, tables[1], indices[rows, flip])[rows, flip]
     states = np.concatenate([forward, backward], axis=2)
-    return states @ model.proj_w + model.proj_b, lengths
-
-
-def encode(model: TaggerModel, chars: str) -> np.ndarray:
-    """Per-character emission scores, shape (len(chars), |tags|)."""
-    if len(chars) == 0:
-        raise EmptySentence("cannot encode an empty sentence")
-    emissions, _ = _batch_emissions(model, _input_tables(model), [chars])
-    return emissions[0]
+    return states @ model.params["proj_w"] + model.params["proj_b"], lengths
 
 
 def sentence_loss_and_grads(
@@ -185,30 +138,33 @@ def sentence_loss_and_grads(
     parameter array (forbidden transition entries get zero gradient)."""
     if len(indices) == 0:
         raise EmptySentence("cannot score an empty sentence")
-    fw_cache, bw_cache, states = _bilstm_states(model, indices)
-    emissions = states @ model.proj_w + model.proj_b
+    params, fw, bw = model.params, model.fw, model.bw
+    inputs = params["embedding"][indices]
+    fw_cache = lstm_forward(fw, inputs)
+    bw_cache = lstm_forward(bw, inputs[::-1])
+    states = np.concatenate([fw_cache.hidden_states, bw_cache.hidden_states[::-1]], axis=1)
+    emissions = states @ params["proj_w"] + params["proj_b"]
 
-    loss, d_emissions, d_transitions = nll_with_grad(emissions, model.transitions, tag_indices)
+    loss, d_emissions, d_transitions = nll_with_grad(emissions, params["transitions"], tag_indices)
     d_transitions[~model.allowed] = 0.0
+    d_states = d_emissions @ params["proj_w"].T
 
-    d_proj_w = states.T @ d_emissions
-    d_proj_b = d_emissions.sum(axis=0)
-    d_states = d_emissions @ model.proj_w.T
-
-    h = model.hidden
-    d_fw, d_in_fw = lstm_backward(model.fw, fw_cache, d_states[:, :h])
-    d_bw, d_in_bw = lstm_backward(model.bw, bw_cache, d_states[::-1, h:])
+    h = fw.hidden
+    d_fw, d_in_fw = lstm_backward(fw, fw_cache, d_states[:, :h])
+    d_bw, d_in_bw = lstm_backward(bw, bw_cache, d_states[::-1, h:])
     d_inputs = d_in_fw + d_in_bw[::-1]
 
-    d_embedding = np.zeros_like(model.embedding)
+    d_embedding = np.zeros_like(params["embedding"])
     np.add.at(d_embedding, indices, d_inputs)
 
-    grads = dict(zip(PARAM_NAMES, (
-        d_embedding,
-        d_fw.w, d_fw.u, d_fw.b,
-        d_bw.w, d_bw.u, d_bw.b,
-        d_proj_w, d_proj_b, d_transitions,
-    )))
+    grads = {
+        "embedding": d_embedding,
+        **{f"fw.{part}": grad for part, grad in vars(d_fw).items()},
+        **{f"bw.{part}": grad for part, grad in vars(d_bw).items()},
+        "proj_w": states.T @ d_emissions,
+        "proj_b": d_emissions.sum(axis=0),
+        "transitions": d_transitions,
+    }
     return loss, grads
 
 
@@ -221,7 +177,7 @@ def predict(model: TaggerModel, sentences: list[BioSentence]) -> list[BioSentenc
     for start in range(0, len(order), _PREDICT_CHUNK):
         chunk = order[start : start + _PREDICT_CHUNK]
         emissions, lengths = _batch_emissions(model, tables, [sentences[i].chars for i in chunk])
-        paths.update(zip(chunk, viterbi(emissions, model.transitions, lengths)))
+        paths.update(zip(chunk, viterbi(emissions, model.params["transitions"], lengths)))
     return [BioSentence(s.chars, model.tagset.decode(paths[i])) for i, s in enumerate(sentences)]
 
 
@@ -240,18 +196,17 @@ def save_model(model: TaggerModel, path: str | Path) -> None:
     meta = {
         "entity_types": list(model.tagset.schema.entity_types),
         "vocab": list(model.vocab.tokens),
-        "d_emb": model.d_emb,
-        "hidden": model.hidden,
+        "d_emb": model.params["embedding"].shape[1],
+        "hidden": model.fw.hidden,
     }
     meta_b = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    arrays = param_arrays(model)
     with open(path, "wb") as handle:
         handle.write(MAGIC)
         handle.write(struct.pack("<I", FORMAT_VERSION))
         handle.write(struct.pack("<Q", len(meta_b)))
         handle.write(meta_b)
-        handle.write(struct.pack("<I", len(arrays)))
-        for name, array in arrays:
+        handle.write(struct.pack("<I", len(model.params)))
+        for name, array in model.params.items():
             _write_array(handle, name, array)
 
 
@@ -301,23 +256,15 @@ def load_model(path: str | Path) -> TaggerModel:
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
     tagset = TagSet(schema)
-    if set(arrays) != set(PARAM_NAMES):
-        raise ModelFormatError(f"{path}: model file arrays {sorted(arrays)} != expected set")
     d_emb, hidden = meta.get("d_emb"), meta.get("hidden")
     if not all(type(n) is int and n > 0 for n in (d_emb, hidden)):
         raise ModelFormatError(f"{path}: d_emb and hidden must be positive integers")
-    v, k, gates = len(vocab), len(tagset), 4 * hidden
-    lstm = {"w": (gates, d_emb), "u": (gates, hidden), "b": (gates,)}
-    expected = {
-        "embedding": (v, d_emb),
-        **{f"{side}.{part}": shape for side in ("fw", "bw") for part, shape in lstm.items()},
-        "proj_w": (2 * hidden, k),
-        "proj_b": (k,),
-        "transitions": (k + 2, k + 2),
-    }
-    for name, shape in expected.items():
+    shapes = param_shapes(len(vocab), len(tagset), d_emb, hidden)
+    if set(arrays) != set(shapes):
+        raise ModelFormatError(f"{path}: model file arrays {sorted(arrays)} != {list(shapes)}")
+    for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise ModelFormatError(
                 f"{path}: array {name} has shape {arrays[name].shape}, expected {shape}"
             )
-    return TaggerModel.from_arrays(vocab, tagset, arrays)
+    return TaggerModel(vocab, tagset, {name: arrays[name] for name in shapes})

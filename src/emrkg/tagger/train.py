@@ -18,13 +18,7 @@ from emrkg.derm import DermConfig, EntityDictionary, augment_epoch
 from emrkg.errors import ConfigError, DataError, is_real
 from emrkg.metrics import count_matches, precision_recall_f1
 from emrkg.schema import EntitySchema
-from emrkg.tagger.model import (
-    TaggerModel,
-    init_model,
-    param_arrays,
-    predict,
-    sentence_loss_and_grads,
-)
+from emrkg.tagger.model import TaggerModel, init_model, predict, sentence_loss_and_grads
 from emrkg.tagger.vocab import TagSet, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -118,8 +112,8 @@ def train(
     tagset = TagSet(schema)
     model = init_model(vocab, tagset, config.d_emb, config.hidden, init_rng)
 
-    velocity = {name: np.zeros_like(arr) for name, arr in param_arrays(model)}
-    params = dict(param_arrays(model))
+    params = model.params
+    velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
 
     records: list[EpochRecord] = []
     best_f1 = -1.0
@@ -158,12 +152,11 @@ def train(
                     for name in grads:
                         grads[name] *= ratio
 
+            # Forbidden transitions stay -inf: their gradient, and so
+            # their velocity, is always 0.
             for name, arr in params.items():
                 velocity[name] = config.momentum * velocity[name] + grads[name]
-                if name == "transitions":
-                    arr[model.allowed] -= config.learning_rate * velocity[name][model.allowed]
-                else:
-                    arr -= config.learning_rate * velocity[name]
+                arr -= config.learning_rate * velocity[name]
 
         mean_loss = total_loss / len(encoded)
         if not np.isfinite(mean_loss):
@@ -181,5 +174,5 @@ def train(
             best_epoch = epoch
             best_params = {name: arr.copy() for name, arr in params.items()}
 
-    best_model = TaggerModel.from_arrays(model.vocab, model.tagset, best_params)
+    best_model = TaggerModel(model.vocab, model.tagset, best_params)
     return TrainResult(model=best_model, log=records, best_epoch=best_epoch)

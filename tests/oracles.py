@@ -173,21 +173,28 @@ def _lstm_by_step(w: np.ndarray, u: np.ndarray, b: np.ndarray, inputs: np.ndarra
     return states
 
 
+def emissions_by_indices(model, indices) -> np.ndarray:
+    """Emission scores (len(indices), K) of one sentence of vocabulary
+    indices, from the model's arrays."""
+    p = model.params
+    inputs = p["embedding"][indices]
+    forward = _lstm_by_step(p["fw.w"], p["fw.u"], p["fw.b"], inputs)
+    backward = _lstm_by_step(p["bw.w"], p["bw.u"], p["bw.b"], inputs[::-1])[::-1]
+    return np.concatenate([forward, backward], axis=1) @ p["proj_w"] + p["proj_b"]
+
+
 def emissions_by_sentence(model, chars: str) -> np.ndarray:
-    """Emission scores (len(chars), K) of one sentence, from the model's
-    arrays: unknown characters read the ``<unk>`` row."""
+    """Emission scores (len(chars), K) of one sentence: unknown characters
+    read the ``<unk>`` row."""
     unk = model.vocab.index["<unk>"]
-    inputs = model.embedding[[model.vocab.index.get(ch, unk) for ch in chars]]
-    forward = _lstm_by_step(model.fw.w, model.fw.u, model.fw.b, inputs)
-    backward = _lstm_by_step(model.bw.w, model.bw.u, model.bw.b, inputs[::-1])[::-1]
-    return np.concatenate([forward, backward], axis=1) @ model.proj_w + model.proj_b
+    return emissions_by_indices(model, [model.vocab.index.get(ch, unk) for ch in chars])
 
 
 def predict_by_sentence(model, texts: list[str]) -> list[tuple[str, ...]]:
     """Tags of each text, one sentence and one Viterbi at a time."""
     return [
         tuple(model.tagset.tags[k] for k in viterbi_by_sentence(
-            emissions_by_sentence(model, text), model.transitions
+            emissions_by_sentence(model, text), model.params["transitions"]
         ))
         for text in texts
     ]

@@ -1,7 +1,8 @@
 """Helpers that only the tests use.
 
 Unlike :mod:`tests.oracles`, these may import from the modules they help
-check: the gradient check differentiates the package's own loss, and the
+check: ``encode`` runs the package's batched inference on one sentence,
+the gradient check differentiates the package's own CRF loss, and the
 incident-triple helpers read the graph's endpoint indexes.
 """
 
@@ -14,8 +15,9 @@ import numpy as np
 from emrkg.fusion import EmptyCatalog, EmptyDocument, TfIdfIndex
 from emrkg.graph import KnowledgeGraph, Triple
 from emrkg.kb import DiseaseEntry
-from emrkg.tagger.crf import EmptySentence, nll
-from emrkg.tagger.model import TaggerModel, _bilstm_states, param_arrays, sentence_loss_and_grads
+from emrkg.tagger.crf import EmptySentence, nll_with_grad
+from emrkg.tagger.model import TaggerModel, _batch_emissions, _input_tables, sentence_loss_and_grads
+from tests.oracles import emissions_by_indices
 
 
 # One name per character that ``str.splitlines`` breaks a line at and a
@@ -70,13 +72,22 @@ def kb_to_triples(entries: list[DiseaseEntry]) -> list[tuple[str, str, str]]:
 # -- tagger --------------------------------------------------------------
 
 
+def encode(model: TaggerModel, chars: str) -> np.ndarray:
+    """Per-character emission scores, shape (len(chars), |tags|), through
+    the batched inference path."""
+    if len(chars) == 0:
+        raise EmptySentence("cannot encode an empty sentence")
+    emissions, _ = _batch_emissions(model, _input_tables(model), [chars])
+    return emissions[0]
+
+
 def sentence_loss(model: TaggerModel, indices: np.ndarray, tag_indices: np.ndarray) -> float:
-    """NLL only; used by finite-difference checks."""
+    """NLL only, over the reference LSTM's emissions; used by
+    finite-difference checks."""
     if len(indices) == 0:
         raise EmptySentence("cannot score an empty sentence")
-    _, _, states = _bilstm_states(model, indices)
-    emissions = states @ model.proj_w + model.proj_b
-    return nll(emissions, model.transitions, tag_indices)
+    emissions = emissions_by_indices(model, indices)
+    return nll_with_grad(emissions, model.params["transitions"], tag_indices)[0]
 
 
 def gradient_check(
@@ -92,7 +103,7 @@ def gradient_check(
     (a pure ratio would amplify finite-difference roundoff). Entries fixed
     at -inf (forbidden transitions) are skipped.
     """
-    analytic = {name: np.zeros_like(arr) for name, arr in param_arrays(model)}
+    analytic = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     for indices, tag_indices in encoded:
         _, grads = sentence_loss_and_grads(model, indices, tag_indices)
         for name in analytic:
@@ -102,7 +113,7 @@ def gradient_check(
         return sum(sentence_loss(model, i, t) for i, t in encoded)
 
     worst = 0.0
-    for name, arr in param_arrays(model):
+    for name, arr in model.params.items():
         grad = analytic[name]
         iterator = np.nditer(arr, flags=["multi_index"])
         while not iterator.finished:

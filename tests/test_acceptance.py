@@ -42,7 +42,7 @@ from emrkg.kb import kb_into_graph, load_kb
 from emrkg.metrics import EvalCounts, count_matches, precision_recall_f1
 from emrkg.schema import EntitySchema
 from emrkg.tagger import TrainConfig, Vocabulary, predict, train
-from emrkg.tagger.crf import log_partition, nll, viterbi
+from emrkg.tagger.crf import gold_score, nll_with_grad, viterbi
 from emrkg.tagger.model import init_model
 from emrkg.tagger.vocab import TagSet
 from tests.oracles import cosine_align, enumerate_paths, path_score, pattern_scan, tfidf_vectors
@@ -165,14 +165,17 @@ def test_criterion_04_crf_against_enumeration():
     for _ in range(200):
         emissions, transitions, gold = random_instance(rng)
         want_logz, want_best, want_path = enumerate_paths(emissions, transitions)
-        assert log_partition(emissions, transitions) == pytest.approx(want_logz, abs=1e-10)
+        gold_nll, _, _ = nll_with_grad(emissions, transitions, gold)
+        # log Z is the NLL of any path plus that path's score.
+        assert gold_nll + gold_score(emissions, transitions, gold) == pytest.approx(
+            want_logz, abs=1e-10
+        )
         got_path = tuple(int(t) for t in viterbi(emissions, transitions))
         assert got_path == want_path  # exact argmax
         # NLL identity: logZ minus the path score, for both best and gold paths.
-        assert nll(emissions, transitions, np.asarray(want_path)) == pytest.approx(
+        assert nll_with_grad(emissions, transitions, np.asarray(want_path))[0] == pytest.approx(
             want_logz - want_best, abs=1e-10
         )
-        gold_nll = nll(emissions, transitions, gold)
         assert gold_nll == pytest.approx(
             want_logz - path_score(emissions, transitions, tuple(int(t) for t in gold)),
             abs=1e-10,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import struct
 from collections import Counter
@@ -22,14 +23,7 @@ from emrkg.derm import DermConfig
 from emrkg.fusion import FusionConfig
 from emrkg.schema import DEFAULT_ENTITY_TYPES, EntitySchema
 from emrkg.tagger import TrainConfig
-from emrkg.tagger.model import (
-    FORMAT_VERSION,
-    MAGIC,
-    TaggerModel,
-    init_model,
-    param_arrays,
-    save_model,
-)
+from emrkg.tagger.model import FORMAT_VERSION, MAGIC, TaggerModel, init_model, save_model
 from emrkg.tagger.vocab import TagSet, Vocabulary
 from tests.support import SEPARATOR_NAMES
 
@@ -278,6 +272,13 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="output-dir-under-a-file"),
         pytest.param([*_TRAIN, "--model-file", "{afile}/model.bin"], 2, "afile",
                      id="model-file-under-a-file"),
+        pytest.param(["query", "--graph", "{graph_valid}", *_QUERY, "--out", "{afile}/q.txt"], 2,
+                     "afile", id="query-out-under-a-file"),
+        pytest.param(["augment", "--bio", "{bio}", "--dictionary", "{dictionary}",
+                      "--out", "{afile}/a.bio"], 2, "afile", id="augment-out-under-a-file"),
+        pytest.param([*_TRAIN, "--kb-file", "{missing}"], 2, "missing", id="train-kb-file"),
+        pytest.param(["convert", "--corpus-dir", "{name_not_utf8_dir}"], 3, "name_not_utf8",
+                     id="corpus-file-name-not-utf8"),
     ],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(
@@ -321,12 +322,11 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     # metadata states
     base = init_model(Vocabulary.build(["肝"]), TagSet(EntitySchema()), d_emb=2, hidden=2,
                       rng=np.random.default_rng(0))
-    for name, change in [("proj_w_flat", {"proj_w": base.proj_w.ravel()}),
-                         ("fw_u_short", {"fw.u": base.fw.u[:-1]}),
+    for name, change in [("proj_w_flat", {"proj_w": base.params["proj_w"].ravel()}),
+                         ("fw_u_short", {"fw.u": base.params["fw.u"][:-1]}),
                          ("hidden_wrong", {})]:
         paths[name] = tmp_path / f"{name}.bin"
-        arrays = {**dict(param_arrays(base)), **change}
-        save_model(TaggerModel.from_arrays(base.vocab, base.tagset, arrays), paths[name])
+        save_model(TaggerModel(base.vocab, base.tagset, {**base.params, **change}), paths[name])
     raw = paths["hidden_wrong"].read_bytes()
     assert raw.count(b'"hidden": 2') == 1
     paths["hidden_wrong"].write_bytes(raw.replace(b'"hidden": 2', b'"hidden": 3'))
@@ -373,12 +373,20 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     paths["deep_config"].write_text("[" * 100000, encoding="utf-8")
     paths["afile"] = tmp_path / "afile"
     paths["afile"].write_text("a regular file\n", encoding="utf-8")
+    paths["dictionary"] = tmp_path / "dictionary.tsv"
+    paths["dictionary"].write_text("Disease\t肝癌\n", encoding="utf-8")
+    # a valid pair whose name starts with a byte that is not UTF-8
+    paths["name_not_utf8_dir"] = tmp_path / "name_not_utf8"
+    paths["name_not_utf8_dir"].mkdir()
+    paths["name_not_utf8"] = paths["name_not_utf8_dir"] / os.fsdecode(b"\xffdoc.txt")
+    paths["name_not_utf8"].write_text("肝癌", encoding="utf-8")
+    paths["name_not_utf8"].with_suffix(".ann").write_text("T1\tDisease 0 2\t肝癌\n",
+                                                          encoding="utf-8")
     paths["bad_header"].write_text(
         'schema: entities/1\n{"doc_id": "d1", "entities": []}\n', encoding="utf-8"
     )
-    flags = ["--corpus-dir", str(corpus_dir), "--kb-file", str(kb_file)]
-    if "--output-dir" not in argv:
-        flags += ["--output-dir", str(tmp_path / "out")]
+    defaults = {"--corpus-dir": corpus_dir, "--kb-file": kb_file, "--output-dir": tmp_path / "out"}
+    flags = [arg for flag, path in defaults.items() if flag not in argv for arg in (flag, str(path))]
     if "--config" not in argv:  # a config file gives its own seed, which --seed would override
         flags += ["--seed", "1"]
     argv = [arg.format(**paths) for arg in argv] + flags
@@ -662,6 +670,41 @@ def test_augment_reports_action_counts(tmp_path, derm_dir):
     report = json.loads((out / "augment_report.json").read_text(encoding="utf-8"))
     assert sum(report["actions"].values()) == len(originals)
     assert set(report["actions"]) <= {"Replace", "Mask", "Noop"}
+
+
+def test_out_under_a_missing_directory_creates_it(tmp_path, derm_dir, kb_file):
+    out = tmp_path / "out"
+    assert main(["kb-load", "--seed", "5", "--kb-file", str(kb_file), "--output-dir", str(out)]) == 0
+    assert main(["query", "--seed", "5", "--graph", str(out / "kb_graph.jsonl"), *_QUERY,
+                 "--output-dir", str(out), "--out", str(tmp_path / "new" / "q.txt")]) == 0
+    assert (tmp_path / "new" / "q.txt").read_text(encoding="utf-8")
+    assert main(["augment", "--seed", "5", "--output-dir", str(out),
+                 "--bio", str(derm_dir / "train.bio"),
+                 "--dictionary", str(derm_dir / "dictionary.tsv"),
+                 "--out", str(tmp_path / "new" / "sub" / "a.bio")]) == 0
+    assert read_bio_file(tmp_path / "new" / "sub" / "a.bio")
+
+
+def test_train_manifest_lists_the_kb_it_reads(tmp_path, kb_file):
+    bio = tmp_path / "sentences.bio"
+    bio.write_text("肝\tB-Disease\n癌\tI-Disease\n", encoding="utf-8")
+    config = _write_config(tmp_path / "cfg.json", kb_file=str(kb_file),
+                           train={"epochs": 1, "hidden": 2, "d_emb": 2})
+    assert main(["train", "--config", str(config), "--train", str(bio),
+                 "--validation", str(bio)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest["inputs"]) == {str(bio), str(kb_file)}
+
+
+def test_a_corpus_file_name_that_is_not_utf8_stops_convert_before_any_output(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in (b"doc.txt", b"\xffdoc.txt"):
+        (corpus / os.fsdecode(name)).write_text("肝癌", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["convert", "--seed", "5", "--corpus-dir", str(corpus),
+                 "--output-dir", str(out)]) == 3
+    assert list(out.iterdir()) == []
 
 
 def test_flags_override_config_file(tmp_path, corpus_dir):

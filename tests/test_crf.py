@@ -14,13 +14,20 @@ from emrkg.tagger.crf import (
     EmptySentence,
     InvalidGoldTag,
     gold_score,
-    log_partition,
     logsumexp,
-    nll,
     nll_with_grad,
     viterbi,
 )
 from tests.oracles import enumerate_paths, path_score, viterbi_by_sentence
+
+
+def nll(emissions, transitions, tags) -> float:
+    return nll_with_grad(emissions, transitions, tags)[0]
+
+
+def log_partition(emissions, transitions, tags) -> float:
+    """log Z, as the NLL of ``tags`` plus their score."""
+    return nll(emissions, transitions, tags) + gold_score(emissions, transitions, tags)
 
 
 def random_instance(rng: np.random.Generator, forbid: bool = True):
@@ -42,9 +49,9 @@ def random_instance(rng: np.random.Generator, forbid: bool = True):
 def test_log_partition_matches_enumeration_on_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(60):
-        emissions, transitions, _ = random_instance(rng)
+        emissions, transitions, tags = random_instance(rng)
         expected, _, _ = enumerate_paths(emissions, transitions)
-        assert log_partition(emissions, transitions) == pytest.approx(expected, abs=1e-10)
+        assert log_partition(emissions, transitions, tags) == pytest.approx(expected, abs=1e-10)
 
 
 def test_nll_matches_enumeration_on_random_instances():
@@ -105,11 +112,12 @@ def test_batched_viterbi_rejects_zero_and_overlong_lengths():
 def test_uniform_scores_give_log_of_path_count():
     emissions = np.zeros((1, 2))
     transitions = np.zeros((4, 4))
-    assert log_partition(emissions, transitions) == pytest.approx(math.log(2))
+    assert log_partition(emissions, transitions, np.array([1])) == pytest.approx(math.log(2))
     assert nll(emissions, transitions, np.array([0])) == pytest.approx(math.log(2))
 
     emissions = np.zeros((3, 2))
-    assert log_partition(emissions, transitions) == pytest.approx(3 * math.log(2))
+    tags = np.array([0, 1, 1])
+    assert log_partition(emissions, transitions, tags) == pytest.approx(3 * math.log(2))
 
 
 def test_gold_score_sums_start_emission_transition_stop():
@@ -141,7 +149,8 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(46)
     emissions, transitions, tags = random_instance(rng)
     value, d_emissions, d_transitions = nll_with_grad(emissions, transitions, tags)
-    assert value == pytest.approx(nll(emissions, transitions, tags), abs=1e-12)
+    log_z, _, _ = enumerate_paths(emissions, transitions)
+    assert value == pytest.approx(log_z - path_score(emissions, transitions, tags), abs=1e-12)
 
     eps = 1e-6
     for index in np.ndindex(emissions.shape):
@@ -192,12 +201,12 @@ def test_single_position_marginals_are_softmax():
 def test_empty_sentence_is_rejected():
     transitions = np.zeros((4, 4))
     with pytest.raises(EmptySentence):
-        log_partition(np.zeros((0, 2)), transitions)
+        nll(np.zeros((0, 2)), transitions, np.zeros(0, dtype=int))
 
 
 def test_mismatched_transition_shape_is_rejected():
     with pytest.raises(ValueError):
-        log_partition(np.zeros((2, 2)), np.zeros((3, 3)))
+        nll(np.zeros((2, 2)), np.zeros((3, 3)), np.array([0, 1]))
 
 
 def test_invalid_gold_tags_are_rejected():
@@ -220,5 +229,5 @@ def test_logsumexp_is_stable_for_large_and_degenerate_inputs():
 def test_partition_dominates_gold_score(seed):
     rng = np.random.default_rng(seed)
     emissions, transitions, tags = random_instance(rng, forbid=False)
-    log_z = log_partition(emissions, transitions)
+    log_z = log_partition(emissions, transitions, tags)
     assert log_z >= gold_score(emissions, transitions, tags) - 1e-12

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -9,26 +12,18 @@ from emrkg.corpus import BioSentence
 from emrkg.derm import MASK_SYMBOL
 from emrkg.errors import DataError
 from emrkg.schema import EntitySchema
-from emrkg.tagger import (
-    TaggerModel,
-    TagSet,
-    Vocabulary,
-    encode,
-    load_model,
-    predict,
-    save_model,
-)
+from emrkg.tagger import TaggerModel, TagSet, Vocabulary, load_model, predict, save_model
 from emrkg.tagger.model import (
     _PREDICT_CHUNK,
     ModelFormatError,
     init_model,
-    param_arrays,
+    param_shapes,
     sentence_loss_and_grads,
 )
-from emrkg.tagger.crf import EmptySentence, nll
+from emrkg.tagger.crf import EmptySentence, nll_with_grad
 from emrkg.tagger.vocab import PAD_TOKEN, UNK_TOKEN
 from tests.oracles import emissions_by_sentence, predict_by_sentence
-from tests.support import gradient_check, sentence_loss
+from tests.support import encode, gradient_check, sentence_loss
 
 
 @pytest.fixture(scope="module")
@@ -113,19 +108,21 @@ def test_allowed_transitions_enforce_bio_structure(small_schema):
 
 
 def test_init_model_shapes_and_masked_transitions(model, vocab):
-    assert model.embedding.shape == (len(vocab), 6)
-    assert model.proj_w.shape == (10, 5)
-    assert model.transitions.shape == (7, 7)
-    assert np.all(np.isneginf(model.transitions[~model.allowed]))
-    assert np.all(np.isfinite(model.transitions[model.allowed]))
+    assert list(model.params) == list(param_shapes(len(vocab), 5, 6, 5))
+    assert model.params["embedding"].shape == (len(vocab), 6)
+    assert model.params["proj_w"].shape == (10, 5)
+    transitions = model.params["transitions"]
+    assert transitions.shape == (7, 7)
+    assert np.all(np.isneginf(transitions[~model.allowed]))
+    assert np.all(np.isfinite(transitions[model.allowed]))
 
 
 def test_init_model_is_rng_deterministic(small_schema, vocab):
     tagset = TagSet(small_schema)
     a = init_model(vocab, tagset, 6, 5, np.random.default_rng(1))
     b = init_model(vocab, tagset, 6, 5, np.random.default_rng(1))
-    for (name, left), (_, right) in zip(param_arrays(a), param_arrays(b)):
-        np.testing.assert_array_equal(left, right, err_msg=name)
+    for name, left in a.params.items():
+        np.testing.assert_array_equal(left, b.params[name], err_msg=name)
 
 
 def test_encode_emits_one_score_row_per_character(model):
@@ -135,8 +132,8 @@ def test_encode_emits_one_score_row_per_character(model):
 
 
 def test_encode_with_zero_projection_returns_bias(model):
-    model.proj_w = np.zeros_like(model.proj_w)
-    model.proj_b = np.arange(5.0)
+    model.params["proj_w"][:] = 0.0
+    model.params["proj_b"][:] = np.arange(5.0)
     emissions = encode(model, "肝癌")
     np.testing.assert_array_equal(emissions, np.tile(np.arange(5.0), (2, 1)))
 
@@ -172,7 +169,7 @@ def test_batched_predict_equals_the_per_sentence_oracle(small_schema, seed):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary.build(["肝癌伴腹痛头晕乏力发热咳嗽。"])
     model = init_model(vocab, TagSet(small_schema), d_emb=5, hidden=6, rng=rng)
-    for _, array in param_arrays(model):
+    for array in model.params.values():
         finite = np.isfinite(array)
         array[finite] = rng.normal(scale=2.0, size=int(finite.sum()))
     pool = list("肝癌伴腹痛头晕乏力发热咳嗽。") + list("XY血")  # the last three are unknown
@@ -195,11 +192,11 @@ def test_sentence_loss_equals_crf_nll_of_encoded_emissions(model):
     tags = ("B-Disease", "I-Disease", "O", "B-Symptom", "I-Symptom")
     indices = model.vocab.encode(chars)
     tag_indices = model.tagset.encode(tags)
-    expected = nll(encode(model, chars), model.transitions, tag_indices)
+    expected, _, _ = nll_with_grad(encode(model, chars), model.params["transitions"], tag_indices)
     assert sentence_loss(model, indices, tag_indices) == pytest.approx(expected, abs=1e-12)
     loss, grads = sentence_loss_and_grads(model, indices, tag_indices)
     assert loss == pytest.approx(expected, abs=1e-12)
-    assert set(name for name, _ in param_arrays(model)) == set(grads)
+    assert set(model.params) == set(grads)
 
 
 def test_unused_embedding_rows_get_zero_gradient(model):
@@ -207,7 +204,7 @@ def test_unused_embedding_rows_get_zero_gradient(model):
     tag_indices = model.tagset.encode(("B-Disease", "I-Disease"))
     _, grads = sentence_loss_and_grads(model, indices, tag_indices)
     used = set(int(i) for i in indices)
-    for row in range(model.embedding.shape[0]):
+    for row in range(len(model.vocab)):
         if row not in used:
             assert np.all(grads["embedding"][row] == 0.0)
     assert any(np.any(grads["embedding"][row] != 0.0) for row in used)
@@ -234,8 +231,9 @@ def test_save_load_round_trip_is_bit_exact(model, tmp_path):
     loaded = load_model(path)
     assert loaded.vocab == model.vocab
     assert loaded.tagset.schema == model.tagset.schema
-    for (name, left), (_, right) in zip(param_arrays(model), param_arrays(loaded)):
-        np.testing.assert_array_equal(left, right, err_msg=name)
+    assert list(loaded.params) == list(model.params)
+    for name, left in model.params.items():
+        np.testing.assert_array_equal(left, loaded.params[name], err_msg=name)
     sentences = [BioSentence("肝癌伴腹痛。", ("O",) * 6)]
     assert predict(loaded, sentences) == predict(model, sentences)
 
@@ -246,6 +244,27 @@ def test_save_is_byte_deterministic(model, tmp_path):
     save_model(model, first)
     save_model(model, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_init_model_file_is_pinned(model, tmp_path):
+    """The file of the seed-0 ``model`` fixture: a change to the order in
+    which init_model draws the arrays, or saves them, changes it."""
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "c22e32c4324b4de88c738ef2041adc0b6419877c051dc173805fc86dc6755bed"
+
+
+@pytest.mark.parametrize("name", list(param_shapes(vocab_size=1, num_tags=1, d_emb=1, hidden=1)))
+def test_load_rejects_an_array_of_the_wrong_shape(model, name, tmp_path):
+    """One extra row in one array, under metadata that still states the
+    sizes of the others."""
+    array = model.params[name]
+    params = {**model.params, name: np.concatenate([array, array[:1]])}
+    path = tmp_path / "model.bin"
+    save_model(TaggerModel(model.vocab, model.tagset, params), path)
+    with pytest.raises(ModelFormatError, match=f"array {re.escape(name)} has shape"):
+        load_model(path)
 
 
 def test_load_rejects_wrong_magic(tmp_path):

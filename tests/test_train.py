@@ -14,7 +14,6 @@ from emrkg.errors import ConfigError
 from emrkg.metrics import count_matches, precision_recall_f1
 from emrkg.schema import EntitySchema
 from emrkg.tagger import TrainConfig, predict, train
-from emrkg.tagger.model import param_arrays
 from emrkg.tagger.train import DivergedLoss, EmptyTrainSet
 
 SCHEMA = EntitySchema(("Disease", "Symptom"))
@@ -62,20 +61,16 @@ def test_train_is_seed_deterministic():
     first = train(_split(), DICTIONARY, _config(), SCHEMA)
     second = train(_split(), DICTIONARY, _config(), SCHEMA)
     assert first.log == second.log
-    for (name, left), (_, right) in zip(
-        param_arrays(first.model), param_arrays(second.model)
-    ):
-        np.testing.assert_array_equal(left, right, err_msg=name)
+    for name, left in first.model.params.items():
+        np.testing.assert_array_equal(left, second.model.params[name], err_msg=name)
 
 
 def test_different_seeds_give_different_models():
     first = train(_split(), DICTIONARY, _config(seed=5), SCHEMA)
     second = train(_split(), DICTIONARY, _config(seed=6), SCHEMA)
     assert any(
-        not np.array_equal(left, right)
-        for (_, left), (_, right) in zip(
-            param_arrays(first.model), param_arrays(second.model)
-        )
+        not np.array_equal(left, second.model.params[name])
+        for name, left in first.model.params.items()
     )
 
 

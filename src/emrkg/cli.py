@@ -54,12 +54,14 @@ from emrkg.errors import (
     find_lone_surrogate,
     read_lines,
     read_records,
+    require_utf8_name,
     write_records,
 )
 from emrkg.fusion import Alignment, FusionConfig, align, build_index, fuse
 from emrkg.graph import (
     KnowledgeGraph,
     add_patient_record,
+    canonical_order,
     export_csv,
     export_cypher,
     load_graph,
@@ -190,7 +192,10 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         value = pick(key)
         if value is not None and not isinstance(value, str):
             raise ConfigError(f"{key} must be a path string, got {value!r}")
-        return Path(value) if value else None
+        if not value:
+            return None
+        require_utf8_name(Path(value), ConfigError)  # the manifest records every path
+        return Path(value)
 
     seed, output_dir, entity_types = pick("seed"), as_path("output_dir"), raw.get("entity_types")
     if seed is None:
@@ -272,11 +277,14 @@ def _corpus_inputs(corpus_dir: Path) -> list[Path]:
 
 def _input(args: argparse.Namespace, flag: str, default: Path | None = None) -> Path | None:
     """The file ``--flag`` names, else ``default``; None when neither is
-    given. A file that does not exist is a data error."""
+    given. A file that does not exist, or whose name is not UTF-8, is a
+    data error."""
     value = getattr(args, flag, None)
     path = Path(value) if value else default
-    if path is not None and not path.is_file():
-        raise DataError(f"input file {path} (--{flag.replace('_', '-')}) does not exist")
+    if path is not None:
+        if not path.is_file():
+            raise DataError(f"input file {path} (--{flag.replace('_', '-')}) does not exist")
+        require_utf8_name(path)
     return path
 
 
@@ -334,6 +342,8 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     train_path = _input(args, "train", cfg.output_dir / "train.bio")
     validation_path = _input(args, "validation", cfg.output_dir / "validation.bio")
     dict_path = _input(args, "dictionary")
+    model_path = cfg.resolved_model_file()
+    _mkdir(model_path.parent)
     train_sentences = read_bio_file(train_path)
     validation_sentences = read_bio_file(validation_path)
     inputs = [train_path, validation_path]
@@ -352,9 +362,6 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
         write_dictionary_file(dictionary, cfg.output_dir / "dictionary.tsv")
     split = DatasetSplit(tuple(train_sentences), tuple(validation_sentences), ())
     result = train(split, dictionary, cfg.train, cfg.schema)
-
-    model_path = cfg.resolved_model_file()
-    _mkdir(model_path.parent)
     save_model(result.model, model_path)
     log_lines = ["epoch,loss,precision,recall,f1"]
     log_lines += [
@@ -538,16 +545,18 @@ def run_fuse(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 
 def run_export(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     graph_path = _input(args, "graph", cfg.output_dir / "graph.jsonl")
-    graph = load_graph(graph_path)
-    count = export_cypher(graph, cfg.output_dir / "graph.cypher")
-    export_csv(graph, cfg.output_dir / "nodes.csv", cfg.output_dir / "rels.csv")
+    order = canonical_order(load_graph(graph_path))
+    count = export_cypher(order, cfg.output_dir / "graph.cypher")
+    export_csv(order, cfg.output_dir / "nodes.csv", cfg.output_dir / "rels.csv")
     log.info("exported %d statements", count)
     return [graph_path]
 
 
 def run_query(cfg: PipelineConfig, args: argparse.Namespace) -> None:
-    """Read-only: writes no manifest."""
-    graph = load_graph(_input(args, "graph", cfg.output_dir / "graph.jsonl"))
+    """Read-only: writes no manifest. The graph file is read and checked
+    whole, but only the queried head's triples are kept."""
+    graph_path = _input(args, "graph", cfg.output_dir / "graph.jsonl")
+    graph = load_graph(graph_path, head=(args.label, args.name))
     nodes = graph.pattern_query(args.label, args.name, args.relation)
     output = "".join(node.name + "\n" for node in nodes)
     if args.out:

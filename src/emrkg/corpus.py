@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from emrkg.errors import DataError, read_text
+from emrkg.errors import DataError, read_text, require_utf8_name
 from emrkg.schema import EntitySchema
 
 log = logging.getLogger(__name__)
@@ -399,10 +399,7 @@ def corpus_files(corpus_dir: str | Path) -> tuple[list[Path], list[Path]]:
     corpus_dir = Path(corpus_dir)
     texts, annotations = sorted(corpus_dir.glob("*.txt")), sorted(corpus_dir.glob("*.ann"))
     for path in texts + annotations:
-        try:
-            str(path).encode("utf-8")
-        except UnicodeEncodeError:
-            raise DataError(f"{path}: file name is not UTF-8") from None
+        require_utf8_name(path)
     return texts, annotations
 
 

@@ -59,6 +59,16 @@ def find_lone_surrogate(text: str, value) -> str | None:
     return None
 
 
+def require_utf8_name(path: Path, error: type[EmrkgError] = DataError) -> None:
+    """Raise ``error`` if ``path`` does not encode as UTF-8, as when a
+    command-line argument or a directory entry holds a byte that is not
+    UTF-8: no output file could record it."""
+    try:
+        str(path).encode("utf-8")
+    except UnicodeEncodeError:
+        raise error(f"{path}: file name is not UTF-8") from None
+
+
 def read_text(path: str | Path) -> str:
     """The contents of a UTF-8 text file. A file that cannot be read or is
     not UTF-8 is a data error that names it."""
@@ -88,19 +98,24 @@ def read_lines(path: str | Path, error: type[DataError] = DataError) -> Iterator
 # written with json.dumps(..., ensure_ascii=False, sort_keys=True), built once,
 # and read with a decoder that skips json.loads' whitespace scans.
 
-_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+encode_record = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def write_records(path: str | Path, schema: str, records: Iterable[dict]) -> None:
-    """Write the header ``{"schema": schema}``, then each record on its own
-    line; ``records`` is consumed as it is written."""
+def write_lines(path: str | Path, schema: str, lines: Iterable[str]) -> None:
+    """Write the header ``{"schema": schema}``, then ``lines``, each one
+    record ending in a line feed; ``lines`` is consumed as it is written."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_encode({"schema": schema}) + "\n")
-            handle.writelines(_encode(record) + "\n" for record in records)
+            handle.write(encode_record({"schema": schema}) + "\n")
+            handle.writelines(lines)
     except (OSError, UnicodeEncodeError) as exc:  # a string holding a lone surrogate
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def write_records(path: str | Path, schema: str, records: Iterable[dict]) -> None:
+    """Write the header, then each record on its own line."""
+    write_lines(path, schema, (encode_record(record) + "\n" for record in records))
 
 
 def read_records(path: str | Path, schema: str, error: type[DataError] = DataError,
@@ -120,7 +135,7 @@ def read_records(path: str | Path, schema: str, error: type[DataError] = DataErr
     if not isinstance(header, dict) or header.get("schema") != schema:
         found = "an empty file" if first is None else repr(first[:80])
         raise (header_error or error)(
-            f"{path}: line 1: expected the header {_encode({'schema': schema})}, got {found}"
+            f"{path}: line 1: expected the header {encode_record({'schema': schema})}, got {found}"
         )
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():

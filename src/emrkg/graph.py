@@ -7,9 +7,9 @@ per (head, relation, tail) and every relation constrains its endpoint
 labels, so a malformed edge fails fast instead of surfacing as a bad
 query result later.
 
-Exports follow one canonical order, defined once in ``_canonical``: nodes
-by (label, normalized name), triples by (head, relation, tail) with each
-endpoint ranked by that node order. Node keys are unique, so the order
+Exports follow one canonical order, defined once in ``canonical_order``:
+nodes by (label, normalized name), triples by (head, relation, tail) with
+each endpoint ranked by that node order. Node keys are unique, so the order
 depends only on the graph's content, never on its insertion history.
 """
 
@@ -22,9 +22,9 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from emrkg.errors import DataError, InternalError, read_records, write_records
+from emrkg.errors import DataError, InternalError, encode_record, read_records, write_lines
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
 
 log = logging.getLogger(__name__)
@@ -80,6 +80,25 @@ class Triple(NamedTuple):
     tail: int
 
 
+def _check_endpoints(nodes: dict[int, Node], head: int, relation: str, tail: int) -> None:
+    """Raise unless both endpoints are in ``nodes`` and ``relation``
+    admits their labels."""
+    if head not in nodes or tail not in nodes:
+        missing = head if head not in nodes else tail
+        raise DanglingEndpoint(f"triple endpoint id {missing} not in graph")
+    head_label, tail_label = nodes[head].label, nodes[tail].label
+    if (head_label, relation, tail_label) in _ENDPOINTS:
+        return
+    if relation not in RELATION_ENDPOINTS:
+        raise RelationTypeMismatch(f"unknown relation type {relation!r}")
+    raise RelationTypeMismatch(f"{relation} does not admit {head_label} -> {tail_label}")
+
+
+# Triple((head, relation, tail)) built in C: NamedTuple's own __new__ is a
+# Python function, and a graph-file load spent as long in it as in its checks
+_new_triple = functools.partial(tuple.__new__, Triple)
+
+
 class KnowledgeGraph:
     """Nodes plus unique triples with (label+name), head and tail indexes.
 
@@ -127,22 +146,10 @@ class KnowledgeGraph:
 
     # -- triples -------------------------------------------------------
 
-    def _check_triple(self, head: int, relation: str, tail: int) -> None:
-        nodes = self.nodes
-        if head not in nodes or tail not in nodes:
-            missing = head if head not in nodes else tail
-            raise DanglingEndpoint(f"triple endpoint id {missing} not in graph")
-        head_label, tail_label = nodes[head].label, nodes[tail].label
-        if (head_label, relation, tail_label) in _ENDPOINTS:
-            return
-        if relation not in RELATION_ENDPOINTS:
-            raise RelationTypeMismatch(f"unknown relation type {relation!r}")
-        raise RelationTypeMismatch(f"{relation} does not admit {head_label} -> {tail_label}")
-
     def add_triple(self, head: int, relation: str, tail: int) -> bool:
         """Add one typed edge; re-adding an existing triple is a no-op.
         Returns True if the triple was new."""
-        self._check_triple(head, relation, tail)
+        _check_endpoints(self.nodes, head, relation, tail)
         triple = Triple(head, relation, tail)
         if triple in self._triples:
             return False
@@ -175,7 +182,7 @@ class KnowledgeGraph:
             for t in incident
         ]
         for triple in repointed:
-            self._check_triple(*triple)
+            _check_endpoints(self.nodes, *triple)
         for triple in incident:
             self._remove_triple(triple)
         moved = sum(self.add_triple(*triple) for triple in repointed)
@@ -216,7 +223,7 @@ class KnowledgeGraph:
         if sorted(indexed) != sorted(self._triples):
             raise InternalError("tail index out of sync")
         for triple in self._triples:
-            self._check_triple(*triple)
+            _check_endpoints(self.nodes, *triple)
 
 
 def add_patient_record(
@@ -240,14 +247,23 @@ def add_patient_record(
 # -- export --------------------------------------------------------------
 
 
-def _canonical(graph: KnowledgeGraph) -> tuple[list[Node], dict[int, int], list[Triple]]:
-    """The canonical export order: the nodes sorted by (label, normalized
-    name), each node's 1-based rank in that order, and the triples sorted
-    by (rank of head, relation, rank of tail)."""
+class CanonicalOrder(NamedTuple):
+    """A graph's export order: its nodes sorted by (label, normalized name),
+    each node id's 1-based rank in that order, and its triples sorted by
+    (rank of head, relation, rank of tail)."""
+
+    nodes: list[Node]
+    rank: dict[int, int]
+    triples: list[Triple]
+
+
+def canonical_order(graph: KnowledgeGraph) -> CanonicalOrder:
+    """The export order of ``graph``; the exporters take it, so one export
+    sorts the graph once."""
     nodes = sorted(graph.nodes.values(), key=lambda n: (n.label, normalize_name(n.name)))
     rank = {node.id: i for i, node in enumerate(nodes, start=1)}
     triples = sorted(graph._triples, key=lambda t: (rank[t.head], t.relation, rank[t.tail]))
-    return nodes, rank, triples
+    return CanonicalOrder(nodes, rank, triples)
 
 
 @functools.cache
@@ -275,17 +291,16 @@ def _cypher_value(value) -> str:
     raise DataError(f"unsupported attribute value type {type(value).__name__}")
 
 
-def export_cypher(graph: KnowledgeGraph, path: str | Path) -> int:
-    """Write MERGE statements (one per node, one per triple) in canonical
-    order; structurally identical graphs export byte-identically.
+def export_cypher(order: CanonicalOrder, path: str | Path) -> int:
+    """Write MERGE statements (one per node, one per triple) in a graph's
+    canonical order; structurally identical graphs export byte-identically.
 
     The node statements are rendered before the file is opened: they are
     the only ones ``_cypher_value`` can reject, so an export that fails
     writes no file. The triple statements are then written as a stream."""
-    nodes, _, triples = _canonical(graph)
     statements = []
     match = {}  # node id -> its "Label {name: ...}" pattern
-    for node in nodes:
+    for node in order.nodes:
         props = {"name": node.name, **dict(sorted(node.attributes.items()))}
         rendered = ", ".join(f"{k}: {_cypher_value(v)}" for k, v in props.items())
         statements.append(f"MERGE (n:{node.label} {{{rendered}}});\n")
@@ -293,7 +308,7 @@ def export_cypher(graph: KnowledgeGraph, path: str | Path) -> int:
     edges = (
         f"MATCH (a:{match[head]}), (b:{match[tail]}) "
         f"MERGE (a)-[:{relation_identifier(relation)}]->(b);\n"
-        for head, relation, tail in triples
+        for head, relation, tail in order.triples
     )
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -301,18 +316,18 @@ def export_cypher(graph: KnowledgeGraph, path: str | Path) -> int:
             handle.writelines(edges)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-    return len(statements) + len(triples)
+    return len(statements) + len(order.triples)
 
 
-def export_csv(graph: KnowledgeGraph, nodes_path: str | Path, rels_path: str | Path) -> None:
+def export_csv(order: CanonicalOrder, nodes_path: str | Path, rels_path: str | Path) -> None:
     """Bulk-import companion to the Cypher export: nodes.csv carries
     canonical re-numbered ids so identical graphs yield identical files."""
-    ordered, export_id, triples = _canonical(graph)
+    export_id = order.rank
     try:
         with open(nodes_path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["id", "label", "name", "attributes"])
-            for node in ordered:
+            for node in order.nodes:
                 writer.writerow([
                     export_id[node.id],
                     node.label,
@@ -323,37 +338,47 @@ def export_csv(graph: KnowledgeGraph, nodes_path: str | Path, rels_path: str | P
             writer = csv.writer(handle)
             writer.writerow(["head", "relation", "tail"])
             writer.writerows([export_id[head], relation, export_id[tail]]
-                             for head, relation, tail in triples)
+                             for head, relation, tail in order.triples)
     except OSError as exc:
         raise IoError(f"cannot write CSV export: {exc}") from exc
 
 
 # -- persistence ----------------------------------------------------------
 
+# The line ``encode_record`` writes for a stored triple's record: its keys
+# sorted, and values that need no escaping, since ``add_triple`` admits
+# only int node ids and relations named in RELATION_ENDPOINTS.
+_triple_line = '{{"head": {}, "kind": "triple", "relation": "{}", "tail": {}}}\n'.format
+
 
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     """Lossless line-delimited JSON snapshot (internal ids preserved)."""
-    nodes = ({"kind": "node", "id": node.id, "label": node.label, "name": node.name,
-              "attributes": node.attributes} for _, node in sorted(graph.nodes.items()))
-    triples = ({"kind": "triple", "head": head, "relation": relation, "tail": tail}
-               for head, relation, tail in graph._triples)
-    write_records(path, SCHEMA_TAG, itertools.chain(nodes, triples))
+    nodes = (encode_record({"kind": "node", "id": node.id, "label": node.label,
+                            "name": node.name, "attributes": node.attributes}) + "\n"
+             for _, node in sorted(graph.nodes.items()))
+    triples = itertools.starmap(_triple_line, graph._triples)
+    write_lines(path, SCHEMA_TAG, itertools.chain(nodes, triples))
 
 
-def load_graph(path: str | Path) -> KnowledgeGraph:
-    """Read a ``graph/1`` file. Nodes are inserted as they are read; each
-    triple is type-checked where it is read and held until every node is
-    in, then checked against its endpoints and inserted in file order."""
-    graph = KnowledgeGraph()
-    pending: list[tuple[int, Triple]] = []
+def _graph_records(
+    path: str | Path, by_key: dict[tuple[str, str], int]
+) -> Iterator[Node | Triple]:
+    """The checked records of a ``graph/1`` file: each node where it is
+    read, then each triple in file order. A triple is type-checked where it
+    is read and held until every node is in, then checked against its
+    endpoints. ``by_key`` receives each node's (label, normalized name)
+    -> id. The first bad record raises IoError naming its line."""
+    nodes: dict[int, Node] = {}
+    pending: list[Triple] = []
+    linenos: list[int] = []  # each pending triple's line
     for lineno, obj in read_records(path, SCHEMA_TAG, IoError, SchemaVersionMismatch):
         kind = obj.get("kind")
         if kind == "triple":
             head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
             if type(head) is not int or type(tail) is not int or not isinstance(relation, str):
                 raise IoError(f"{path}: line {lineno}: malformed triple record")
-            relation = _RELATION_NAMES.get(relation, relation)
-            pending.append((lineno, Triple(head, relation, tail)))
+            pending.append(_new_triple((head, _RELATION_NAMES.get(relation, relation), tail)))
+            linenos.append(lineno)
         elif kind == "node":
             node_id, label, name = obj.get("id"), obj.get("label"), obj.get("name")
             attributes = obj.get("attributes", {})
@@ -363,21 +388,42 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
             if label not in GRAPH_LABELS:
                 raise IoError(f"{path}: line {lineno}: unknown label {label!r}")
             key = (label, normalize_name(name))
-            if key in graph._by_key or node_id in graph.nodes:
+            if key in by_key or node_id in nodes:
                 raise IoError(f"{path}: line {lineno}: duplicate node {key!r}")
-            graph.nodes[node_id] = Node(node_id, label, name, attributes)
-            graph._by_key[key] = node_id
-            graph._next_id = max(graph._next_id, node_id + 1)
+            by_key[key] = node_id
+            node = nodes[node_id] = Node(node_id, label, name, attributes)
+            yield node
         else:
             raise IoError(f"{path}: line {lineno}: unknown record kind {kind!r}")
+    # an admitted triple costs one set lookup; _check_endpoints only names
+    # what is wrong with the first one that is not
+    node_of = nodes.get
+    for lineno, triple in zip(linenos, pending):
+        head, tail = node_of(triple.head), node_of(triple.tail)
+        if (head is None or tail is None
+                or (head.label, triple.relation, tail.label) not in _ENDPOINTS):
+            try:
+                _check_endpoints(nodes, *triple)
+            except DataError as exc:
+                raise IoError(f"{path}: line {lineno}: {exc}") from exc
+        yield triple
+
+
+def load_graph(path: str | Path, head: tuple[str, str] | None = None) -> KnowledgeGraph:
+    """Read a ``graph/1`` file, every record checked by ``_graph_records``. With
+    ``head``, a (label, name), keep every node but only the triples whose
+    head is that node: all that ``pattern_query`` on it reads. A repeated
+    triple keeps its first position."""
+    graph = KnowledgeGraph()
+    nodes, by_key = graph.nodes, graph._by_key
     triples, by_head, by_tail = graph._triples, graph._by_head, graph._by_tail
-    for lineno, triple in pending:
-        head, relation, tail = triple
-        try:
-            graph._check_triple(head, relation, tail)
-        except DataError as exc:
-            raise IoError(f"{path}: line {lineno}: {exc}") from exc
-        triples[triple] = None  # a repeated triple keeps its first position
-        by_head.setdefault(head, {})[triple] = None
-        by_tail.setdefault(tail, {})[triple] = None
+    head_key = None if head is None else (head[0], normalize_name(head[1]))
+    for record in _graph_records(path, by_key):
+        if type(record) is Node:
+            nodes[record.id] = record
+        elif head_key is None or record.head == by_key.get(head_key):
+            triples[record] = None
+            by_head.setdefault(record.head, {})[record] = None
+            by_tail.setdefault(record.tail, {})[record] = None
+    graph._next_id = max(graph._next_id, max(nodes, default=0) + 1)
     return graph

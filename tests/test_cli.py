@@ -17,10 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import emrkg.cli
+import emrkg.graph
 from emrkg.cli import build_parser, derive_seed, load_config, main
 from emrkg.corpus import read_bio_file
 from emrkg.derm import DermConfig
+from emrkg.errors import encode_record
 from emrkg.fusion import FusionConfig
+from emrkg.graph import load_graph, save_graph
 from emrkg.schema import DEFAULT_ENTITY_TYPES, EntitySchema
 from emrkg.tagger import TrainConfig
 from emrkg.tagger.model import FORMAT_VERSION, MAGIC, TaggerModel, init_model, save_model
@@ -279,6 +282,14 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
         pytest.param([*_TRAIN, "--kb-file", "{missing}"], 2, "missing", id="train-kb-file"),
         pytest.param(["convert", "--corpus-dir", "{name_not_utf8_dir}"], 3, "name_not_utf8",
                      id="corpus-file-name-not-utf8"),
+        pytest.param(["export", "--graph", "{graph_name_not_utf8}"], 3, "graph_name_not_utf8",
+                     id="export-graph-name-not-utf8"),
+        pytest.param(["train", "--train", "{bio_name_not_utf8}", "--validation", "{bio}"], 3,
+                     "bio_name_not_utf8", id="train-train-name-not-utf8"),
+        pytest.param(["kb-load", "--kb-file", "{kb_name_not_utf8}"], 2, "kb_name_not_utf8",
+                     id="kb-file-name-not-utf8"),
+        pytest.param(["convert", "--output-dir", "{dir_name_not_utf8}"], 2, "dir_name_not_utf8",
+                     id="output-dir-name-not-utf8"),
     ],
 )
 def test_bad_inputs_exit_with_their_code_and_no_traceback(
@@ -382,6 +393,14 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     paths["name_not_utf8"].write_text("肝癌", encoding="utf-8")
     paths["name_not_utf8"].with_suffix(".ann").write_text("T1\tDisease 0 2\t肝癌\n",
                                                           encoding="utf-8")
+    # valid input files given by a flag, each named with a byte that is not UTF-8
+    paths["graph_name_not_utf8"] = tmp_path / os.fsdecode(b"\xffg.jsonl")
+    paths["graph_name_not_utf8"].write_bytes(paths["graph_valid"].read_bytes())
+    paths["bio_name_not_utf8"] = tmp_path / os.fsdecode(b"\xffs.bio")
+    paths["bio_name_not_utf8"].write_bytes(paths["bio"].read_bytes())
+    paths["kb_name_not_utf8"] = tmp_path / os.fsdecode(b"\xffkb.jsonl")
+    paths["kb_name_not_utf8"].write_bytes(kb_file.read_bytes())
+    paths["dir_name_not_utf8"] = tmp_path / os.fsdecode(b"out\xff")
     paths["bad_header"].write_text(
         'schema: entities/1\n{"doc_id": "d1", "entities": []}\n', encoding="utf-8"
     )
@@ -477,6 +496,7 @@ def test_a_config_value_of_the_wrong_json_type_exits_2(
 _READERS = {
     "kb-load --kb-file": ("kb", ["kb-load", "--kb-file", "{broken}"]),
     "export --graph": ("graph", ["export", "--graph", "{broken}"]),
+    "query --graph": ("graph", ["query", "--graph", "{broken}", *_QUERY]),
     "fuse --entities": ("entities", ["fuse", "--graph", "{graph}", "--entities", "{broken}",
                                      "--alignments", "{alignments}"]),
     "align --entities": ("entities", ["align", "--entities", "{broken}", "--kb-file", "{kb}"]),
@@ -707,6 +727,33 @@ def test_a_corpus_file_name_that_is_not_utf8_stops_convert_before_any_output(tmp
     assert list(out.iterdir()) == []
 
 
+def test_a_model_file_under_a_file_stops_train_before_any_output(tmp_path):
+    bio = tmp_path / "sentences.bio"
+    bio.write_text("肝\tB-Disease\n癌\tI-Disease\n", encoding="utf-8")
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--seed", "5", "--train", str(bio), "--validation", str(bio),
+                 "--model-file", str(afile / "model.bin"), "--output-dir", str(out)]) == 2
+    assert list(out.iterdir()) == []  # no train_log.csv, dictionary.tsv or manifest
+
+
+def test_export_sorts_the_graph_once(tmp_path, kb_file, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["kb-load", "--seed", "5", "--kb-file", str(kb_file), "--output-dir", str(out)]) == 0
+    calls = []
+
+    def counted(graph, _sort=emrkg.cli.canonical_order):
+        calls.append(graph)
+        return _sort(graph)
+
+    monkeypatch.setattr(emrkg.cli, "canonical_order", counted)
+    monkeypatch.setattr(emrkg.graph, "canonical_order", counted)
+    assert main(["export", "--seed", "5", "--graph", str(out / "kb_graph.jsonl"),
+                 "--output-dir", str(out)]) == 0
+    assert len(calls) == 1
+
+
 def test_flags_override_config_file(tmp_path, corpus_dir):
     flag_out = tmp_path / "flag_out"
     config = _write_config(
@@ -891,6 +938,18 @@ def test_chain_entities_file_covers_every_document(workdir):
     assert len(lines) == 51  # header plus one record per document
     record = json.loads(lines[1])
     assert set(record) == {"doc_id", "entities"}
+
+
+def test_chain_graph_saves_back_to_its_own_bytes(workdir, tmp_path):
+    """Every line of the fused graph is what the record encoder writes, and
+    loading and saving it gives the same file."""
+    path = workdir / "graph.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == "" and any('"kind": "triple"' in line for line in lines)
+    assert all(encode_record(json.loads(line)) == line for line in lines)
+    again = tmp_path / "graph.jsonl"
+    save_graph(load_graph(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_chain_eval_report_has_the_metric_fields(workdir):

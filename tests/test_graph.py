@@ -6,6 +6,7 @@ import csv
 import gc
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emrkg.cli import main
-from emrkg.errors import DataError, InternalError
+from emrkg.errors import DataError, InternalError, encode_record
 from emrkg.graph import (
     DanglingEndpoint,
     IoError,
@@ -22,12 +23,14 @@ from emrkg.graph import (
     RelationTypeMismatch,
     SchemaVersionMismatch,
     add_patient_record,
+    canonical_order,
     export_csv,
     export_cypher,
     load_graph,
     normalize_name,
     relation_identifier,
     save_graph,
+    _triple_line,
 )
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS
 from tests.oracles import (
@@ -337,7 +340,7 @@ def test_export_cypher_emits_one_statement_per_node_and_triple(tmp_path):
     food = graph.upsert_node("Food", "鸡蛋")
     graph.add_triple(disease, "RecommendedFood", food)
     path = tmp_path / "graph.cypher"
-    assert export_cypher(graph, path) == 3
+    assert export_cypher(canonical_order(graph), path) == 3
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "MERGE (n:Disease {name: '肝癌', description: '恶性'});"
     assert lines[1] == "MERGE (n:Food {name: '鸡蛋'});"
@@ -351,7 +354,7 @@ def test_export_cypher_escapes_quotes_and_backslashes(tmp_path):
     graph = KnowledgeGraph()
     graph.upsert_node("Drug", "5'-核苷酸", {"note": "a\\b"})
     path = tmp_path / "graph.cypher"
-    export_cypher(graph, path)
+    export_cypher(canonical_order(graph), path)
     text = path.read_text(encoding="utf-8")
     assert "5\\'-核苷酸" in text
     assert "a\\\\b" in text
@@ -369,12 +372,12 @@ def test_export_is_canonical_across_insertion_orders(tmp_path):
     nodes = [("Disease", "肝癌"), ("Food", "鸡蛋"), ("Food", "鱼类")]
     first, second = build(nodes), build(list(reversed(nodes)))
     a, b = tmp_path / "a.cypher", tmp_path / "b.cypher"
-    export_cypher(first, a)
-    export_cypher(second, b)
+    export_cypher(canonical_order(first), a)
+    export_cypher(canonical_order(second), b)
     assert a.read_bytes() == b.read_bytes()
 
-    export_csv(first, tmp_path / "an.csv", tmp_path / "ar.csv")
-    export_csv(second, tmp_path / "bn.csv", tmp_path / "br.csv")
+    export_csv(canonical_order(first), tmp_path / "an.csv", tmp_path / "ar.csv")
+    export_csv(canonical_order(second), tmp_path / "bn.csv", tmp_path / "br.csv")
     assert (tmp_path / "an.csv").read_bytes() == (tmp_path / "bn.csv").read_bytes()
     assert (tmp_path / "ar.csv").read_bytes() == (tmp_path / "br.csv").read_bytes()
 
@@ -385,7 +388,7 @@ def test_export_csv_renumbers_ids_canonically(tmp_path):
     disease = graph.upsert_node("Disease", "肝癌", {"cause": "病毒"})
     graph.add_triple(disease, "RecommendedFood", food)
     nodes_path, rels_path = tmp_path / "nodes.csv", tmp_path / "rels.csv"
-    export_csv(graph, nodes_path, rels_path)
+    export_csv(canonical_order(graph), nodes_path, rels_path)
 
     with open(nodes_path, encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
@@ -447,8 +450,9 @@ def test_export_equals_the_sorted_oracle_for_every_insertion_order(tmp_path):
         outputs = set()
         for _ in range(3):
             graph = _build(spec, rng)
-            count = export_cypher(graph, tmp_path / "graph.cypher")
-            export_csv(graph, tmp_path / "nodes.csv", tmp_path / "rels.csv")
+            order = canonical_order(graph)
+            count = export_cypher(order, tmp_path / "graph.cypher")
+            export_csv(order, tmp_path / "nodes.csv", tmp_path / "rels.csv")
             got = tuple((tmp_path / name).read_bytes().decode("utf-8")
                         for name in ("graph.cypher", "nodes.csv", "rels.csv"))
             assert got == (cypher_by_sort(graph), *csv_by_sort(graph))
@@ -468,6 +472,13 @@ def _sample_graph() -> KnowledgeGraph:
     graph.add_triple(disease, "RecommendedFood", food)
     graph.add_triple(patient, "HasDisease", disease)
     return graph
+
+
+def test_triple_lines_are_what_the_encoder_writes():
+    for relation in RELATION_ENDPOINTS:
+        for head, tail in [(1, 1), (1, 10**12), (10**12, 2)]:
+            record = {"kind": "triple", "head": head, "relation": relation, "tail": tail}
+            assert _triple_line(head, relation, tail) == encode_record(record) + "\n"
 
 
 def test_save_load_round_trip_preserves_everything(tmp_path):
@@ -517,31 +528,79 @@ def test_save_load_round_trip_on_random_graphs(tmp_path):
         assert again.read_bytes() == path.read_bytes()
 
 
+_NODE = '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}'
+
+
+def _triple(head, relation, tail) -> str:
+    return json.dumps({"kind": "triple", "head": head, "relation": relation, "tail": tail})
+
+
+# the records after the header of a graph file that load_graph rejects, and
+# the message it gives after the file's name
+_MALFORMED = [
+    ([_NODE + " " + _NODE], "line 2: truncated or invalid record: Extra data"),
+    ([_NODE[:30], _NODE[30:]], "line 2: truncated or invalid record"),  # one record, two lines
+    (["[1]"], "line 2: record is not a JSON object"),
+    ([_NODE.replace('"肝癌"', '" "')], "line 2: malformed node record"),
+    ([_NODE.replace('"肝癌"', "5")], "line 2: malformed node record"),
+    ([_NODE[:-1] + ', "attributes": 5}'], "line 2: malformed node record"),
+    ([_NODE, _triple(1, ["Complication"], 1)], "line 3: malformed triple record"),
+    # a triple is type-checked where it is read, so the first bad record is reported
+    ([_triple(1, 5, 1), _NODE.replace('"肝癌"', "5")], "line 2: malformed triple record"),
+    ([_NODE.replace('"肝癌"', '"\\ud800x"')], "line 2: lone surrogate"),
+    ([_NODE, '{"kind": "edge"}'], "line 3: unknown record kind 'edge'"),
+    ([_NODE.replace("Disease", "Organ")], "line 2: unknown label 'Organ'"),
+    ([_NODE, _NODE.replace('"id": 1', '"id": 2')], "line 3: duplicate node ('Disease', '肝癌')"),
+    ([_NODE, _NODE.replace("肝癌", "肝炎")], "line 3: duplicate node ('Disease', '肝炎')"),
+    ([_NODE, _triple(1, "RecommendedFood", 9)], "line 3: triple endpoint id 9 not in graph"),
+    ([_NODE, _triple(1, "Cures", 1)], "line 3: unknown relation type 'Cures'"),
+    ([_NODE, _triple(1, "RecommendedFood", 1)],
+     "line 3: RecommendedFood does not admit Disease -> Disease"),
+    # endpoints are checked after the last node, in file order
+    ([_triple(1, "RecommendedFood", 9), _NODE.replace('"肝癌"', "5")],
+     "line 3: malformed node record"),
+    ([_triple(1, "Cures", 1), _triple(7, "HasSymptom", 1), _NODE],
+     "line 2: unknown relation type 'Cures'"),
+    ([_triple(7, "HasSymptom", 1), _NODE], "line 2: triple endpoint id 7 not in graph"),
+]
+
+
+def _graph_text(lines: list[str]) -> str:
+    return "\n".join(['{"schema": "graph/1"}'] + lines) + "\n"
+
+
 def test_load_graph_reads_each_line_as_json_loads_does(tmp_path):
-    node = '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}'
     path = tmp_path / "graph.jsonl"
-    path.write_text(f'{{"schema": "graph/1"}}\n \t{node} \n\n', encoding="utf-8")
+    path.write_text(f'{{"schema": "graph/1"}}\n \t{_NODE} \n\n', encoding="utf-8")
     assert load_graph(path).find_node("Disease", "肝癌").id == 1
-    paired = node.replace("肝癌", "\\ud83d\\ude00")  # one escaped astral character
+    paired = _NODE.replace("肝癌", "\\ud83d\\ude00")  # one escaped astral character
     path.write_text(f'{{"schema": "graph/1"}}\n{paired}\n', encoding="utf-8")
     assert load_graph(path).find_node("Disease", "\U0001F600").id == 1
-    for lines, message in [
-        ([node + " " + node], "line 2: truncated or invalid record: Extra data"),
-        ([node[:30], node[30:]], "line 2: truncated or invalid record"),  # one record, two lines
-        (["[1]"], "line 2: record is not a JSON object"),
-        ([node.replace('"肝癌"', '" "')], "line 2: malformed node record"),
-        ([node.replace('"肝癌"', "5")], "line 2: malformed node record"),
-        ([node[:-1] + ', "attributes": 5}'], "line 2: malformed node record"),
-        ([node, '{"kind": "triple", "head": 1, "relation": ["Complication"], "tail": 1}'],
-         "line 3: malformed triple record"),
-        # a triple is type-checked where it is read, so the first bad record is reported
-        (['{"kind": "triple", "head": 1, "relation": 5, "tail": 1}', node.replace('"肝癌"', "5")],
-         "line 2: malformed triple record"),
-        ([node.replace('"肝癌"', '"\\ud800x"')], "line 2: lone surrogate"),
-    ]:
-        path.write_text("\n".join(['{"schema": "graph/1"}'] + lines) + "\n", encoding="utf-8")
-        with pytest.raises(IoError, match=f"{path}: {message}"):
+    for lines, message in _MALFORMED:
+        path.write_text(_graph_text(lines), encoding="utf-8")
+        with pytest.raises(IoError, match=re.escape(f"{path}: {message}")):
             load_graph(path)
+
+
+@pytest.mark.parametrize("name", ["肝癌", "不存在"], ids=["head-in-the-file", "head-with-no-node"])
+def test_query_rejects_each_malformed_file_as_load_graph_does(name, tmp_path, caplog):
+    """``query`` keeps only the queried head's triples, but checks every
+    record as ``load_graph`` does, whether or not the head has a node."""
+    saved = tmp_path / "saved.jsonl"
+    save_graph(_sample_graph(), saved)
+    lines = saved.read_text(encoding="utf-8").splitlines()
+    texts = ["", '{"kind": "node"}\n', "\n".join(lines[:2] + [lines[2][: len(lines[2]) // 2]])]
+    texts += [_graph_text(lines) for lines, _ in _MALFORMED]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"graph{i}.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            load_graph(path)
+        caplog.clear()
+        assert main(["query", "--seed", "1", "--output-dir", str(tmp_path / "out"),
+                     "--graph", str(path), "--label", "Disease", "--name", name,
+                     "--relation", "RecommendedFood"]) == 3
+        assert f"query: {raised.value}\n" in caplog.text
 
 
 def test_load_graph_rejects_empty_and_unversioned_files(tmp_path):
@@ -618,7 +677,7 @@ def test_load_and_export_need_the_graph_plus_one_record(tmp_path):
         loaded = load_graph(path)
         after_load, load_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        export_cypher(loaded, tmp_path / "graph.cypher")
+        export_cypher(canonical_order(loaded), tmp_path / "graph.cypher")
         export_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -22,7 +22,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from emrkg.errors import DataError, InternalError, encode_record, read_records, write_lines
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
@@ -257,12 +257,12 @@ class CanonicalOrder(NamedTuple):
     triples: list[Triple]
 
 
-def canonical_order(graph: KnowledgeGraph) -> CanonicalOrder:
-    """The export order of ``graph``; the exporters take it, so one export
-    sorts the graph once."""
-    nodes = sorted(graph.nodes.values(), key=lambda n: (n.label, normalize_name(n.name)))
+def canonical_order(nodes: Iterable[Node], triples: Iterable[Triple]) -> CanonicalOrder:
+    """The export order of a graph's nodes and distinct triples; the
+    exporters take it, so one export sorts the graph once."""
+    nodes = sorted(nodes, key=lambda n: (n.label, normalize_name(n.name)))
     rank = {node.id: i for i, node in enumerate(nodes, start=1)}
-    triples = sorted(graph._triples, key=lambda t: (rank[t.head], t.relation, rank[t.tail]))
+    triples = sorted(triples, key=lambda t: (rank[t.head], t.relation, rank[t.tail]))
     return CanonicalOrder(nodes, rank, triples)
 
 
@@ -427,3 +427,17 @@ def load_graph(path: str | Path, head: tuple[str, str] | None = None) -> Knowled
             by_tail.setdefault(record.tail, {})[record] = None
     graph._next_id = max(graph._next_id, max(nodes, default=0) + 1)
     return graph
+
+
+def load_nodes_and_triples(path: str | Path) -> tuple[list[Node], dict[Triple, None]]:
+    """The nodes and the distinct triples of a ``graph/1`` file, checked as
+    ``load_graph`` checks them, without the graph's name and endpoint
+    indexes: all that ``canonical_order`` reads."""
+    nodes: list[Node] = []
+    triples: dict[Triple, None] = {}
+    for record in _graph_records(path, {}):
+        if type(record) is Node:
+            nodes.append(record)
+        else:
+            triples[record] = None
+    return nodes, triples

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ import emrkg.graph
 from emrkg.cli import build_parser, derive_seed, load_config, main
 from emrkg.corpus import read_bio_file
 from emrkg.derm import DermConfig
-from emrkg.errors import encode_record
+from emrkg.errors import DataError, InternalError, encode_record
 from emrkg.fusion import FusionConfig
 from emrkg.graph import load_graph, save_graph
 from emrkg.schema import DEFAULT_ENTITY_TYPES, EntitySchema
@@ -743,15 +744,163 @@ def test_export_sorts_the_graph_once(tmp_path, kb_file, monkeypatch):
     assert main(["kb-load", "--seed", "5", "--kb-file", str(kb_file), "--output-dir", str(out)]) == 0
     calls = []
 
-    def counted(graph, _sort=emrkg.cli.canonical_order):
-        calls.append(graph)
-        return _sort(graph)
+    def counted(*args, _sort=emrkg.cli.canonical_order):
+        calls.append(args)
+        return _sort(*args)
 
     monkeypatch.setattr(emrkg.cli, "canonical_order", counted)
     monkeypatch.setattr(emrkg.graph, "canonical_order", counted)
     assert main(["export", "--seed", "5", "--graph", str(out / "kb_graph.jsonl"),
                  "--output-dir", str(out)]) == 0
     assert len(calls) == 1
+
+
+_PAIRS_MESSAGE = ("malformed record: expected a string doc_id and entities a list of "
+                  "[label, surface] string pairs")
+
+
+@pytest.mark.parametrize("entities, pairs", [
+    pytest.param([], [], id="no-entities"),
+    pytest.param([["Disease", "肝癌"], ["Symptom", "腹痛"]],
+                 [("Disease", "肝癌"), ("Symptom", "腹痛")], id="string-pairs"),
+    pytest.param([["Disease", ""]], [("Disease", "")], id="empty-surface"),
+    pytest.param(["肝癌"], None, id="two-character-string"),
+    pytest.param([{"Disease": 1, "肝癌": 2}], None, id="two-key-object"),
+    pytest.param([["Disease"]], None, id="one-element"),
+    pytest.param([["Disease", "肝癌", "腹痛"]], None, id="three-elements"),
+    pytest.param([["Disease", 5]], None, id="number-surface"),
+    pytest.param([[1, "肝癌"]], None, id="int-label"),
+    pytest.param([["Disease", True]], None, id="bool-surface"),
+    pytest.param([["Disease", None]], None, id="null-surface"),
+    pytest.param([[["Disease"], "肝癌"]], None, id="nested-label"),
+    pytest.param([[["Disease", "肝癌"]]], None, id="nested-pair"),
+    pytest.param([["Disease", "肝癌"], ["Disease"]], None, id="bad-after-good"),
+    pytest.param("肝癌", None, id="entities-string"),
+    pytest.param({"Disease": "肝癌"}, None, id="entities-object"),
+    pytest.param(None, None, id="entities-null"),
+])
+def test_entities_file_accepts_only_lists_of_two_strings(entities, pairs, tmp_path):
+    path = tmp_path / "entities.jsonl"
+    path.write_text(
+        json.dumps({"schema": emrkg.cli.ENTITIES_SCHEMA_TAG}) + "\n"
+        + json.dumps({"doc_id": "d1", "entities": entities}, ensure_ascii=False) + "\n",
+        encoding="utf-8",
+    )
+    if pairs is not None:
+        assert emrkg.cli._read_entities_file(path) == [("d1", pairs)]
+    else:
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 2: {_PAIRS_MESSAGE}")):
+            emrkg.cli._read_entities_file(path)
+
+
+@pytest.mark.parametrize("doc_id", [5, None, ["d1"]], ids=["number", "null", "list"])
+def test_entities_file_needs_a_string_doc_id(doc_id, tmp_path):
+    path = tmp_path / "entities.jsonl"
+    path.write_text(
+        json.dumps({"schema": emrkg.cli.ENTITIES_SCHEMA_TAG}) + "\n"
+        + json.dumps({"doc_id": doc_id, "entities": []}) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 2: {_PAIRS_MESSAGE}")):
+        emrkg.cli._read_entities_file(path)
+
+
+# -- the cyclic collector --------------------------------------------------
+
+
+def _failing(exc: Exception):
+    def stage(cfg, args):
+        raise exc
+    return stage
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, code, failure", [
+    pytest.param(["kb-load", "--seed", "5", "--kb-file", "{kb}"], 0, None, id="ok"),
+    pytest.param(["--help"], 0, None, id="help"),
+    pytest.param([], 1, None, id="usage"),
+    pytest.param(["kb-load", "--kb-file", "{kb}"], 2, None, id="config"),
+    pytest.param(["export", "--seed", "5", "--graph", "{missing}"], 3, None, id="data"),
+    pytest.param(["kb-load", "--seed", "5", "--kb-file", "{kb}"], 4, InternalError("boom"),
+                 id="internal"),
+    pytest.param(["kb-load", "--seed", "5", "--kb-file", "{kb}"], 4, RuntimeError("boom"),
+                 id="unexpected"),
+])
+def test_main_leaves_the_collector_as_it_found_it(
+    argv, code, failure, enabled, tmp_path, kb_file, monkeypatch, capsys
+):
+    """``main`` pauses the cyclic collector for its run; on every exit it
+    puts back the caller's setting, on or off."""
+    if failure is not None:
+        monkeypatch.setattr(emrkg.cli, "run_kb_load", _failing(failure))
+    argv = [arg.format(kb=kb_file, missing=tmp_path / "missing") for arg in argv]
+    if len(argv) > 1:
+        argv += ["--output-dir", str(tmp_path / "out")]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def _write_kb_and_entities(directory: Path, n_names: int) -> None:
+    """``kb.jsonl`` with ``n_names`` diseases, each linked to a symptom, a
+    food and the next disease, and ``entities.jsonl`` with one patient per
+    disease naming it without its last character, which aligns back to it,
+    so fuse merges every patient's disease node into a KB node."""
+    names = [f"{chr(0x4E00 + 37 * i % 20000)}{chr(0x4E00 + 101 * i % 20000)}综合征"
+             for i in range(n_names)]
+    kb = [{"schema": "kb/1"}] + [{
+        "name": name,
+        "description": f"{name}是一种疾病",
+        "relations": {"HasSymptom": [f"症状{i % 40}"], "RecommendedFood": [f"食物{i % 25}"],
+                      "Complication": [names[(i + 1) % n_names]]},
+    } for i, name in enumerate(names)]
+    entities = [{"schema": "entities/1"}] + [
+        {"doc_id": f"p{i}", "entities": [["Disease", name[:-1]], ["Symptom", f"症状{i % 40}"]]}
+        for i, name in enumerate(names)
+    ]
+    directory.mkdir()
+    for file_name, records in (("kb.jsonl", kb), ("entities.jsonl", entities)):
+        (directory / file_name).write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
+        )
+
+
+def _stage_garbage(directory: Path) -> dict[str, int]:
+    """Run kb-load, align, fuse and export on ``directory`` with the
+    collector off; each stage's cyclic garbage, counted by the collection
+    after it."""
+    out = directory / "out"
+    common = ["--seed", "5", "--output-dir", str(out), "--kb-file", str(directory / "kb.jsonl")]
+    entities = ["--entities", str(directory / "entities.jsonl")]
+    stages = {"kb-load": [], "align": entities, "fuse": entities, "export": []}
+    garbage = {}
+    was_enabled = gc.isenabled()
+    try:
+        for stage, flags in stages.items():
+            gc.collect()
+            gc.disable()
+            assert main([stage, *common, *flags]) == 0
+            garbage[stage] = gc.collect()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    report = json.loads((out / "fusion_report.json").read_text(encoding="utf-8"))
+    assert report["merged"] and not report["unmatched"]
+    return garbage
+
+
+def test_a_stage_leaves_the_same_cyclic_garbage_at_any_size(tmp_path, caplog):
+    """What ``main`` pausing the collector rests on: the graph, KB and
+    index records a stage builds form no cycles, so the garbage only the
+    collector can free does not grow with the input."""
+    _write_kb_and_entities(tmp_path / "small", 30)
+    _write_kb_and_entities(tmp_path / "large", 300)
+    _stage_garbage(tmp_path / "small")  # first runs fill lazy caches
+    assert _stage_garbage(tmp_path / "large") == _stage_garbage(tmp_path / "small")
 
 
 def test_flags_override_config_file(tmp_path, corpus_dir):

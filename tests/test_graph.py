@@ -328,6 +328,10 @@ def test_repeated_entity_mentions_collapse_to_one_triple():
 # -- export ----------------------------------------------------------
 
 
+def _order(graph: KnowledgeGraph):
+    return canonical_order(graph.nodes.values(), graph.triples)
+
+
 def test_relation_identifier_renders_upper_snake_case():
     assert relation_identifier("RecommendedFood") == "RECOMMENDED_FOOD"
     assert relation_identifier("HasSymptom") == "HAS_SYMPTOM"
@@ -340,7 +344,7 @@ def test_export_cypher_emits_one_statement_per_node_and_triple(tmp_path):
     food = graph.upsert_node("Food", "鸡蛋")
     graph.add_triple(disease, "RecommendedFood", food)
     path = tmp_path / "graph.cypher"
-    assert export_cypher(canonical_order(graph), path) == 3
+    assert export_cypher(_order(graph), path) == 3
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "MERGE (n:Disease {name: '肝癌', description: '恶性'});"
     assert lines[1] == "MERGE (n:Food {name: '鸡蛋'});"
@@ -354,7 +358,7 @@ def test_export_cypher_escapes_quotes_and_backslashes(tmp_path):
     graph = KnowledgeGraph()
     graph.upsert_node("Drug", "5'-核苷酸", {"note": "a\\b"})
     path = tmp_path / "graph.cypher"
-    export_cypher(canonical_order(graph), path)
+    export_cypher(_order(graph), path)
     text = path.read_text(encoding="utf-8")
     assert "5\\'-核苷酸" in text
     assert "a\\\\b" in text
@@ -372,12 +376,12 @@ def test_export_is_canonical_across_insertion_orders(tmp_path):
     nodes = [("Disease", "肝癌"), ("Food", "鸡蛋"), ("Food", "鱼类")]
     first, second = build(nodes), build(list(reversed(nodes)))
     a, b = tmp_path / "a.cypher", tmp_path / "b.cypher"
-    export_cypher(canonical_order(first), a)
-    export_cypher(canonical_order(second), b)
+    export_cypher(_order(first), a)
+    export_cypher(_order(second), b)
     assert a.read_bytes() == b.read_bytes()
 
-    export_csv(canonical_order(first), tmp_path / "an.csv", tmp_path / "ar.csv")
-    export_csv(canonical_order(second), tmp_path / "bn.csv", tmp_path / "br.csv")
+    export_csv(_order(first), tmp_path / "an.csv", tmp_path / "ar.csv")
+    export_csv(_order(second), tmp_path / "bn.csv", tmp_path / "br.csv")
     assert (tmp_path / "an.csv").read_bytes() == (tmp_path / "bn.csv").read_bytes()
     assert (tmp_path / "ar.csv").read_bytes() == (tmp_path / "br.csv").read_bytes()
 
@@ -388,7 +392,7 @@ def test_export_csv_renumbers_ids_canonically(tmp_path):
     disease = graph.upsert_node("Disease", "肝癌", {"cause": "病毒"})
     graph.add_triple(disease, "RecommendedFood", food)
     nodes_path, rels_path = tmp_path / "nodes.csv", tmp_path / "rels.csv"
-    export_csv(canonical_order(graph), nodes_path, rels_path)
+    export_csv(_order(graph), nodes_path, rels_path)
 
     with open(nodes_path, encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
@@ -450,7 +454,7 @@ def test_export_equals_the_sorted_oracle_for_every_insertion_order(tmp_path):
         outputs = set()
         for _ in range(3):
             graph = _build(spec, rng)
-            order = canonical_order(graph)
+            order = _order(graph)
             count = export_cypher(order, tmp_path / "graph.cypher")
             export_csv(order, tmp_path / "nodes.csv", tmp_path / "rels.csv")
             got = tuple((tmp_path / name).read_bytes().decode("utf-8")
@@ -582,16 +586,21 @@ def test_load_graph_reads_each_line_as_json_loads_does(tmp_path):
             load_graph(path)
 
 
-@pytest.mark.parametrize("name", ["肝癌", "不存在"], ids=["head-in-the-file", "head-with-no-node"])
-def test_query_rejects_each_malformed_file_as_load_graph_does(name, tmp_path, caplog):
-    """``query`` keeps only the queried head's triples, but checks every
-    record as ``load_graph`` does, whether or not the head has a node."""
+def _malformed_texts(tmp_path) -> list[str]:
+    """Graph files that fail to load: empty, headerless, cut mid-record,
+    and each of ``_MALFORMED``."""
     saved = tmp_path / "saved.jsonl"
     save_graph(_sample_graph(), saved)
     lines = saved.read_text(encoding="utf-8").splitlines()
     texts = ["", '{"kind": "node"}\n', "\n".join(lines[:2] + [lines[2][: len(lines[2]) // 2]])]
-    texts += [_graph_text(lines) for lines, _ in _MALFORMED]
-    for i, text in enumerate(texts):
+    return texts + [_graph_text(lines) for lines, _ in _MALFORMED]
+
+
+@pytest.mark.parametrize("name", ["肝癌", "不存在"], ids=["head-in-the-file", "head-with-no-node"])
+def test_query_rejects_each_malformed_file_as_load_graph_does(name, tmp_path, caplog):
+    """``query`` keeps only the queried head's triples, but checks every
+    record as ``load_graph`` does, whether or not the head has a node."""
+    for i, text in enumerate(_malformed_texts(tmp_path)):
         path = tmp_path / f"graph{i}.jsonl"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(DataError) as raised:
@@ -601,6 +610,37 @@ def test_query_rejects_each_malformed_file_as_load_graph_does(name, tmp_path, ca
                      "--graph", str(path), "--label", "Disease", "--name", name,
                      "--relation", "RecommendedFood"]) == 3
         assert f"query: {raised.value}\n" in caplog.text
+
+
+def test_export_rejects_each_malformed_file_as_load_graph_does(tmp_path, caplog):
+    """``export`` sorts the records without building the graph, but checks
+    every one of them as ``load_graph`` does."""
+    for i, text in enumerate(_malformed_texts(tmp_path)):
+        path = tmp_path / f"graph{i}.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            load_graph(path)
+        caplog.clear()
+        out = tmp_path / f"out{i}"
+        assert main(["export", "--seed", "1", "--output-dir", str(out), "--graph", str(path)]) == 3
+        assert f"export: {raised.value}\n" in caplog.text
+        assert not (out / "graph.cypher").exists()
+
+
+def test_export_of_a_file_equals_the_export_of_its_loaded_graph(tmp_path):
+    """A repeated triple line is exported once, as ``load_graph`` keeps it."""
+    path = tmp_path / "graph.jsonl"
+    save_graph(_sample_graph(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    triple = next(line for line in lines if '"kind": "triple"' in line)
+    path.write_text("\n".join(lines + [triple]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["export", "--seed", "1", "--output-dir", str(out), "--graph", str(path)]) == 0
+    order = _order(load_graph(path))
+    export_cypher(order, tmp_path / "graph.cypher")
+    export_csv(order, tmp_path / "nodes.csv", tmp_path / "rels.csv")
+    for name in ("graph.cypher", "nodes.csv", "rels.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_load_graph_rejects_empty_and_unversioned_files(tmp_path):
@@ -677,7 +717,7 @@ def test_load_and_export_need_the_graph_plus_one_record(tmp_path):
         loaded = load_graph(path)
         after_load, load_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        export_cypher(canonical_order(loaded), tmp_path / "graph.cypher")
+        export_cypher(_order(loaded), tmp_path / "graph.cypher")
         export_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -18,6 +18,7 @@ import hashlib
 import json
 import logging
 import platform
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -482,10 +483,24 @@ def _read_entities_file(path: Path) -> list[tuple[str, list[tuple[str, str]]]]:
     return records
 
 
+# what would split a field of alignments.tsv, or its line, when read back
+_FIELD_BREAK = re.compile("[\t\n\r]")
+
+
+def _report_field(path: Path, name: str) -> str:
+    """``name``, unless it holds a tab or a line break: that is a data
+    error naming ``path``, the file the name came from."""
+    if _FIELD_BREAK.search(name):
+        raise DataError(f"{path}: the name {name!r} holds a tab or a line break, "
+                        "which a field of alignments.tsv cannot hold")
+    return name
+
+
 def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     """Align source names (``--names``, else the Disease surfaces of
     ``--entities``) against the KB disease catalog; write a TSV report of
-    source, matched target (empty if none) and similarity."""
+    source, matched target (empty if none) and similarity. A name that a
+    field of the report cannot hold stops the stage before it writes."""
     source_path = _input(args, "names")
     if source_path is not None:
         sources = [line.strip() for line in read_lines(source_path) if line.strip()]
@@ -499,6 +514,8 @@ def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
             for label, surface in entities
             if label == "Disease"
         })
+    for source in sources:
+        _report_field(source_path, source)
     kb_file = cfg.require_kb_file()
     _, catalogs = load_kb(kb_file)
     if not catalogs.disease:
@@ -507,7 +524,8 @@ def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     rows = ["source\ttarget\tsimilarity"]
     for source in sources:
         result = align(source, index, cfg.fusion.threshold)
-        rows.append(f"{result.source}\t{result.target or ''}\t{result.similarity:.12g}")
+        target = "" if result.target is None else _report_field(kb_file, result.target)
+        rows.append(f"{result.source}\t{target}\t{result.similarity:.12g}")
     (cfg.output_dir / "alignments.tsv").write_text(
         "".join(row + "\n" for row in rows), encoding="utf-8"
     )

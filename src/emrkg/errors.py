@@ -118,41 +118,76 @@ def write_records(path: str | Path, schema: str, records: Iterable[dict]) -> Non
     write_lines(path, schema, (encode_record(record) + "\n" for record in records))
 
 
+# About 64 KiB of text per block: large enough that a block's lines cost
+# one regex scan (see ``graph._graph_records``), small enough that a load
+# holds only its records and one block.
+_BLOCK_CHARS = 1 << 16
+
+
+def read_blocks(path: str | Path, schema: str, error: type[DataError] = DataError,
+                header_error: type[DataError] | None = None) -> Iterator[tuple[int, list[str]]]:
+    r"""Yield ``(line number of the first line, lines)`` for each block of
+    about ``_BLOCK_CHARS`` characters after the header ``{"schema": schema}``.
+    Each line keeps its "\n" (a last line may have none), and lines end
+    where ``read_lines`` ends them. The header is required, so a zero-byte
+    file is an error. A missing or wrong header raises ``header_error``
+    (default ``error``); a file that cannot be read or is not UTF-8 raises
+    ``error`` when the block holding the fault is read. Each message names
+    the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            first = handle.readline()
+            try:
+                header = json.loads(first) if first else None
+            except (json.JSONDecodeError, RecursionError):
+                header = None
+            if not isinstance(header, dict) or header.get("schema") != schema:
+                found = repr(first.rstrip("\n")[:80]) if first else "an empty file"
+                raise (header_error or error)(
+                    f"{path}: line 1: expected the header {encode_record({'schema': schema})}, "
+                    f"got {found}"
+                )
+            lineno = 2
+            while lines := handle.readlines(_BLOCK_CHARS):
+                yield lineno, lines
+                lineno += len(lines)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def decode_record(path: str | Path, lineno: int, line: str,
+                  error: type[DataError] = DataError) -> dict | None:
+    """The JSON object on line ``lineno`` of ``path``, or None for a blank
+    line. A line that is not one JSON object, or that holds a lone
+    surrogate, raises ``error`` naming the file and the line."""
+    line = line.rstrip("\n")
+    if not line.strip():
+        return None
+    try:
+        obj, end = _raw_decode(line)
+    except (json.JSONDecodeError, RecursionError):
+        end = -1
+    if end != len(line):  # surrounding whitespace, or not one JSON value
+        try:
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            reason = getattr(exc, "msg", "nested too deeply")
+            raise error(f"{path}: line {lineno}: truncated or invalid record: {reason}") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{path}: line {lineno}: record is not a JSON object")
+    bad = find_lone_surrogate(line, obj)
+    if bad is not None:
+        raise error(f"{path}: line {lineno}: lone surrogate in the string {bad[:40]!r}")
+    return obj
+
+
 def read_records(path: str | Path, schema: str, error: type[DataError] = DataError,
                  header_error: type[DataError] | None = None) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each record after the header
-    ``{"schema": schema}``, reading the file line by line and skipping blank
-    lines. The header is required, so a zero-byte file is an error. A
-    missing or wrong header raises ``header_error`` (default ``error``); an
-    unreadable file or a line that is not one JSON object raises ``error``.
-    Each message names the file, and each record error the line."""
-    lines = read_lines(path, error)
-    first = next(lines, None)
-    try:
-        header = json.loads(first) if first is not None else None
-    except (json.JSONDecodeError, RecursionError):
-        header = None
-    if not isinstance(header, dict) or header.get("schema") != schema:
-        found = "an empty file" if first is None else repr(first[:80])
-        raise (header_error or error)(
-            f"{path}: line 1: expected the header {encode_record({'schema': schema})}, got {found}"
-        )
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        try:
-            obj, end = _raw_decode(line)
-        except (json.JSONDecodeError, RecursionError):
-            end = -1
-        if end != len(line):  # surrounding whitespace, or not one JSON value
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                reason = getattr(exc, "msg", "nested too deeply")
-                raise error(f"{path}: line {lineno}: truncated or invalid record: {reason}") from exc
-        if not isinstance(obj, dict):
-            raise error(f"{path}: line {lineno}: record is not a JSON object")
-        bad = find_lone_surrogate(line, obj)
-        if bad is not None:
-            raise error(f"{path}: line {lineno}: lone surrogate in the string {bad[:40]!r}")
-        yield lineno, obj
+    """Yield ``(line number, object)`` for each record of a file that
+    ``read_blocks`` reads, skipping blank lines; ``decode_record`` decodes
+    and checks each line."""
+    for first, lines in read_blocks(path, schema, error, header_error):
+        for lineno, line in enumerate(lines, start=first):
+            obj = decode_record(path, lineno, line, error)
+            if obj is not None:
+                yield lineno, obj

@@ -20,11 +20,19 @@ import functools
 import itertools
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from emrkg.errors import DataError, InternalError, encode_record, read_records, write_lines
+from emrkg.errors import (
+    DataError,
+    InternalError,
+    decode_record,
+    encode_record,
+    read_blocks,
+    write_lines,
+)
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
 
 log = logging.getLogger(__name__)
@@ -319,6 +327,12 @@ def export_cypher(order: CanonicalOrder, path: str | Path) -> int:
     return len(statements) + len(order.triples)
 
 
+# The row ``csv.writer`` writes for a rels.csv row: its excel dialect
+# quotes no field that holds only digits or letters, as the ranks and the
+# relation names (see RELATION_ENDPOINTS) do, and ends each row in CRLF.
+_rels_row = "{},{},{}\r\n".format
+
+
 def export_csv(order: CanonicalOrder, nodes_path: str | Path, rels_path: str | Path) -> None:
     """Bulk-import companion to the Cypher export: nodes.csv carries
     canonical re-numbered ids so identical graphs yield identical files."""
@@ -335,10 +349,9 @@ def export_csv(order: CanonicalOrder, nodes_path: str | Path, rels_path: str | P
                     json.dumps(dict(sorted(node.attributes.items())), ensure_ascii=False),
                 ])
         with open(rels_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["head", "relation", "tail"])
-            writer.writerows([export_id[head], relation, export_id[tail]]
-                             for head, relation, tail in order.triples)
+            handle.write(_rels_row("head", "relation", "tail"))
+            handle.writelines(_rels_row(export_id[head], relation, export_id[tail])
+                              for head, relation, tail in order.triples)
     except OSError as exc:
         raise IoError(f"cannot write CSV export: {exc}") from exc
 
@@ -360,6 +373,16 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     write_lines(path, SCHEMA_TAG, itertools.chain(nodes, triples))
 
 
+# A whole line in ``_triple_line``'s shape, so a match decodes to what
+# ``json.loads`` gives for it; ``_graph_records`` scans a block of such lines
+# at once.
+_TRIPLE_LINES = re.compile(
+    r'^\{"head": (0|-?[1-9][0-9]*), "kind": "triple", '
+    r'"relation": "([A-Za-z]+)", "tail": (0|-?[1-9][0-9]*)\}\n',
+    re.M,
+)
+
+
 def _graph_records(
     path: str | Path, by_key: dict[tuple[str, str], int]
 ) -> Iterator[Node | Triple]:
@@ -367,34 +390,52 @@ def _graph_records(
     read, then each triple in file order. A triple is type-checked where it
     is read and held until every node is in, then checked against its
     endpoints. ``by_key`` receives each node's (label, normalized name)
-    -> id. The first bad record raises IoError naming its line."""
+    -> id. The first bad record raises IoError naming its line.
+
+    A block led by a triple line is scanned whole with ``_TRIPLE_LINES``;
+    if every one of its lines matches, its triples are taken from the
+    match groups. Any other block, e.g. one holding a node, a blank line or
+    a triple in another JSON form, is decoded line by line."""
     nodes: dict[int, Node] = {}
     pending: list[Triple] = []
     linenos: list[int] = []  # each pending triple's line
-    for lineno, obj in read_records(path, SCHEMA_TAG, IoError, SchemaVersionMismatch):
-        kind = obj.get("kind")
-        if kind == "triple":
-            head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
-            if type(head) is not int or type(tail) is not int or not isinstance(relation, str):
-                raise IoError(f"{path}: line {lineno}: malformed triple record")
-            pending.append(_new_triple((head, _RELATION_NAMES.get(relation, relation), tail)))
-            linenos.append(lineno)
-        elif kind == "node":
-            node_id, label, name = obj.get("id"), obj.get("label"), obj.get("name")
-            attributes = obj.get("attributes", {})
-            if (type(node_id) is not int or not isinstance(name, str) or not name.strip()
-                    or not isinstance(attributes, dict)):
-                raise IoError(f"{path}: line {lineno}: malformed node record")
-            if label not in GRAPH_LABELS:
-                raise IoError(f"{path}: line {lineno}: unknown label {label!r}")
-            key = (label, normalize_name(name))
-            if key in by_key or node_id in nodes:
-                raise IoError(f"{path}: line {lineno}: duplicate node {key!r}")
-            by_key[key] = node_id
-            node = nodes[node_id] = Node(node_id, label, name, attributes)
-            yield node
-        else:
-            raise IoError(f"{path}: line {lineno}: unknown record kind {kind!r}")
+    relation_of = _RELATION_NAMES.get
+    for first, lines in read_blocks(path, SCHEMA_TAG, IoError, SchemaVersionMismatch):
+        if lines[0].startswith('{"head": '):
+            found = _TRIPLE_LINES.findall("".join(lines))
+            if len(found) == len(lines):
+                heads, relations, tails = zip(*found)
+                pending.extend(map(_new_triple, zip(
+                    map(int, heads), map(relation_of, relations, relations), map(int, tails))))
+                linenos.extend(range(first, first + len(lines)))
+                continue
+        for lineno, line in enumerate(lines, start=first):
+            obj = decode_record(path, lineno, line, IoError)
+            if obj is None:
+                continue
+            kind = obj.get("kind")
+            if kind == "triple":
+                head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
+                if type(head) is not int or type(tail) is not int or not isinstance(relation, str):
+                    raise IoError(f"{path}: line {lineno}: malformed triple record")
+                pending.append(_new_triple((head, relation_of(relation, relation), tail)))
+                linenos.append(lineno)
+            elif kind == "node":
+                node_id, label, name = obj.get("id"), obj.get("label"), obj.get("name")
+                attributes = obj.get("attributes", {})
+                if (type(node_id) is not int or not isinstance(name, str) or not name.strip()
+                        or not isinstance(attributes, dict)):
+                    raise IoError(f"{path}: line {lineno}: malformed node record")
+                if label not in GRAPH_LABELS:
+                    raise IoError(f"{path}: line {lineno}: unknown label {label!r}")
+                key = (label, normalize_name(name))
+                if key in by_key or node_id in nodes:
+                    raise IoError(f"{path}: line {lineno}: duplicate node {key!r}")
+                by_key[key] = node_id
+                node = nodes[node_id] = Node(node_id, label, name, attributes)
+                yield node
+            else:
+                raise IoError(f"{path}: line {lineno}: unknown record kind {kind!r}")
     # an admitted triple costs one set lookup; _check_endpoints only names
     # what is wrong with the first one that is not
     node_of = nodes.get

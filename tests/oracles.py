@@ -22,7 +22,15 @@ import numpy as np
 
 from emrkg.corpus import EntitySpan, Segment, UnsplittableEntity
 from emrkg.errors import DataError
-from emrkg.graph import KnowledgeGraph, Node, Triple, normalize_name
+from emrkg.graph import (
+    IoError,
+    KnowledgeGraph,
+    Node,
+    SchemaVersionMismatch,
+    Triple,
+    normalize_name,
+)
+from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS
 
 
 # -- standoff spans and segmentation ----------------------------------------
@@ -295,6 +303,97 @@ def pattern_scan(
     }
     tails = {t.tail for t in graph.triples if t.relation == relation and t.head in heads}
     return sorted((graph.nodes[i] for i in tails), key=lambda n: (n.name, n.id))
+
+
+def _strings(value):
+    """Every string and key in a decoded JSON value, in document order."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+
+
+def _triple_problem(nodes: dict[int, Node], triple: Triple) -> str | None:
+    """What is wrong with the triple's endpoints, or None."""
+    for end in (triple.head, triple.tail):
+        if end not in nodes:
+            return f"triple endpoint id {end} not in graph"
+    head, tail = nodes[triple.head].label, nodes[triple.tail].label
+    if triple.relation not in RELATION_ENDPOINTS:
+        return f"unknown relation type {triple.relation!r}"
+    if (head, tail) not in RELATION_ENDPOINTS[triple.relation]:
+        return f"{triple.relation} does not admit {head} -> {tail}"
+    return None
+
+
+def graph_records_by_line(path) -> list[Node | Triple]:
+    """The records of a ``graph/1`` file as a load yields them (its nodes in
+    file order, then its triples in file order), each line read on its own
+    and decoded with ``json.loads``. Every fault raises what the package
+    raises for it, with its message: a header fault SchemaVersionMismatch,
+    any other IoError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = [line[:-1] if line.endswith("\n") else line for line in handle]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    try:
+        header = json.loads(lines[0]) if lines else None
+    except (ValueError, RecursionError):
+        header = None
+    if not isinstance(header, dict) or header.get("schema") != "graph/1":
+        found = repr(lines[0][:80]) if lines else "an empty file"
+        raise SchemaVersionMismatch(
+            f'{path}: line 1: expected the header {{"schema": "graph/1"}}, got {found}')
+    nodes: dict[int, Node] = {}
+    keys: set[tuple[str, str]] = set()
+    triples: list[tuple[int, Triple]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}: line {lineno}"
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IoError(f"{where}: truncated or invalid record: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise IoError(f"{where}: truncated or invalid record: nested too deeply") from exc
+        if not isinstance(obj, dict):
+            raise IoError(f"{where}: record is not a JSON object")
+        for text in _strings(obj):
+            if any(0xD800 <= ord(ch) <= 0xDFFF for ch in text):
+                raise IoError(f"{where}: lone surrogate in the string {text[:40]!r}")
+        kind = obj.get("kind")
+        if kind == "triple":
+            head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
+            if type(head) is not int or type(tail) is not int or type(relation) is not str:
+                raise IoError(f"{where}: malformed triple record")
+            triples.append((lineno, Triple(head, relation, tail)))
+        elif kind == "node":
+            node_id, label, name = obj.get("id"), obj.get("label"), obj.get("name")
+            attributes = obj.get("attributes", {})
+            if (type(node_id) is not int or type(name) is not str or not name.strip()
+                    or type(attributes) is not dict):
+                raise IoError(f"{where}: malformed node record")
+            if label not in GRAPH_LABELS:
+                raise IoError(f"{where}: unknown label {label!r}")
+            key = (label, normalize_name_by_loop(name))
+            if key in keys or node_id in nodes:
+                raise IoError(f"{where}: duplicate node {key!r}")
+            keys.add(key)
+            nodes[node_id] = Node(node_id, label, name, attributes)
+        else:
+            raise IoError(f"{where}: unknown record kind {kind!r}")
+    for lineno, triple in triples:
+        problem = _triple_problem(nodes, triple)
+        if problem is not None:
+            raise IoError(f"{path}: line {lineno}: {problem}")
+    return list(nodes.values()) + [triple for _, triple in triples]
 
 
 def normalize_name_by_loop(name: str) -> str:

@@ -998,6 +998,44 @@ def test_align_names_and_tag_text_split_at_line_ends_only(tmp_path, kb_file, wor
     assert ["".join(s.chars) for s in predicted] == list(SEPARATOR_NAMES)
 
 
+def _entities_file(path: Path, surface: str) -> Path:
+    path.write_text(encode_record({"schema": emrkg.cli.ENTITIES_SCHEMA_TAG}) + "\n"
+                    + encode_record({"doc_id": "d1", "entities": [["Disease", surface]]}) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("source, name", [
+    *[pytest.param("entities", f"肝{c}癌", id=f"entities-{n}")
+      for c, n in [("\t", "tab"), ("\n", "lf"), ("\r", "cr")]],
+    pytest.param("names", "肝\t癌", id="names-tab"),
+    pytest.param("kb", "原发性肝细胞癌\t", id="kb-target-tab"),
+])
+def test_align_stops_before_writing_a_name_the_report_cannot_hold(
+        source, name, tmp_path, kb_file, caplog):
+    """A tab or a line break in a source or a matched KB name would split
+    its alignments.tsv line; ``fuse`` could not read it back."""
+    flags = ["--kb-file", str(kb_file)]
+    if source == "entities":
+        flags += ["--entities", str(_entities_file(tmp_path / "entities.jsonl", name))]
+        named = tmp_path / "entities.jsonl"
+    else:
+        names = tmp_path / "names.txt"
+        names.write_text(f"{name if source == 'names' else '原发性肝细胞'}\n", encoding="utf-8")
+        flags += ["--names", str(names)]
+        named = names
+    if source == "kb":
+        kb = tmp_path / "kb.jsonl"
+        kb.write_text("".join(encode_record(r) + "\n" for r in [
+            {"schema": "kb/1"}, {"name": name}, {"name": "糖尿病"}]), encoding="utf-8")
+        flags[1] = str(kb)
+        named = kb
+    out = tmp_path / "out"
+    assert main(["align", "--seed", "4", "--output-dir", str(out)] + flags) == 3
+    assert f"{named}: the name {name!r} holds a tab or a line break" in caplog.text
+    assert not (out / "alignments.tsv").exists()
+
+
 def test_align_without_a_source_flag_is_a_config_error(tmp_path, kb_file):
     code = main([
         "align", "--seed", "4", "--kb-file", str(kb_file),

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import random
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import emrkg.errors
+import emrkg.graph
 from emrkg.cli import main
 from emrkg.errors import DataError, InternalError, encode_record
 from emrkg.graph import (
@@ -20,6 +24,7 @@ from emrkg.graph import (
     IoError,
     KnowledgeGraph,
     LabelUnknown,
+    Node,
     RelationTypeMismatch,
     SchemaVersionMismatch,
     add_patient_record,
@@ -27,15 +32,19 @@ from emrkg.graph import (
     export_csv,
     export_cypher,
     load_graph,
+    load_nodes_and_triples,
     normalize_name,
     relation_identifier,
     save_graph,
+    Triple,
+    _rels_row,
     _triple_line,
 )
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS
 from tests.oracles import (
     csv_by_sort,
     cypher_by_sort,
+    graph_records_by_line,
     normalize_name_by_loop,
     pattern_scan,
 )
@@ -485,6 +494,14 @@ def test_triple_lines_are_what_the_encoder_writes():
             assert _triple_line(head, relation, tail) == encode_record(record) + "\n"
 
 
+def test_rels_rows_are_what_the_csv_writer_writes():
+    for relation in RELATION_ENDPOINTS:
+        for head, tail in [(1, 1), (1, 10**12), (10**12, 2)]:
+            buffer = io.StringIO(newline="")
+            csv.writer(buffer).writerow([head, relation, tail])
+            assert _rels_row(head, relation, tail) == buffer.getvalue()
+
+
 def test_save_load_round_trip_preserves_everything(tmp_path):
     graph = _sample_graph()
     path = tmp_path / "graph.jsonl"
@@ -702,9 +719,124 @@ def _large_graph() -> KnowledgeGraph:
     return graph
 
 
+# rewrites of one triple line that a load must read as json.loads does,
+# each giving the rewritten line with its line end; some make the file bad
+_TRIPLE_REWRITES = {
+    "keys-reordered": lambda r, line: json.dumps({k: r[k] for k in ("tail", "relation", "kind",
+                                                                    "head")}) + "\n",
+    "compact": lambda r, line: json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n",
+    "spaced": lambda r, line: " " + line.replace(": ", " :  ").replace(", ", " , ") + "\t\n",
+    "escaped-relation": lambda r, line: line.replace(
+        f'"{r["relation"]}"', '"\\u%04x%s"' % (ord(r["relation"][0]), r["relation"][1:])) + "\n",
+    "head-minus-zero": lambda r, line: line.replace(f'{{"head": {r["head"]},', '{"head": -0,') + "\n",
+    "head-leading-zero": lambda r, line: line.replace('{"head": ', '{"head": 0') + "\n",
+    "tail-float": lambda r, line: line.replace(f'"tail": {r["tail"]}}}', f'"tail": {r["tail"]}.0}}')
+    + "\n",
+    "trailing-garbage": lambda r, line: line + " x\n",
+    # in save_graph's shape, but failing the endpoint checks made after the last node
+    "dangling-tail": lambda r, line: _triple_line(r["head"], r["relation"], 10**6),
+    "unknown-relation": lambda r, line: _triple_line(r["head"], "Cures", r["tail"]),
+    "crlf": lambda r, line: line + "\r\n",
+    "blank-after": lambda r, line: line + "\n \t\n\n",
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), block=st.integers(1, 2000), data=st.data())
+def test_graph_readers_agree_with_the_line_by_line_reference(seed, block, data, tmp_path, caplog):
+    """``load_graph``, ``load_nodes_and_triples`` and ``query`` give the
+    records, or the message, of a reader that decodes each line with
+    ``json.loads``, whether a triple line is in ``save_graph``'s shape
+    (scanned a block at a time) or in any other form, and wherever the
+    blocks end."""
+    rng = random.Random(seed)
+    graph = _build(_random_spec(rng, n_nodes=24, n_triples=40), rng)
+    path = tmp_path / "graph.jsonl"
+    save_graph(graph, path)
+    header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    n_nodes = len(graph.nodes)
+    texts = [line + "\n" for line in lines]
+    edits = data.draw(st.lists(st.tuples(st.integers(n_nodes, len(lines) - 1),
+                                         st.sampled_from(sorted(_TRIPLE_REWRITES))), max_size=4))
+    for i, how in edits:
+        texts[i] = _TRIPLE_REWRITES[how](json.loads(lines[i]), lines[i])
+    if data.draw(st.booleans()):  # a node line after the triples
+        texts.append(texts.pop(data.draw(st.integers(0, n_nodes - 1))))
+    text = header + "\n" + "".join(texts)
+    if data.draw(st.booleans()):
+        text = text[:-1]
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        expected = graph_records_by_line(path)
+    except DataError as exc:
+        expected = exc
+    node = data.draw(st.sampled_from(list(graph.nodes.values())))
+    relation = data.draw(st.sampled_from(sorted(RELATION_ENDPOINTS)))
+    answer = tmp_path / "answer.txt"
+    caplog.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(emrkg.errors, "_BLOCK_CHARS", block)
+        code = main(["query", "--seed", "1", "--output-dir", str(tmp_path / "out"),
+                     "--graph", str(path), "--label", node.label, "--name", node.name,
+                     "--relation", relation, "--out", str(answer)])
+        if isinstance(expected, DataError):
+            for read in (load_graph, load_nodes_and_triples):
+                with pytest.raises(DataError) as raised:
+                    read(path)
+                assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
+            assert code == 3
+            assert f"query: {expected}\n" in caplog.text
+            return
+        loaded = load_graph(path)
+        nodes, triples = load_nodes_and_triples(path)
+    expected_nodes = [r for r in expected if type(r) is Node]
+    expected_triples = list(dict.fromkeys(r for r in expected if type(r) is Triple))
+    assert list(loaded.nodes.values()) == nodes == expected_nodes
+    assert loaded.triples == list(triples) == expected_triples
+    loaded.validate()
+    reference = SimpleNamespace(nodes={n.id: n for n in expected_nodes}, triples=expected_triples)
+    assert code == 0
+    assert answer.read_text(encoding="utf-8") == "".join(
+        n.name + "\n" for n in pattern_scan(reference, node.label, node.name, relation))
+
+
+def test_a_bad_byte_after_scanned_blocks_is_reported_as_unreadable(tmp_path, monkeypatch, caplog):
+    """A byte that is not UTF-8, after blocks of triple lines that were
+    scanned, still fails every read with "cannot read"."""
+    graph = KnowledgeGraph()
+    disease = graph.upsert_node("Disease", "肝癌")
+    for i in range(400):
+        graph.add_triple(disease, "RecommendedFood", graph.upsert_node("Food", f"食物{i}"))
+    path = tmp_path / "graph.jsonl"
+    save_graph(graph, path)
+    path.write_bytes(path.read_bytes() + b'{"kind": "node", "id": 999, "label": "Food", '
+                     b'"name": "\xff"}\n')
+    found = []
+
+    class CountingScan:
+        def findall(self, text, scan=emrkg.graph._TRIPLE_LINES.findall):
+            found.append(len(scan(text)))
+            return scan(text)
+
+    monkeypatch.setattr(emrkg.errors, "_BLOCK_CHARS", 1024)
+    monkeypatch.setattr(emrkg.graph, "_TRIPLE_LINES", CountingScan())
+    for read in (load_graph, load_nodes_and_triples):
+        found.clear()
+        with pytest.raises(IoError, match=f"^cannot read {re.escape(str(path))}: "):
+            read(path)
+        assert sum(found) >= 100  # scanned triples before the fault was met
+    out = tmp_path / "out"
+    assert main(["query", "--seed", "1", "--output-dir", str(out), "--graph", str(path),
+                 "--label", "Disease", "--name", "肝癌", "--relation", "RecommendedFood"]) == 3
+    assert f"query: cannot read {path}: " in caplog.text
+    assert main(["export", "--seed", "1", "--output-dir", str(out), "--graph", str(path)]) == 3
+    assert not (out / "graph.cypher").exists()
+
+
 def test_load_and_export_need_the_graph_plus_one_record(tmp_path):
     """Neither path holds a whole file: load keeps no decoded-record
-    backlog, and export writes its triple statements as a stream."""
+    backlog beyond one block of lines, and export writes its triple
+    statements as a stream."""
     path = tmp_path / "graph.jsonl"
     graph = _large_graph()
     assert len(graph.triples) >= 20_000

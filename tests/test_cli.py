@@ -1015,23 +1015,20 @@ def test_align_stops_before_writing_a_name_the_report_cannot_hold(
         source, name, tmp_path, kb_file, caplog):
     """A tab or a line break in a source or a matched KB name would split
     its alignments.tsv line; ``fuse`` could not read it back."""
-    flags = ["--kb-file", str(kb_file)]
+    if source == "kb":  # a name that aligns to it above the threshold
+        kb_file = tmp_path / "kb.jsonl"
+        kb_file.write_text("".join(encode_record(r) + "\n" for r in [
+            {"schema": "kb/1"}, {"name": name}, {"name": "糖尿病"}]), encoding="utf-8")
     if source == "entities":
-        flags += ["--entities", str(_entities_file(tmp_path / "entities.jsonl", name))]
-        named = tmp_path / "entities.jsonl"
+        flags = ["--entities", str(_entities_file(tmp_path / "entities.jsonl", name))]
     else:
         names = tmp_path / "names.txt"
         names.write_text(f"{name if source == 'names' else '原发性肝细胞'}\n", encoding="utf-8")
-        flags += ["--names", str(names)]
-        named = names
-    if source == "kb":
-        kb = tmp_path / "kb.jsonl"
-        kb.write_text("".join(encode_record(r) + "\n" for r in [
-            {"schema": "kb/1"}, {"name": name}, {"name": "糖尿病"}]), encoding="utf-8")
-        flags[1] = str(kb)
-        named = kb
+        flags = ["--names", str(names)]
+    named = kb_file if source == "kb" else flags[1]
     out = tmp_path / "out"
-    assert main(["align", "--seed", "4", "--output-dir", str(out)] + flags) == 3
+    assert main(["align", "--seed", "4", "--output-dir", str(out), "--kb-file", str(kb_file)]
+                + flags) == 3
     assert f"{named}: the name {name!r} holds a tab or a line break" in caplog.text
     assert not (out / "alignments.tsv").exists()
 

@@ -176,7 +176,7 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         try:
             text = path.read_text(encoding="utf-8")
             raw = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or too long an int
             raise ConfigError(f"config file {path}: invalid JSON: {exc}") from exc
         bad = find_lone_surrogate(text, raw)
         if bad is not None:

@@ -139,7 +139,7 @@ def read_blocks(path: str | Path, schema: str, error: type[DataError] = DataErro
             first = handle.readline()
             try:
                 header = json.loads(first) if first else None
-            except (json.JSONDecodeError, RecursionError):
+            except (ValueError, RecursionError):  # see decode_record
                 header = None
             if not isinstance(header, dict) or header.get("schema") != schema:
                 found = repr(first.rstrip("\n")[:80]) if first else "an empty file"
@@ -159,19 +159,22 @@ def decode_record(path: str | Path, lineno: int, line: str,
                   error: type[DataError] = DataError) -> dict | None:
     """The JSON object on line ``lineno`` of ``path``, or None for a blank
     line. A line that is not one JSON object, or that holds a lone
-    surrogate, raises ``error`` naming the file and the line."""
+    surrogate, raises ``error`` naming the file and the line. ``ValueError``
+    covers ``JSONDecodeError`` and an integer longer than Python converts
+    (4,300 digits by default)."""
     line = line.rstrip("\n")
     if not line.strip():
         return None
     try:
         obj, end = _raw_decode(line)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):
         end = -1
     if end != len(line):  # surrounding whitespace, or not one JSON value
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            reason = getattr(exc, "msg", "nested too deeply")
+        except (ValueError, RecursionError) as exc:
+            reason = ("nested too deeply" if isinstance(exc, RecursionError)
+                      else getattr(exc, "msg", str(exc)))
             raise error(f"{path}: line {lineno}: truncated or invalid record: {reason}") from exc
     if not isinstance(obj, dict):
         raise error(f"{path}: line {lineno}: record is not a JSON object")

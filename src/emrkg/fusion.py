@@ -16,7 +16,9 @@ precomputed views of its rows and of its weights times its term weight.
 ``align`` gathers the postings of the query terms found in the vocabulary
 and sums them into the full similarity vector with one ``np.bincount``: its
 cost follows the postings the query touches, not the N x V size of a dense
-matrix.
+matrix. Row i is the i-th name in lexicographic order, so the first maximum
+that one ``argmax`` finds is the smallest of the tied names; the weight of a
+term outside the vocabulary is computed once, when the index is built.
 """
 
 from __future__ import annotations
@@ -71,7 +73,12 @@ def ngrams(name: str, orders: tuple[int, ...] = DEFAULT_NGRAM_ORDERS) -> list[st
 
 @dataclass(frozen=True)
 class TfIdfIndex:
-    names: tuple[str, ...]
+    """Inverted TF-IDF index over KB names. Row i is ``names[i]``, and the
+    names are sorted, so the first of several equal similarities is the
+    lexicographically smallest name. ``unseen_weight`` is the weight of a
+    query term that no name contains."""
+
+    names: tuple[str, ...]  # sorted
     vocabulary: dict[str, int]  # term -> column
     idf: np.ndarray  # (V,)
     doc_ids: np.ndarray  # (nnz,) row of each posting, grouped by column
@@ -81,7 +88,8 @@ class TfIdfIndex:
     postings: dict[str, tuple[float, np.ndarray, np.ndarray]]
     orders: tuple[int, ...]
     uniform: bool  # degenerate corpus: every defined IDF was 0
-    zero_rows: tuple[int, ...]
+    unseen_weight: float  # log(|D|) + 1, or 1 when uniform
+    zero_rows: tuple[int, ...]  # rows into names
 
 
 @dataclass(frozen=True)
@@ -99,14 +107,15 @@ class Alignment:
 def build_index(
     kb_names: list[str], orders: tuple[int, ...] = DEFAULT_NGRAM_ORDERS
 ) -> TfIdfIndex:
-    """Inverted TF-IDF index over the KB names, rows L2-normalized, with a
-    sorted (hence deterministic) n-gram vocabulary. A corpus whose every
-    IDF is zero (e.g. a single name) falls back to uniform weights so
-    cosine similarity stays defined."""
+    """Inverted TF-IDF index over the KB names in sorted order, rows
+    L2-normalized, with a sorted (hence deterministic) n-gram vocabulary. A
+    corpus whose every IDF is zero (e.g. a single name) falls back to
+    uniform weights so cosine similarity stays defined."""
     if not kb_names:
         raise EmptyCatalog("cannot build an index over zero names")
+    names = tuple(sorted(kb_names))
     counts = []
-    for name in kb_names:
+    for name in names:
         terms = ngrams(name, orders)
         if not terms:
             raise EmptyDocument(f"name {name!r} yields no terms for orders {orders}")
@@ -140,7 +149,7 @@ def build_index(
         for term, col in vocabulary.items()
     }
     return TfIdfIndex(
-        names=tuple(kb_names),
+        names=names,
         vocabulary=vocabulary,
         idf=idf,
         doc_ids=doc_ids,
@@ -148,6 +157,7 @@ def build_index(
         postings=postings,
         orders=tuple(orders),
         uniform=uniform,
+        unseen_weight=1.0 if uniform else math.log(n_docs) + 1.0,
         zero_rows=zero_rows,
     )
 
@@ -162,28 +172,24 @@ def align(query: str, index: TfIdfIndex, threshold: float = DEFAULT_THRESHOLD) -
         raise DataError(f"alignment threshold must be in [0, 1], got {threshold}")
     # raw counts stand in for the query's tf: its 1/len(terms) cancels in
     # the cosine, and a term's weight is already in its scaled postings
-    unseen = 1.0 if index.uniform else math.log(len(index.names)) + 1.0
     rows, scaled = [], []
     norm_sq = 0.0
     for term, count in Counter(ngrams(query, index.orders)).items():
         posting = index.postings.get(term)
-        weight = count * (unseen if posting is None else posting[0])
+        weight = count * (index.unseen_weight if posting is None else posting[0])
         norm_sq += weight * weight
         if posting is not None:
             rows += [posting[1]] * count
             scaled += [posting[2]] * count
     norm = math.sqrt(norm_sq)
+    best, similarity = 0, 0.0  # no weight, or no n-gram in common with any name: all tie at 0
     if rows and norm > 0.0:
-        sims = np.bincount(
-            np.concatenate(rows), np.concatenate(scaled), minlength=len(index.names)
-        ) / norm
-    else:  # no weight, or no n-gram in common with any name: every name ties at 0
-        sims = np.zeros(len(index.names))
-    best = min(1.0, max(0.0, float(sims.max())))
-    if best < threshold:
-        return Alignment(query, None, best, threshold)
-    name = min(index.names[i] for i in np.flatnonzero(sims == sims.max()))
-    return Alignment(query, name, best, threshold)
+        sims = np.bincount(np.concatenate(rows), np.concatenate(scaled), minlength=len(index.names))
+        sims /= norm  # before the argmax: sums that differ may tie once divided
+        best = int(sims.argmax())  # the first maximum: rows are in name order
+        similarity = min(1.0, max(0.0, float(sims[best])))
+    target = index.names[best] if similarity >= threshold else None
+    return Alignment(query, target, similarity, threshold)
 
 
 @dataclass(frozen=True)

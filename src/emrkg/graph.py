@@ -375,10 +375,11 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
 
 # A whole line in ``_triple_line``'s shape, so a match decodes to what
 # ``json.loads`` gives for it; ``_graph_records`` scans a block of such lines
-# at once.
+# at once. An id of more than 18 digits does not match, so that a line too
+# long for ``int`` meets ``decode_record``'s checks.
 _TRIPLE_LINES = re.compile(
-    r'^\{"head": (0|-?[1-9][0-9]*), "kind": "triple", '
-    r'"relation": "([A-Za-z]+)", "tail": (0|-?[1-9][0-9]*)\}\n',
+    r'^\{"head": (0|-?[1-9][0-9]{0,17}), "kind": "triple", '
+    r'"relation": "([A-Za-z]+)", "tail": (0|-?[1-9][0-9]{0,17})\}\n',
     re.M,
 )
 

@@ -51,6 +51,9 @@ _CONVERT = ["convert"]
 _TRAIN = ["train", "--train", "{bio}", "--validation", "{bio}"]
 
 _NODE = '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}'
+# a JSON integer longer than Python's int-string limit (4,300 digits), which
+# json.dumps cannot write: files are given it as text
+_TOO_LONG_INT = "1" * 5000
 # one bad record each, after a valid header; ids and endpoints are JSON integers
 _BAD_GRAPH_RECORDS = {
     "graph_node_id_overflows": _NODE.replace('"id": 1', '"id": 1e400'),
@@ -59,6 +62,9 @@ _BAD_GRAPH_RECORDS = {
     "graph_node_id_string": _NODE.replace('"id": 1', '"id": "12"'),
     "graph_triple_head_overflows":
         _NODE + '\n{"kind": "triple", "head": 1e400, "relation": "Complication", "tail": 1}',
+    # save_graph's own line shape, which a block of triples is scanned for
+    "graph_triple_head_too_long":
+        f'{{"head": {_TOO_LONG_INT}, "kind": "triple", "relation": "Complication", "tail": 1}}',
 }
 # doc_id is a string and entities a list of [label, surface] string pairs
 _BAD_ENTITY_RECORDS = {
@@ -266,6 +272,12 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                       "{aligned_to_aliases_string}"], 3, None, id="fuse-aliases-not-a-list"),
         pytest.param(["convert", "--config", "{deep_config}"], 2, "deep_config",
                      id="config-nested-too-deeply"),
+        pytest.param(["convert", "--config", "{config_int_too_long}"], 2, "config_int_too_long",
+                     id="config-int-too-long"),
+        pytest.param(["kb-load", "--kb-file", "{kb_int_too_long}"], 3, "kb_int_too_long",
+                     id="kb-record-int-too-long"),
+        pytest.param(["align", "--entities", "{header_int_too_long}"], 3, "header_int_too_long",
+                     id="entities-header-int-too-long"),
         pytest.param(["tag", "--model-file", "{meta_deep}"], 3, "meta_deep",
                      id="model-metadata-nested-too-deeply"),
         pytest.param(["tag", "--model-file", "{meta_lone_surrogate}"], 3, "meta_lone_surrogate",
@@ -383,6 +395,14 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     )
     paths["deep_config"] = tmp_path / "deep_config.json"
     paths["deep_config"].write_text("[" * 100000, encoding="utf-8")
+    for name, text in [
+        ("config_int_too_long", f'{{"seed": {_TOO_LONG_INT}}}\n'),
+        ("kb_int_too_long",
+         f'{{"schema": "kb/1"}}\n{{"name": "肝癌", "cure_time": {_TOO_LONG_INT}}}\n'),
+        ("header_int_too_long", f'{{"schema": {_TOO_LONG_INT}}}\n'),
+    ]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text, encoding="utf-8")
     paths["afile"] = tmp_path / "afile"
     paths["afile"].write_text("a regular file\n", encoding="utf-8")
     paths["dictionary"] = tmp_path / "dictionary.tsv"
@@ -507,8 +527,14 @@ _READERS = {
 _NOT_UTF8 = (b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", "肝".encode("gbk"))
 _TYPE_NAMES = {type(None): "null", bool: "bool", int: "int", float: "float", str: "str",
                list: "list", dict: "object"}
-_RECORD_VALUES = {**_JSON, "int": st.integers(-2, 2) | st.just(10**400),
+_RECORD_VALUES = {**_JSON, "int": st.integers(-2, 2) | st.just(10**400) | st.just(_TOO_LONG_INT),
                   "float": st.floats()}  # inf and nan too, which json writes and reads
+
+
+def _dumps(value, **kwargs) -> str:
+    """``json.dumps``, with each ``_TOO_LONG_INT`` string written as the
+    integer it stands for."""
+    return json.dumps(value, **kwargs).replace(f'"{_TOO_LONG_INT}"', _TOO_LONG_INT)
 
 
 @pytest.fixture(scope="module")
@@ -556,7 +582,7 @@ def _broken(draw, valid: bytes, tsv: bool) -> bytes:
     i = draw(st.integers(0, len(lines) - 2))  # the last line is the empty one after "\n"
     if tsv:
         fields = lines[i].split("\t")
-        fields[draw(st.integers(0, len(fields) - 1))] = json.dumps(
+        fields[draw(st.integers(0, len(fields) - 1))] = _dumps(
             draw(_RECORD_VALUES[draw(st.sampled_from(sorted(_RECORD_VALUES)))]))
         lines[i] = "\t".join(fields)
     else:
@@ -567,7 +593,7 @@ def _broken(draw, valid: bytes, tsv: bool) -> bytes:
             owner = owner[parent]
         other = sorted(set(_RECORD_VALUES) - {_TYPE_NAMES[type(owner[key])]})
         owner[key] = draw(_RECORD_VALUES[draw(st.sampled_from(other))])
-        lines[i] = json.dumps(record, ensure_ascii=False)
+        lines[i] = _dumps(record, ensure_ascii=False)
     return "\n".join(lines).encode("utf-8")
 
 

@@ -170,9 +170,14 @@ def test_threshold_boundary_accepts_at_equality():
 
 
 def test_exact_tie_resolves_to_lexicographically_smallest():
-    index = build_index(["甲乙", "甲丙"])
+    # 甲乙 comes before 甲丙 here; 甲 is a zero row (its one term is in every name)
+    names = random.Random(2).sample(["甲乙", "甲丙", "甲", "甲丁"], 4)
+    assert names.index("甲乙") < names.index("甲丙") and names[0] != "甲"
+    index = build_index(names)
+    assert index.names == tuple(sorted(names))
+    assert [index.names[row] for row in index.zero_rows] == ["甲"]
     result = align("甲乙甲丙", index, threshold=0.1)
-    oracle_target, oracle_sim = cosine_align("甲乙甲丙", ["甲乙", "甲丙"], threshold=0.1)
+    oracle_target, oracle_sim = cosine_align("甲乙甲丙", names, threshold=0.1)
     assert result.target == "甲丙"  # 丙 (U+4E19) sorts before 乙 (U+4E59)
     assert result.target == oracle_target
     assert result.similarity == pytest.approx(oracle_sim, abs=1e-12)
@@ -204,11 +209,14 @@ def _seeded_kb(rng: random.Random, n_names: int = 300) -> tuple[list[str], list[
 
 def test_align_matches_oracle_at_scale_and_on_edge_cases():
     names, variants = _seeded_kb(random.Random(17))
+    names = random.Random(18).sample(names, len(names))  # build_index sorts them
+    assert names.index("鑫焱病") < names.index("鑫淼病")  # the tied pair, out of order
     index = build_index(names)
+    assert index.names == tuple(sorted(names))
     nnz = sum(len(set(ngrams(name))) for name in names)
     assert index.doc_vectors.nbytes == 8 * nnz != 8 * len(names) * len(index.vocabulary)
     assert index.idf[index.vocabulary["病"]] == 0.0  # a term of every name
-    assert index.zero_rows == (names.index("病"),)
+    assert [index.names[row] for row in index.zero_rows] == ["病"]
 
     unseen = "ＡＢＣ"  # only n-grams outside the vocabulary
     tie = "鑫淼鑫焱"  # shares exactly as much with 鑫淼病 as with 鑫焱病

@@ -18,7 +18,7 @@ exists for the drawn entity's type, the action degrades to a no-op.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

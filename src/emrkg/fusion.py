@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from emrkg.errors import ConfigError, DataError, is_real
-from emrkg.graph import KnowledgeGraph, normalize_name
+from emrkg.graph import KnowledgeGraph
 
 log = logging.getLogger(__name__)
 

@@ -385,30 +385,46 @@ _TRIPLE_LINES = re.compile(
 
 
 def _graph_records(
-    path: str | Path, by_key: dict[tuple[str, str], int]
+    path: str | Path, by_key: dict[tuple[str, str], int], head_key: tuple[str, str] | None = None
 ) -> Iterator[Node | Triple]:
-    """The checked records of a ``graph/1`` file: each node where it is
-    read, then each triple in file order. A triple is type-checked where it
-    is read and held until every node is in, then checked against its
-    endpoints. ``by_key`` receives each node's (label, normalized name)
-    -> id. The first bad record raises IoError naming its line.
+    """The checked records of a ``graph/1`` file, in file order: each node
+    where it is read, each triple once it is checked. ``by_key`` receives
+    each node's (label, normalized name) -> id. With ``head_key``, only the
+    triples whose head is that node come out, though every record is
+    checked. The first bad record raises IoError naming its line.
+
+    A triple passes where it is read if nothing is held and its endpoints
+    are in and admit its relation; node ids are unique, so it passes for
+    good. From the first triple that does not, every triple is held and
+    checked after the last node, so a later node fault still comes first.
 
     A block led by a triple line is scanned whole with ``_TRIPLE_LINES``;
-    if every one of its lines matches, its triples are taken from the
-    match groups. Any other block, e.g. one holding a node, a blank line or
-    a triple in another JSON form, is decoded line by line."""
+    if every line matches, its triples come from the match groups and are
+    checked with one set test keyed on id text (the regex admits only
+    canonical decimal ids). Any other block is decoded line by line."""
     nodes: dict[int, Node] = {}
-    pending: list[Triple] = []
-    linenos: list[int] = []  # each pending triple's line
+    label_of: dict[str, str] = {}  # str(node id) -> label
+    held: list[tuple[int, str, int]] = []
+    linenos: list[int] = []  # each held triple's line
+    head_id = None  # the id of head_key's node, once it is read
     relation_of = _RELATION_NAMES.get
     for first, lines in read_blocks(path, SCHEMA_TAG, IoError, SchemaVersionMismatch):
         if lines[0].startswith('{"head": '):
             found = _TRIPLE_LINES.findall("".join(lines))
             if len(found) == len(lines):
                 heads, relations, tails = zip(*found)
-                pending.extend(map(_new_triple, zip(
-                    map(int, heads), map(relation_of, relations, relations), map(int, tails))))
-                linenos.extend(range(first, first + len(lines)))
+                triples = zip(map(int, heads), map(relation_of, relations, relations),
+                              map(int, tails))
+                if held or not set(zip(map(label_of.get, heads), relations,
+                                       map(label_of.get, tails))) <= _ENDPOINTS:
+                    held.extend(triples)
+                    linenos.extend(range(first, first + len(lines)))
+                elif head_key is None:
+                    yield from map(_new_triple, triples)
+                elif head_id is not None:
+                    text = str(head_id)
+                    yield from (_new_triple((head_id, relation_of(r), int(t)))
+                                for h, r, t in found if h == text)
                 continue
         for lineno, line in enumerate(lines, start=first):
             obj = decode_record(path, lineno, line, IoError)
@@ -419,8 +435,13 @@ def _graph_records(
                 head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
                 if type(head) is not int or type(tail) is not int or not isinstance(relation, str):
                     raise IoError(f"{path}: line {lineno}: malformed triple record")
-                pending.append(_new_triple((head, relation_of(relation, relation), tail)))
-                linenos.append(lineno)
+                relation = relation_of(relation, relation)
+                if held or (label_of.get(str(head)), relation,
+                            label_of.get(str(tail))) not in _ENDPOINTS:
+                    held.append((head, relation, tail))
+                    linenos.append(lineno)
+                elif head_key is None or head == head_id:
+                    yield _new_triple((head, relation, tail))
             elif kind == "node":
                 node_id, label, name = obj.get("id"), obj.get("label"), obj.get("name")
                 attributes = obj.get("attributes", {})
@@ -433,22 +454,20 @@ def _graph_records(
                 if key in by_key or node_id in nodes:
                     raise IoError(f"{path}: line {lineno}: duplicate node {key!r}")
                 by_key[key] = node_id
+                label_of[str(node_id)] = label
+                if key == head_key:
+                    head_id = node_id
                 node = nodes[node_id] = Node(node_id, label, name, attributes)
                 yield node
             else:
                 raise IoError(f"{path}: line {lineno}: unknown record kind {kind!r}")
-    # an admitted triple costs one set lookup; _check_endpoints only names
-    # what is wrong with the first one that is not
-    node_of = nodes.get
-    for lineno, triple in zip(linenos, pending):
-        head, tail = node_of(triple.head), node_of(triple.tail)
-        if (head is None or tail is None
-                or (head.label, triple.relation, tail.label) not in _ENDPOINTS):
-            try:
-                _check_endpoints(nodes, *triple)
-            except DataError as exc:
-                raise IoError(f"{path}: line {lineno}: {exc}") from exc
-        yield triple
+    for lineno, triple in zip(linenos, held):
+        try:
+            _check_endpoints(nodes, *triple)
+        except DataError as exc:
+            raise IoError(f"{path}: line {lineno}: {exc}") from exc
+        if head_key is None or triple[0] == head_id:
+            yield _new_triple(triple)
 
 
 def load_graph(path: str | Path, head: tuple[str, str] | None = None) -> KnowledgeGraph:
@@ -460,10 +479,10 @@ def load_graph(path: str | Path, head: tuple[str, str] | None = None) -> Knowled
     nodes, by_key = graph.nodes, graph._by_key
     triples, by_head, by_tail = graph._triples, graph._by_head, graph._by_tail
     head_key = None if head is None else (head[0], normalize_name(head[1]))
-    for record in _graph_records(path, by_key):
+    for record in _graph_records(path, by_key, head_key):
         if type(record) is Node:
             nodes[record.id] = record
-        elif head_key is None or record.head == by_key.get(head_key):
+        else:
             triples[record] = None
             by_head.setdefault(record.head, {})[record] = None
             by_tail.setdefault(record.tail, {})[record] = None

@@ -332,7 +332,7 @@ def _triple_problem(nodes: dict[int, Node], triple: Triple) -> str | None:
 
 
 def graph_records_by_line(path) -> list[Node | Triple]:
-    """The records of a ``graph/1`` file as a load yields them (its nodes in
+    """The records of a ``graph/1`` file as a load keeps them (its nodes in
     file order, then its triples in file order), each line read on its own
     and decoded with ``json.loads``. Every fault raises what the package
     raises for it, with its message: a header fault SchemaVersionMismatch,

@@ -583,6 +583,9 @@ _MALFORMED = [
     ([_triple(1, "Cures", 1), _triple(7, "HasSymptom", 1), _NODE],
      "line 2: unknown relation type 'Cures'"),
     ([_triple(7, "HasSymptom", 1), _NODE], "line 2: triple endpoint id 7 not in graph"),
+    # a triple that fails where it is read is held, not raised, so a later node fault wins
+    ([_NODE, _triple(1, "Cures", 1), _NODE.replace('"肝癌"', "5")],
+     "line 4: malformed node record"),
 ]
 
 
@@ -760,8 +763,10 @@ def test_graph_readers_agree_with_the_line_by_line_reference(seed, block, data, 
                                          st.sampled_from(sorted(_TRIPLE_REWRITES))), max_size=4))
     for i, how in edits:
         texts[i] = _TRIPLE_REWRITES[how](json.loads(lines[i]), lines[i])
-    if data.draw(st.booleans()):  # a node line after the triples
-        texts.append(texts.pop(data.draw(st.integers(0, n_nodes - 1))))
+    if data.draw(st.booleans()):  # a node line after the triples, or among them
+        moved = texts.pop(data.draw(st.integers(0, n_nodes - 1)))
+        at = data.draw(st.one_of(st.just(len(texts)), st.integers(n_nodes - 1, len(texts))))
+        texts.insert(at, moved)
     text = header + "\n" + "".join(texts)
     if data.draw(st.booleans()):
         text = text[:-1]
@@ -798,6 +803,117 @@ def test_graph_readers_agree_with_the_line_by_line_reference(seed, block, data, 
     assert code == 0
     assert answer.read_text(encoding="utf-8") == "".join(
         n.name + "\n" for n in pattern_scan(reference, node.label, node.name, relation))
+
+
+def _node_line(node_id: int, label: str, name: str) -> str:
+    return encode_record({"kind": "node", "id": node_id, "label": label, "name": name,
+                          "attributes": {}}) + "\n"
+
+
+def _assert_reads_as_the_reference(path) -> None:
+    """Every reader, and a head-filtered load for each node, gives the
+    line-by-line reference's nodes and triples, in its order."""
+    expected = graph_records_by_line(path)
+    expected_nodes = [r for r in expected if type(r) is Node]
+    expected_triples = [r for r in expected if type(r) is Triple]
+    loaded = load_graph(path)
+    nodes, triples = load_nodes_and_triples(path)
+    assert list(loaded.nodes.values()) == nodes == expected_nodes
+    assert loaded.triples == list(triples) == expected_triples
+    for node in expected_nodes:
+        kept = load_graph(path, head=(node.label, node.name))
+        assert list(kept.nodes.values()) == expected_nodes
+        assert kept.triples == [t for t in expected_triples if t.head == node.id]
+
+
+@pytest.mark.parametrize("block", [1, 150, 1 << 16])
+def test_a_triple_read_before_its_tails_node_is_held_in_file_order(block, tmp_path, monkeypatch):
+    """A triple whose tail's node line comes later is held until the last
+    node, and so is every triple after it, scanned or decoded; the load
+    keeps the file's triple order."""
+    path = tmp_path / "graph.jsonl"
+    path.write_text('{"schema": "graph/1"}\n' + "".join([
+        _node_line(1, "Disease", "肝癌"),
+        _node_line(3, "Food", "苹果"),
+        _node_line(4, "Food", "桃"),
+        _triple_line(1, "RecommendedFood", 3),
+        _triple_line(1, "RecommendedFood", 2),  # node 2 comes later
+        _triple_line(1, "AvoidFood", 3),
+        _triple(1, "AvoidFood", 4) + "\n",  # decoded, not scanned
+        _node_line(2, "Food", "梨"),
+        _triple_line(1, "AvoidFood", 2),
+    ]), encoding="utf-8")
+    monkeypatch.setattr(emrkg.errors, "_BLOCK_CHARS", block)
+    _assert_reads_as_the_reference(path)
+    assert load_graph(path).triples == [
+        (1, "RecommendedFood", 3), (1, "RecommendedFood", 2), (1, "AvoidFood", 3),
+        (1, "AvoidFood", 4), (1, "AvoidFood", 2)]
+
+
+@pytest.mark.parametrize("block", [1, 1 << 16])
+def test_a_triple_that_fails_where_it_is_scanned_is_held_not_raised(block, tmp_path, monkeypatch):
+    path = tmp_path / "graph.jsonl"
+    path.write_text('{"schema": "graph/1"}\n' + _NODE + "\n" + _triple_line(1, "Cures", 1)
+                    + _NODE.replace('"肝癌"', "5") + "\n", encoding="utf-8")
+    monkeypatch.setattr(emrkg.errors, "_BLOCK_CHARS", block)
+    for read in (load_graph, load_nodes_and_triples):
+        with pytest.raises(IoError, match=f"^{re.escape(str(path))}: line 4: malformed node record$"):
+            read(path)
+
+
+@pytest.mark.parametrize("block", [1, 150, 1 << 16])
+def test_node_ids_zero_and_negative_load_as_the_reference_loads_them(block, tmp_path, monkeypatch):
+    """Scanned triples are checked by the text of their ids: ``-1`` and
+    ``1``, ``0`` and ``10`` must stay different nodes, whichever is read
+    last."""
+    nodes = [_node_line(1, "Food", "苹果"), _node_line(10, "Food", "梨"),
+             _node_line(2, "Food", "桃"), _node_line(0, "Disease", "肝癌"),
+             _node_line(-1, "Disease", "肝炎"), _node_line(-10, "Symptom", "腹痛"),
+             _node_line(-123, "Patient", "p1")]
+    triples = [_triple_line(0, "RecommendedFood", 1), _triple_line(-1, "RecommendedFood", 10),
+               _triple_line(-1, "HasSymptom", -10), _triple_line(0, "Complication", -1),
+               _triple_line(-123, "HasDisease", 0), _triple_line(-123, "HasDisease", -1),
+               _triple_line(-123, "HasSymptom", -10), _triple_line(0, "AvoidFood", 10)]
+    path = tmp_path / "graph.jsonl"
+    monkeypatch.setattr(emrkg.errors, "_BLOCK_CHARS", block)
+    path.write_text('{"schema": "graph/1"}\n' + "".join(nodes + triples), encoding="utf-8")
+    _assert_reads_as_the_reference(path)
+    for bad in (_triple_line(1, "RecommendedFood", -1), _triple_line(1, "RecommendedFood", 2),
+                _triple_line(-10, "HasSymptom", 0), _triple_line(0, "RecommendedFood", -100)):
+        path.write_text('{"schema": "graph/1"}\n' + "".join(nodes + [bad] + triples[:3]),
+                        encoding="utf-8")
+        with pytest.raises(DataError) as expected:
+            graph_records_by_line(path)
+        for read in (load_graph, load_nodes_and_triples):
+            with pytest.raises(IoError, match=f"^{re.escape(str(expected.value))}$"):
+                read(path)
+
+
+def test_query_builds_a_triple_only_for_its_heads_triples(tmp_path, monkeypatch):
+    """``query`` checks every triple of the file but makes a ``Triple``
+    only for those whose head it was asked about."""
+    graph = _large_graph()
+    path = tmp_path / "graph.jsonl"
+    save_graph(graph, path)
+    disease = graph.find_node("Disease", "疾病7")
+    built = []
+
+    def counting(values, new=emrkg.graph._new_triple):
+        built.append(values)
+        return new(values)
+
+    monkeypatch.setattr(emrkg.graph, "_new_triple", counting)
+    assert load_graph(path).triples == graph.triples
+    assert len(built) == len(graph.triples)  # the count sees every triple a load makes
+    built.clear()
+    answer = tmp_path / "answer.txt"
+    assert main(["query", "--seed", "1", "--output-dir", str(tmp_path / "out"), "--graph",
+                 str(path), "--label", "Disease", "--name", "疾病7", "--relation",
+                 "RecommendedFood", "--out", str(answer)]) == 0
+    assert built == [t for t in graph.triples if t.head == disease.id]
+    assert len(built) == 8
+    assert answer.read_text(encoding="utf-8") == "".join(
+        n.name + "\n" for n in graph.pattern_query("Disease", "疾病7", "RecommendedFood"))
 
 
 def test_a_bad_byte_after_scanned_blocks_is_reported_as_unreadable(tmp_path, monkeypatch, caplog):

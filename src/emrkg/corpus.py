@@ -33,38 +33,6 @@ SENTENCE_DELIMITERS = "。！？；"
 DROPPED_DELIMITERS = "\n"
 
 
-class MalformedLine(DataError):
-    """An .ann line does not match `<id>\\t<label> <start> <end>\\t<surface>`."""
-
-
-class OffsetOutOfBounds(DataError):
-    """Span offsets fall outside the document text."""
-
-
-class SurfaceMismatch(DataError):
-    """Stored surface differs from the text slice at the stated offsets."""
-
-
-class UnknownLabel(DataError):
-    """Span label is not part of the entity schema."""
-
-
-class UnsplittableEntity(DataError):
-    """A single entity is longer than the segmentation limit."""
-
-
-class OverlapAfterValidation(DataError):
-    """Overlapping spans survived validation (defensive; should be unreachable)."""
-
-
-class MalformedBio(DataError):
-    """An I- tag appears without a compatible B-/I- predecessor."""
-
-
-class TooFewSentences(DataError):
-    """Dataset splitting needs at least 10 sentences."""
-
-
 @dataclass(frozen=True)
 class EntitySpan:
     """One standoff annotation anchored to the document text."""
@@ -113,16 +81,14 @@ class BioSentence:
 
     def __post_init__(self) -> None:
         if len(self.chars) != len(self.tags):
-            raise MalformedBio(
-                f"{len(self.chars)} chars vs {len(self.tags)} tags"
-            )
+            raise DataError(f"{len(self.chars)} chars vs {len(self.tags)} tags")
         prev = "O"
         for i, tag in enumerate(self.tags):
             if tag.startswith("I-"):
                 if prev != "B-" + tag[2:] and prev != tag:
-                    raise MalformedBio(f"tag {tag!r} at position {i} follows {prev!r}")
+                    raise DataError(f"tag {tag!r} at position {i} follows {prev!r}")
             elif tag != "O" and not tag.startswith("B-"):
-                raise MalformedBio(f"unrecognized tag {tag!r} at position {i}")
+                raise DataError(f"unrecognized tag {tag!r} at position {i}")
             prev = tag
 
     def __len__(self) -> int:
@@ -164,27 +130,27 @@ def parse_ann(
             continue
         parts = raw.split("\t", 2)
         if len(parts) != 3:
-            raise MalformedLine(f"{doc_id} line {lineno}: expected 3 tab-separated fields")
+            raise DataError(f"{doc_id} line {lineno}: expected 3 tab-separated fields")
         span_id, mid, surface = parts
         mid_parts = mid.split()
         if len(mid_parts) != 3:
-            raise MalformedLine(
+            raise DataError(
                 f"{doc_id} line {lineno}: expected `<label> <start> <end>`, got {mid!r}"
             )
         label_raw, start_s, end_s = mid_parts
         try:
             start, end = int(start_s), int(end_s)
         except ValueError:
-            raise MalformedLine(f"{doc_id} line {lineno}: non-integer offsets {mid!r}") from None
+            raise DataError(f"{doc_id} line {lineno}: non-integer offsets {mid!r}") from None
         label = schema.canonical(label_raw)
         if label is None:
-            raise UnknownLabel(f"{doc_id} line {lineno}: label {label_raw!r} not in schema")
+            raise DataError(f"{doc_id} line {lineno}: label {label_raw!r} not in schema")
         if not (0 <= start < end <= len(txt_content)):
-            raise OffsetOutOfBounds(
+            raise DataError(
                 f"{doc_id} line {lineno}: span [{start},{end}) outside text of length {len(txt_content)}"
             )
         if txt_content[start:end] != surface:
-            raise SurfaceMismatch(
+            raise DataError(
                 f"{doc_id} line {lineno}: text slice {txt_content[start:end]!r} != surface {surface!r}"
             )
         spans.append(EntitySpan(span_id, label, start, end, surface))
@@ -271,7 +237,7 @@ def segment(doc: AnnotatedDocument, max_len: int = 50) -> list[Segment]:
             if owner[cut] >= 0:
                 blocker = spans[owner[cut]]
                 if blocker.start <= pos:
-                    raise UnsplittableEntity(
+                    raise DataError(
                         f"{doc.doc_id}: entity {blocker.id} ({blocker.end - blocker.start} chars) "
                         f"exceeds max_len {max_len}"
                     )
@@ -295,7 +261,7 @@ def to_bio(segments: list[Segment]) -> list[BioSentence]:
     for seg in segments:
         tags = tags_for_spans(len(seg.text), [(s.label, s.start, s.end) for s in seg.spans])
         if len(tags) - tags.count("O") != sum(len(s) for s in seg.spans):  # a shared position
-            raise OverlapAfterValidation(f"spans {[s.id for s in seg.spans]} overlap")
+            raise DataError(f"spans {[s.id for s in seg.spans]} overlap")
         sentences.append(BioSentence(seg.text, tags))
     return sentences
 
@@ -312,7 +278,7 @@ def from_bio(sentence: BioSentence) -> list[tuple[str, int, int]]:
             open_type, open_start = tag[2:], i
         elif tag.startswith("I-"):
             if open_type != tag[2:]:
-                raise MalformedBio(f"I-{tag[2:]} at position {i} without matching B-")
+                raise DataError(f"I-{tag[2:]} at position {i} without matching B-")
         else:
             if open_type is not None:
                 spans.append((open_type, open_start, i))
@@ -336,7 +302,7 @@ def split_dataset(sentences: list[BioSentence], seed: int) -> DatasetSplit:
     """Deterministic shuffled 8:1:1 split (half-up rounding, remainder to train)."""
     n = len(sentences)
     if n < 10:
-        raise TooFewSentences(f"need at least 10 sentences, got {n}")
+        raise DataError(f"need at least 10 sentences, got {n}")
     n_val = int(n * 0.1 + 0.5)
     n_test = n_val
     n_train = n - n_val - n_test
@@ -371,7 +337,7 @@ def read_bio_file(path: str | Path) -> list[BioSentence]:
             continue
         parts = line.split("\t")
         if len(parts) != 2 or len(parts[0]) != 1:
-            raise MalformedBio(f"{path} line {lineno}: expected `<char>\\t<tag>`")
+            raise DataError(f"{path} line {lineno}: expected `<char>\\t<tag>`")
         chars.append(parts[0])
         tags.append(parts[1])
     if chars:

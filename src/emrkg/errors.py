@@ -1,8 +1,9 @@
-"""Shared exception hierarchy, and the text-file readers and the record
-writer whose failures it names.
+"""The three exceptions of the exit-code contract, and the text-file
+readers and the record writer whose failures they name.
 
-Module-specific exceptions subclass one of the three bases so the CLI can
-map any failure onto its exit-code contract (config=2, data=3, internal=4).
+Every fault raises one of ``ConfigError`` (exit 2), ``DataError`` (exit 3)
+or ``InternalError`` (exit 4); no module subclasses them. The message says
+what went wrong and where: the file, the line and the reason.
 """
 
 import json
@@ -78,18 +79,18 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def read_lines(path: str | Path, error: type[DataError] = DataError) -> Iterator[str]:
+def read_lines(path: str | Path) -> Iterator[str]:
     r"""The lines of a UTF-8 text file, read one at a time and split at line
     ends only ("\n", and "\r\n" or "\r", which the file reads as "\n").
     ``str.splitlines`` would also split inside names holding U+2028, U+0085
     and the like, which machine-written files keep raw. A file that cannot
-    be read or is not UTF-8 raises ``error``, naming it."""
+    be read or is not UTF-8 raises ``DataError``, naming it."""
     try:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
                 yield line.rstrip("\n")
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 # -- versioned JSON-lines files (kb/1, graph/1, entities/1) -----------------
@@ -124,16 +125,14 @@ def write_records(path: str | Path, schema: str, records: Iterable[dict]) -> Non
 _BLOCK_CHARS = 1 << 16
 
 
-def read_blocks(path: str | Path, schema: str, error: type[DataError] = DataError,
-                header_error: type[DataError] | None = None) -> Iterator[tuple[int, list[str]]]:
+def read_blocks(path: str | Path, schema: str) -> Iterator[tuple[int, list[str]]]:
     r"""Yield ``(line number of the first line, lines)`` for each block of
     about ``_BLOCK_CHARS`` characters after the header ``{"schema": schema}``.
     Each line keeps its "\n" (a last line may have none), and lines end
     where ``read_lines`` ends them. The header is required, so a zero-byte
-    file is an error. A missing or wrong header raises ``header_error``
-    (default ``error``); a file that cannot be read or is not UTF-8 raises
-    ``error`` when the block holding the fault is read. Each message names
-    the file."""
+    file is an error. A missing or wrong header raises ``DataError`` at
+    once; a file that cannot be read or is not UTF-8 raises it when the
+    block holding the fault is read. Each message names the file."""
     try:
         with open(path, encoding="utf-8") as handle:
             first = handle.readline()
@@ -143,7 +142,7 @@ def read_blocks(path: str | Path, schema: str, error: type[DataError] = DataErro
                 header = None
             if not isinstance(header, dict) or header.get("schema") != schema:
                 found = repr(first.rstrip("\n")[:80]) if first else "an empty file"
-                raise (header_error or error)(
+                raise DataError(
                     f"{path}: line 1: expected the header {encode_record({'schema': schema})}, "
                     f"got {found}"
                 )
@@ -152,16 +151,15 @@ def read_blocks(path: str | Path, schema: str, error: type[DataError] = DataErro
                 yield lineno, lines
                 lineno += len(lines)
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def decode_record(path: str | Path, lineno: int, line: str,
-                  error: type[DataError] = DataError) -> dict | None:
+def decode_record(path: str | Path, lineno: int, line: str) -> dict | None:
     """The JSON object on line ``lineno`` of ``path``, or None for a blank
     line. A line that is not one JSON object, or that holds a lone
-    surrogate, raises ``error`` naming the file and the line. ``ValueError``
-    covers ``JSONDecodeError`` and an integer longer than Python converts
-    (4,300 digits by default)."""
+    surrogate, raises ``DataError`` naming the file and the line.
+    ``ValueError`` covers ``JSONDecodeError`` and an integer longer than
+    Python converts (4,300 digits by default)."""
     line = line.rstrip("\n")
     if not line.strip():
         return None
@@ -175,22 +173,21 @@ def decode_record(path: str | Path, lineno: int, line: str,
         except (ValueError, RecursionError) as exc:
             reason = ("nested too deeply" if isinstance(exc, RecursionError)
                       else getattr(exc, "msg", str(exc)))
-            raise error(f"{path}: line {lineno}: truncated or invalid record: {reason}") from exc
+            raise DataError(f"{path}: line {lineno}: truncated or invalid record: {reason}") from exc
     if not isinstance(obj, dict):
-        raise error(f"{path}: line {lineno}: record is not a JSON object")
+        raise DataError(f"{path}: line {lineno}: record is not a JSON object")
     bad = find_lone_surrogate(line, obj)
     if bad is not None:
-        raise error(f"{path}: line {lineno}: lone surrogate in the string {bad[:40]!r}")
+        raise DataError(f"{path}: line {lineno}: lone surrogate in the string {bad[:40]!r}")
     return obj
 
 
-def read_records(path: str | Path, schema: str, error: type[DataError] = DataError,
-                 header_error: type[DataError] | None = None) -> Iterator[tuple[int, dict]]:
+def read_records(path: str | Path, schema: str) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each record of a file that
     ``read_blocks`` reads, skipping blank lines; ``decode_record`` decodes
     and checks each line."""
-    for first, lines in read_blocks(path, schema, error, header_error):
+    for first, lines in read_blocks(path, schema):
         for lineno, line in enumerate(lines, start=first):
-            obj = decode_record(path, lineno, line, error)
+            obj = decode_record(path, lineno, line)
             if obj is not None:
                 yield lineno, obj

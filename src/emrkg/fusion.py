@@ -51,19 +51,9 @@ class FusionConfig:
         if not (isinstance(orders, (list, tuple)) and orders
                 and all(type(n) is int and n >= 1 for n in orders)):
             raise ConfigError(f"fusion.ngram_orders must be a non-empty list of ints >= 1: {orders!r}")
+        if len(set(orders)) != len(orders):
+            raise ConfigError(f"fusion.ngram_orders repeats an order: {orders!r}")
         object.__setattr__(self, "ngram_orders", tuple(orders))
-
-
-class EmptyDocument(DataError):
-    """A document (entity name) produced no terms."""
-
-
-class EmptyCatalog(DataError):
-    """Cannot build an index over zero names."""
-
-
-class DanglingAlignment(DataError):
-    """Alignment target has no node in the graph."""
 
 
 def ngrams(name: str, orders: tuple[int, ...] = DEFAULT_NGRAM_ORDERS) -> list[str]:
@@ -112,13 +102,13 @@ def build_index(
     corpus whose every IDF is zero (e.g. a single name) falls back to
     uniform weights so cosine similarity stays defined."""
     if not kb_names:
-        raise EmptyCatalog("cannot build an index over zero names")
+        raise DataError("cannot build an index over zero names")
     names = tuple(sorted(kb_names))
     counts = []
     for name in names:
         terms = ngrams(name, orders)
         if not terms:
-            raise EmptyDocument(f"name {name!r} yields no terms for orders {orders}")
+            raise DataError(f"name {name!r} yields no terms for orders {orders}")
         counts.append((len(terms), Counter(terms)))
 
     vocabulary = {term: col for col, term in enumerate(sorted({t for _, c in counts for t in c}))}
@@ -219,9 +209,7 @@ def fuse(
             continue
         canonical = graph.find_node(label, alignment.target)
         if canonical is None:
-            raise DanglingAlignment(
-                f"target {alignment.target!r} ({label}) not in graph"
-            )
+            raise DataError(f"target {alignment.target!r} ({label}) not in graph")
         source = graph.find_node(label, alignment.source)
         if source is None:
             skipped.append(alignment.source)

@@ -40,26 +40,6 @@ log = logging.getLogger(__name__)
 SCHEMA_TAG = "graph/1"
 
 
-class LabelUnknown(DataError):
-    """Node label outside the graph label universe."""
-
-
-class DanglingEndpoint(DataError):
-    """Triple references a node id that is not in the graph."""
-
-
-class RelationTypeMismatch(DataError):
-    """Endpoint labels violate the relation's (head, tail) constraint."""
-
-
-class SchemaVersionMismatch(DataError):
-    """Graph file missing or carrying an unsupported schema header."""
-
-
-class IoError(DataError):
-    """Unreadable or truncated graph file; message carries the position."""
-
-
 _WIDTH_FOLD = {code: code - 0xFEE0 for code in range(0xFF01, 0xFF5F)} | {0x3000: " "}
 
 # every admitted (head label, relation, tail label)
@@ -93,13 +73,13 @@ def _check_endpoints(nodes: dict[int, Node], head: int, relation: str, tail: int
     admits their labels."""
     if head not in nodes or tail not in nodes:
         missing = head if head not in nodes else tail
-        raise DanglingEndpoint(f"triple endpoint id {missing} not in graph")
+        raise DataError(f"triple endpoint id {missing} not in graph")
     head_label, tail_label = nodes[head].label, nodes[tail].label
     if (head_label, relation, tail_label) in _ENDPOINTS:
         return
     if relation not in RELATION_ENDPOINTS:
-        raise RelationTypeMismatch(f"unknown relation type {relation!r}")
-    raise RelationTypeMismatch(f"{relation} does not admit {head_label} -> {tail_label}")
+        raise DataError(f"unknown relation type {relation!r}")
+    raise DataError(f"{relation} does not admit {head_label} -> {tail_label}")
 
 
 # Triple((head, relation, tail)) built in C: NamedTuple's own __new__ is a
@@ -134,7 +114,7 @@ class KnowledgeGraph:
         """Insert or update the node identified by (label, normalized name);
         on update, incoming attributes overwrite same-named keys."""
         if label not in GRAPH_LABELS:
-            raise LabelUnknown(f"unknown node label {label!r}")
+            raise DataError(f"unknown node label {label!r}")
         if not name.strip():
             raise DataError("node name must be non-empty")
         key = (label, normalize_name(name))
@@ -178,7 +158,7 @@ class KnowledgeGraph:
         is checked before any is moved, so a merge that fails leaves the
         graph as it was."""
         if source_id not in self.nodes or target_id not in self.nodes:
-            raise DanglingEndpoint("merge endpoints must exist")
+            raise DataError("merge endpoints must exist")
         if source_id == target_id:
             return 0
         incident = list(self._by_head.get(source_id, {})) + [
@@ -246,7 +226,7 @@ def add_patient_record(
     for label, surface in entities:
         relation = SPAN_TYPE_TO_RELATION.get(label)
         if relation is None:
-            raise LabelUnknown(f"no patient relation for entity type {label!r}")
+            raise DataError(f"no patient relation for entity type {label!r}")
         entity_id = graph.upsert_node(label, surface)
         graph.add_triple(patient_id, relation, entity_id)
     return patient_id
@@ -323,7 +303,7 @@ def export_cypher(order: CanonicalOrder, path: str | Path) -> int:
             handle.writelines(statements)
             handle.writelines(edges)
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
     return len(statements) + len(order.triples)
 
 
@@ -353,7 +333,7 @@ def export_csv(order: CanonicalOrder, nodes_path: str | Path, rels_path: str | P
             handle.writelines(_rels_row(export_id[head], relation, export_id[tail])
                               for head, relation, tail in order.triples)
     except OSError as exc:
-        raise IoError(f"cannot write CSV export: {exc}") from exc
+        raise DataError(f"cannot write CSV export: {exc}") from exc
 
 
 # -- persistence ----------------------------------------------------------
@@ -391,7 +371,7 @@ def _graph_records(
     where it is read, each triple once it is checked. ``by_key`` receives
     each node's (label, normalized name) -> id. With ``head_key``, only the
     triples whose head is that node come out, though every record is
-    checked. The first bad record raises IoError naming its line.
+    checked. The first bad record raises DataError naming its line.
 
     A triple passes where it is read if nothing is held and its endpoints
     are in and admit its relation; node ids are unique, so it passes for
@@ -408,7 +388,7 @@ def _graph_records(
     linenos: list[int] = []  # each held triple's line
     head_id = None  # the id of head_key's node, once it is read
     relation_of = _RELATION_NAMES.get
-    for first, lines in read_blocks(path, SCHEMA_TAG, IoError, SchemaVersionMismatch):
+    for first, lines in read_blocks(path, SCHEMA_TAG):
         if lines[0].startswith('{"head": '):
             found = _TRIPLE_LINES.findall("".join(lines))
             if len(found) == len(lines):
@@ -427,14 +407,14 @@ def _graph_records(
                                 for h, r, t in found if h == text)
                 continue
         for lineno, line in enumerate(lines, start=first):
-            obj = decode_record(path, lineno, line, IoError)
+            obj = decode_record(path, lineno, line)
             if obj is None:
                 continue
             kind = obj.get("kind")
             if kind == "triple":
                 head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
                 if type(head) is not int or type(tail) is not int or not isinstance(relation, str):
-                    raise IoError(f"{path}: line {lineno}: malformed triple record")
+                    raise DataError(f"{path}: line {lineno}: malformed triple record")
                 relation = relation_of(relation, relation)
                 if held or (label_of.get(str(head)), relation,
                             label_of.get(str(tail))) not in _ENDPOINTS:
@@ -447,12 +427,12 @@ def _graph_records(
                 attributes = obj.get("attributes", {})
                 if (type(node_id) is not int or not isinstance(name, str) or not name.strip()
                         or not isinstance(attributes, dict)):
-                    raise IoError(f"{path}: line {lineno}: malformed node record")
+                    raise DataError(f"{path}: line {lineno}: malformed node record")
                 if label not in GRAPH_LABELS:
-                    raise IoError(f"{path}: line {lineno}: unknown label {label!r}")
+                    raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
                 key = (label, normalize_name(name))
                 if key in by_key or node_id in nodes:
-                    raise IoError(f"{path}: line {lineno}: duplicate node {key!r}")
+                    raise DataError(f"{path}: line {lineno}: duplicate node {key!r}")
                 by_key[key] = node_id
                 label_of[str(node_id)] = label
                 if key == head_key:
@@ -460,12 +440,12 @@ def _graph_records(
                 node = nodes[node_id] = Node(node_id, label, name, attributes)
                 yield node
             else:
-                raise IoError(f"{path}: line {lineno}: unknown record kind {kind!r}")
+                raise DataError(f"{path}: line {lineno}: unknown record kind {kind!r}")
     for lineno, triple in zip(linenos, held):
         try:
             _check_endpoints(nodes, *triple)
         except DataError as exc:
-            raise IoError(f"{path}: line {lineno}: {exc}") from exc
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
         if head_key is None or triple[0] == head_id:
             yield _new_triple(triple)
 

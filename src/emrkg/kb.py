@@ -29,14 +29,6 @@ _TAIL_TYPE: dict[str, str] = {
 }
 
 
-class ParseError(DataError):
-    """Malformed KB line; message carries the file and the 1-based line number."""
-
-
-class UnknownRelationType(DataError):
-    """Relation name outside the fixed KB relation set."""
-
-
 @dataclass(frozen=True)
 class DiseaseEntry:
     name: str
@@ -52,7 +44,7 @@ class DiseaseEntry:
             raise DataError("disease entry requires a non-empty name")
         for rel, target in self.relations:
             if rel not in _TAIL_TYPE:
-                raise UnknownRelationType(f"unknown relation type {rel!r}")
+                raise DataError(f"unknown relation type {rel!r}")
             if not target:
                 raise DataError(f"empty target for relation {rel!r} of {self.name!r}")
 
@@ -73,27 +65,27 @@ class Catalogs:
 def _parse_record(obj: dict, where: str) -> DiseaseEntry:
     name = obj.get("name", "")
     if not isinstance(name, str) or not name:
-        raise ParseError(f"{where}: missing or empty disease name")
+        raise DataError(f"{where}: missing or empty disease name")
 
     def scalar(key: str) -> str:
         value = obj.get(key, "")
         if not isinstance(value, str):
-            raise ParseError(f"{where}: field {key!r} must be a string")
+            raise DataError(f"{where}: field {key!r} must be a string")
         return value
 
     treatments = obj.get("treatments", [])
     if not isinstance(treatments, list) or not all(isinstance(t, str) for t in treatments):
-        raise ParseError(f"{where}: 'treatments' must be a list of strings")
+        raise DataError(f"{where}: 'treatments' must be a list of strings")
 
     raw_relations = obj.get("relations", {})
     if not isinstance(raw_relations, dict):
-        raise ParseError(f"{where}: 'relations' must be an object")
+        raise DataError(f"{where}: 'relations' must be an object")
     relations: list[tuple[str, str]] = []
     for rel, targets in raw_relations.items():
         if rel not in _TAIL_TYPE:
-            raise UnknownRelationType(f"{where}: unknown relation type {rel!r}")
+            raise DataError(f"{where}: unknown relation type {rel!r}")
         if not isinstance(targets, list) or not all(isinstance(t, str) and t for t in targets):
-            raise ParseError(f"{where}: targets of {rel!r} must be non-empty strings")
+            raise DataError(f"{where}: targets of {rel!r} must be non-empty strings")
         relations.extend((rel, t) for t in targets)
 
     return DiseaseEntry(
@@ -124,7 +116,7 @@ def load_kb(path: str | Path) -> tuple[list[DiseaseEntry], Catalogs]:
     """
     path = Path(path)
     by_name: dict[str, DiseaseEntry] = {}  # a merged entry keeps its first position
-    for lineno, obj in read_records(path, SCHEMA_TAG, ParseError):
+    for lineno, obj in read_records(path, SCHEMA_TAG):
         entry = _parse_record(obj, f"{path}: line {lineno}")
         if entry.name in by_name:
             log.warning("%s: line %d: duplicate disease %r merged", path, lineno, entry.name)

@@ -13,10 +13,6 @@ from emrkg.corpus import BioSentence, from_bio
 from emrkg.errors import DataError
 
 
-class LengthMismatch(DataError):
-    """Gold and predicted corpora are not parallel."""
-
-
 @dataclass
 class EvalCounts:
     per_type: dict[str, list[int]] = field(default_factory=dict)  # type -> [TP, FP, FN]
@@ -49,11 +45,11 @@ class EvalReport:
 def count_matches(gold: list[BioSentence], predicted: list[BioSentence]) -> EvalCounts:
     """Strict span counting: TP identical triples, FP extra, FN missed."""
     if len(gold) != len(predicted):
-        raise LengthMismatch(f"{len(gold)} gold vs {len(predicted)} predicted sentences")
+        raise DataError(f"{len(gold)} gold vs {len(predicted)} predicted sentences")
     counts = EvalCounts()
     for i, (g, p) in enumerate(zip(gold, predicted)):
         if len(g) != len(p):
-            raise LengthMismatch(f"sentence {i}: {len(g)} gold chars vs {len(p)} predicted")
+            raise DataError(f"sentence {i}: {len(g)} gold chars vs {len(p)} predicted")
         gold_spans = set(from_bio(g))
         pred_spans = set(from_bio(p))
         for etype, _, _ in gold_spans & pred_spans:

@@ -18,14 +18,6 @@ import numpy as np
 from emrkg.errors import DataError
 
 
-class EmptySentence(DataError):
-    """Zero-length input where at least one character is required."""
-
-
-class InvalidGoldTag(DataError):
-    """Gold tag sequence indexes outside the tag set or has the wrong length."""
-
-
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted log-sum-exp; slices that are all -inf stay -inf."""
     m = np.max(a, axis=axis, keepdims=True)
@@ -38,7 +30,7 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 def _check(emissions: np.ndarray, transitions: np.ndarray) -> tuple[int, int]:
     *_, length, num_tags = emissions.shape
     if length == 0:
-        raise EmptySentence("emission matrix has zero rows")
+        raise DataError("emission matrix has zero rows")
     if transitions.shape != (num_tags + 2, num_tags + 2):
         raise ValueError(
             f"transitions shape {transitions.shape} does not match {num_tags} tags (+2 virtual)"
@@ -50,7 +42,7 @@ def gold_score(emissions: np.ndarray, transitions: np.ndarray, tags: np.ndarray)
     length, num_tags = _check(emissions, transitions)
     tags = np.asarray(tags, dtype=np.intp)
     if tags.shape != (length,) or tags.min() < 0 or tags.max() >= num_tags:
-        raise InvalidGoldTag(f"gold tags invalid for length {length}, {num_tags} tags")
+        raise DataError(f"gold tags invalid for length {length}, {num_tags} tags")
     start, stop = num_tags, num_tags + 1
     score = transitions[start, tags[0]] + emissions[np.arange(length), tags].sum()
     score += transitions[tags[:-1], tags[1:]].sum()
@@ -128,7 +120,7 @@ def viterbi(
     if lengths.shape != (batch,) or np.any(lengths > length):
         raise ValueError(f"lengths {lengths} do not fit emissions of shape {emissions.shape}")
     if np.any(lengths < 1):
-        raise EmptySentence("a row of the emission batch has zero length")
+        raise DataError("a row of the emission batch has zero length")
     start, stop = num_tags, num_tags + 1
     inner = transitions[:num_tags, :num_tags]
 

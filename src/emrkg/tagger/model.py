@@ -33,7 +33,7 @@ import numpy as np
 from emrkg.corpus import BioSentence
 from emrkg.errors import ConfigError, DataError, find_lone_surrogate
 from emrkg.schema import EntitySchema
-from emrkg.tagger.crf import EmptySentence, nll_with_grad, viterbi
+from emrkg.tagger.crf import nll_with_grad, viterbi
 from emrkg.tagger.lstm import LstmParams, lstm_backward, lstm_forward, lstm_states
 from emrkg.tagger.vocab import PAD_TOKEN, TagSet, Vocabulary
 
@@ -44,10 +44,6 @@ FORMAT_VERSION = 1
 # one batch of every sentence is slower, as BLAS threads the small
 # per-step products, and chunks bound the padded arrays' memory.
 _PREDICT_CHUNK = 64
-
-
-class ModelFormatError(DataError):
-    """Model file is truncated, corrupt, or has an unsupported version."""
 
 
 def param_shapes(
@@ -137,7 +133,7 @@ def sentence_loss_and_grads(
     """CRF negative log-likelihood of one sentence plus gradients for every
     parameter array (forbidden transition entries get zero gradient)."""
     if len(indices) == 0:
-        raise EmptySentence("cannot score an empty sentence")
+        raise DataError("cannot score an empty sentence")
     params, fw, bw = model.params, model.fw, model.bw
     inputs = params["embedding"][indices]
     fw_cache = lstm_forward(fw, inputs)
@@ -214,17 +210,17 @@ def _read_exact(handle, n: int, what: str) -> bytes:
     """Checks ``n`` against the bytes left before reading, so that a corrupt
     length is a format error, not an oversized read."""
     if n > os.fstat(handle.fileno()).st_size - handle.tell():
-        raise ModelFormatError(f"{handle.name}: truncated model file while reading {what}")
+        raise DataError(f"{handle.name}: truncated model file while reading {what}")
     return handle.read(n)
 
 
 def load_model(path: str | Path) -> TaggerModel:
     with open(path, "rb") as handle:
         if _read_exact(handle, len(MAGIC), "magic") != MAGIC:
-            raise ModelFormatError(f"{path} is not a tagger model file")
+            raise DataError(f"{path} is not a tagger model file")
         (version,) = struct.unpack("<I", _read_exact(handle, 4, "version"))
         if version != FORMAT_VERSION:
-            raise ModelFormatError(f"{path}: unsupported model format version {version}")
+            raise DataError(f"{path}: unsupported model format version {version}")
         (meta_len,) = struct.unpack("<Q", _read_exact(handle, 8, "metadata length"))
         raw_meta = _read_exact(handle, meta_len, "metadata")
         try:
@@ -234,10 +230,10 @@ def load_model(path: str | Path) -> TaggerModel:
             schema = EntitySchema(tuple(meta["entity_types"]))
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError, DataError,
                 ConfigError) as exc:
-            raise ModelFormatError(f"{path}: bad model metadata: {exc!r}") from exc
+            raise DataError(f"{path}: bad model metadata: {exc!r}") from exc
         bad = find_lone_surrogate(meta_text, meta)
         if bad is not None:
-            raise ModelFormatError(
+            raise DataError(
                 f"{path}: bad model metadata: lone surrogate in the string {bad[:40]!r}"
             )
         (count,) = struct.unpack("<I", _read_exact(handle, 4, "array count"))
@@ -247,24 +243,26 @@ def load_model(path: str | Path) -> TaggerModel:
             try:
                 name = _read_exact(handle, name_len, "array name").decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise ModelFormatError(f"{path}: array name is not UTF-8: {exc}") from exc
+                raise DataError(f"{path}: array name is not UTF-8: {exc}") from exc
             (ndim,) = struct.unpack("<B", _read_exact(handle, 1, "array rank"))
             shape = tuple(
                 struct.unpack("<Q", _read_exact(handle, 8, "array dim"))[0] for _ in range(ndim)
             )
             raw = _read_exact(handle, 8 * math.prod(shape), f"array {name} data")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if handle.read(1):
+            raise DataError(f"{path}: trailing bytes after the last array")
 
     tagset = TagSet(schema)
     d_emb, hidden = meta.get("d_emb"), meta.get("hidden")
     if not all(type(n) is int and n > 0 for n in (d_emb, hidden)):
-        raise ModelFormatError(f"{path}: d_emb and hidden must be positive integers")
+        raise DataError(f"{path}: d_emb and hidden must be positive integers")
     shapes = param_shapes(len(vocab), len(tagset), d_emb, hidden)
     if set(arrays) != set(shapes):
-        raise ModelFormatError(f"{path}: model file arrays {sorted(arrays)} != {list(shapes)}")
+        raise DataError(f"{path}: model file arrays {sorted(arrays)} != {list(shapes)}")
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
-            raise ModelFormatError(
+            raise DataError(
                 f"{path}: array {name} has shape {arrays[name].shape}, expected {shape}"
             )
     return TaggerModel(vocab, tagset, {name: arrays[name] for name in shapes})

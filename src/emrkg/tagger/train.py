@@ -24,14 +24,6 @@ from emrkg.tagger.vocab import TagSet, Vocabulary
 log = logging.getLogger(__name__)
 
 
-class EmptyTrainSet(DataError):
-    """Training requires at least one sentence."""
-
-
-class DivergedLoss(DataError):
-    """Non-finite training loss; learning rate is likely too high."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 40
@@ -97,7 +89,7 @@ def train(
     of the epoch with the best validation F1 (ties go to the later epoch).
     """
     if not split.train:
-        raise EmptyTrainSet("empty training set")
+        raise DataError("empty training set")
     schema = schema or EntitySchema()
 
     root = np.random.SeedSequence(config.seed)
@@ -160,7 +152,7 @@ def train(
 
         mean_loss = total_loss / len(encoded)
         if not np.isfinite(mean_loss):
-            raise DivergedLoss(
+            raise DataError(
                 f"non-finite loss {mean_loss} at epoch {epoch}; "
                 f"reduce learning_rate (currently {config.learning_rate})"
             )

@@ -20,16 +20,9 @@ from collections import Counter
 
 import numpy as np
 
-from emrkg.corpus import EntitySpan, Segment, UnsplittableEntity
+from emrkg.corpus import EntitySpan, Segment
 from emrkg.errors import DataError
-from emrkg.graph import (
-    IoError,
-    KnowledgeGraph,
-    Node,
-    SchemaVersionMismatch,
-    Triple,
-    normalize_name,
-)
+from emrkg.graph import KnowledgeGraph, Node, Triple, normalize_name
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS
 
 
@@ -83,7 +76,7 @@ def segment_by_scan(
             blocker = inside_span(cut)
             if blocker is not None:
                 if blocker.start <= pos:
-                    raise UnsplittableEntity(
+                    raise DataError(
                         f"{doc_id}: entity {blocker.id} ({blocker.end - blocker.start} chars) "
                         f"exceeds max_len {max_len}"
                     )
@@ -334,21 +327,20 @@ def _triple_problem(nodes: dict[int, Node], triple: Triple) -> str | None:
 def graph_records_by_line(path) -> list[Node | Triple]:
     """The records of a ``graph/1`` file as a load keeps them (its nodes in
     file order, then its triples in file order), each line read on its own
-    and decoded with ``json.loads``. Every fault raises what the package
-    raises for it, with its message: a header fault SchemaVersionMismatch,
-    any other IoError."""
+    and decoded with ``json.loads``. Every fault raises the package's
+    DataError for it, with its message."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = [line[:-1] if line.endswith("\n") else line for line in handle]
     except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
     try:
         header = json.loads(lines[0]) if lines else None
     except (ValueError, RecursionError):
         header = None
     if not isinstance(header, dict) or header.get("schema") != "graph/1":
         found = repr(lines[0][:80]) if lines else "an empty file"
-        raise SchemaVersionMismatch(
+        raise DataError(
             f'{path}: line 1: expected the header {{"schema": "graph/1"}}, got {found}')
     nodes: dict[int, Node] = {}
     keys: set[tuple[str, str]] = set()
@@ -360,39 +352,39 @@ def graph_records_by_line(path) -> list[Node | Triple]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise IoError(f"{where}: truncated or invalid record: {exc.msg}") from exc
+            raise DataError(f"{where}: truncated or invalid record: {exc.msg}") from exc
         except RecursionError as exc:
-            raise IoError(f"{where}: truncated or invalid record: nested too deeply") from exc
+            raise DataError(f"{where}: truncated or invalid record: nested too deeply") from exc
         if not isinstance(obj, dict):
-            raise IoError(f"{where}: record is not a JSON object")
+            raise DataError(f"{where}: record is not a JSON object")
         for text in _strings(obj):
             if any(0xD800 <= ord(ch) <= 0xDFFF for ch in text):
-                raise IoError(f"{where}: lone surrogate in the string {text[:40]!r}")
+                raise DataError(f"{where}: lone surrogate in the string {text[:40]!r}")
         kind = obj.get("kind")
         if kind == "triple":
             head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
             if type(head) is not int or type(tail) is not int or type(relation) is not str:
-                raise IoError(f"{where}: malformed triple record")
+                raise DataError(f"{where}: malformed triple record")
             triples.append((lineno, Triple(head, relation, tail)))
         elif kind == "node":
             node_id, label, name = obj.get("id"), obj.get("label"), obj.get("name")
             attributes = obj.get("attributes", {})
             if (type(node_id) is not int or type(name) is not str or not name.strip()
                     or type(attributes) is not dict):
-                raise IoError(f"{where}: malformed node record")
+                raise DataError(f"{where}: malformed node record")
             if label not in GRAPH_LABELS:
-                raise IoError(f"{where}: unknown label {label!r}")
+                raise DataError(f"{where}: unknown label {label!r}")
             key = (label, normalize_name_by_loop(name))
             if key in keys or node_id in nodes:
-                raise IoError(f"{where}: duplicate node {key!r}")
+                raise DataError(f"{where}: duplicate node {key!r}")
             keys.add(key)
             nodes[node_id] = Node(node_id, label, name, attributes)
         else:
-            raise IoError(f"{where}: unknown record kind {kind!r}")
+            raise DataError(f"{where}: unknown record kind {kind!r}")
     for lineno, triple in triples:
         problem = _triple_problem(nodes, triple)
         if problem is not None:
-            raise IoError(f"{path}: line {lineno}: {problem}")
+            raise DataError(f"{path}: line {lineno}: {problem}")
     return list(nodes.values()) + [triple for _, triple in triples]
 
 

@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 
-from emrkg.fusion import EmptyCatalog, EmptyDocument, TfIdfIndex
+from emrkg.errors import DataError
+from emrkg.fusion import TfIdfIndex
 from emrkg.graph import KnowledgeGraph, Triple
 from emrkg.kb import DiseaseEntry
-from emrkg.tagger.crf import EmptySentence, nll_with_grad
+from emrkg.tagger.crf import nll_with_grad
 from emrkg.tagger.model import TaggerModel, _batch_emissions, _input_tables, sentence_loss_and_grads
 from tests.oracles import emissions_by_indices
 
@@ -31,7 +32,7 @@ SEPARATOR_NAMES = tuple(f"肝{ch}癌" for ch in "\v\f\x1c\x1d\x1e\x85\u2028\u202
 def term_frequency(term: str, doc_terms: list[str]) -> float:
     """Occurrences of ``term`` divided by document length."""
     if not doc_terms:
-        raise EmptyDocument("term frequency over an empty document")
+        raise DataError("term frequency over an empty document")
     return doc_terms.count(term) / len(doc_terms)
 
 
@@ -39,7 +40,7 @@ def inverse_document_frequency(term: str, corpus: list[list[str]]) -> float:
     """log(|D| / df) for corpus terms; log(|D| / (1 + df)) + 1 when the
     term appears nowhere (df = 0), so unseen terms stay finite."""
     if not corpus:
-        raise EmptyCatalog("IDF over an empty corpus")
+        raise DataError("IDF over an empty corpus")
     df = sum(1 for doc in corpus if term in doc)
     if df == 0:
         return math.log(len(corpus) / (1 + df)) + 1.0
@@ -76,7 +77,7 @@ def encode(model: TaggerModel, chars: str) -> np.ndarray:
     """Per-character emission scores, shape (len(chars), |tags|), through
     the batched inference path."""
     if len(chars) == 0:
-        raise EmptySentence("cannot encode an empty sentence")
+        raise DataError("cannot encode an empty sentence")
     emissions, _ = _batch_emissions(model, _input_tables(model), [chars])
     return emissions[0]
 
@@ -85,7 +86,7 @@ def sentence_loss(model: TaggerModel, indices: np.ndarray, tag_indices: np.ndarr
     """NLL only, over the reference LSTM's emissions; used by
     finite-difference checks."""
     if len(indices) == 0:
-        raise EmptySentence("cannot score an empty sentence")
+        raise DataError("cannot score an empty sentence")
     emissions = emissions_by_indices(model, indices)
     return nll_with_grad(emissions, model.params["transitions"], tag_indices)[0]
 

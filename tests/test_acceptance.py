@@ -23,10 +23,6 @@ import pytest
 from emrkg.cli import main
 from emrkg.corpus import (
     DatasetSplit,
-    MalformedLine,
-    OffsetOutOfBounds,
-    SurfaceMismatch,
-    UnknownLabel,
     from_bio,
     load_corpus_dir,
     parse_ann,
@@ -107,18 +103,25 @@ def test_criterion_02_standoff_bio_round_trip(schema):
     assert [(s.label, s.start, s.end, s.surface) for s in doc.spans] == [
         ("Disease", 280, 291, SURFACE)
     ]
+    # each fault's own message: a malformed line, an unknown label, offsets
+    # out of bounds, a surface that is not the text slice
     malformed = [
-        ("T1 disease 280 291 " + SURFACE, MalformedLine),
-        (f"T1\tdisease 280\t{SURFACE}", MalformedLine),
-        (f"T1\tdisease 280 291 x\t{SURFACE}", MalformedLine),
-        (f"T1\tdisease a b\t{SURFACE}", MalformedLine),
-        (f"T1\tgene 280 291\t{SURFACE}", UnknownLabel),
-        (f"T1\tdisease 280 405\t{SURFACE}", OffsetOutOfBounds),
-        (f"T1\tdisease 291 280\t{SURFACE}", OffsetOutOfBounds),
-        (f"T1\tdisease 279 290\t{SURFACE}", SurfaceMismatch),
+        ("T1 disease 280 291 " + SURFACE, "^ line 1: expected 3 tab-separated fields$"),
+        (f"T1\tdisease 280\t{SURFACE}",
+         "^ line 1: expected `<label> <start> <end>`, got 'disease 280'$"),
+        (f"T1\tdisease 280 291 x\t{SURFACE}",
+         "^ line 1: expected `<label> <start> <end>`, got 'disease 280 291 x'$"),
+        (f"T1\tdisease a b\t{SURFACE}", "^ line 1: non-integer offsets 'disease a b'$"),
+        (f"T1\tgene 280 291\t{SURFACE}", "^ line 1: label 'gene' not in schema$"),
+        (f"T1\tdisease 280 405\t{SURFACE}",
+         rf"^ line 1: span \[280,405\) outside text of length {len(TEXT)}$"),
+        (f"T1\tdisease 291 280\t{SURFACE}",
+         rf"^ line 1: span \[291,280\) outside text of length {len(TEXT)}$"),
+        (f"T1\tdisease 279 290\t{SURFACE}",
+         f"^ line 1: text slice '{TEXT[279:290]}' != surface '{SURFACE}'$"),
     ]
-    for line, exc in malformed:
-        with pytest.raises(exc):
+    for line, message in malformed:
+        with pytest.raises(DataError, match=message):
             parse_ann(line, TEXT, schema)
 
     _budget(started, 10.0)

@@ -90,6 +90,7 @@ _BAD_CONFIGS = {
     "fusion_threshold_above_one": (_ALIGN, {"fusion": {"threshold": 1.5}}),
     "fusion_ngram_orders_zero": (_ALIGN, {"fusion": {"ngram_orders": [0]}}),
     "fusion_ngram_orders_empty": (_ALIGN, {"fusion": {"ngram_orders": []}}),
+    "fusion_ngram_orders_repeated": (_ALIGN, {"fusion": {"ngram_orders": [1, 2, 1]}}),
     "train_hidden_float": (_TRAIN, {"train": {"hidden": 2.5}}),
     "train_epochs_float": (_TRAIN, {"train": {"epochs": 1.5}}),
     "train_batch_size_float": (_TRAIN, {"train": {"batch_size": 2.5}}),
@@ -254,6 +255,8 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="model-fw-u-wrong-shape"),
         pytest.param(["tag", "--model-file", "{hidden_wrong}"], 3, "hidden_wrong",
                      id="model-hidden-not-the-arrays"),
+        pytest.param(["evaluate", "--gold", "{bio}", "--model-file", "{trailing_byte}"], 3,
+                     "trailing_byte", id="model-byte-after-the-last-array"),
         *[pytest.param([*stage, "--config", f"{{{name}}}"], 2, None, id=name.replace("_", "-"))
           for name, (stage, _) in _BAD_CONFIGS.items()],
         *[pytest.param(["query", "--graph", f"{{{name}}}", *_QUERY], 3, name,
@@ -352,6 +355,8 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         paths[name] = tmp_path / f"{name}.bin"
         save_model(TaggerModel(base.vocab, base.tagset, {**base.params, **change}), paths[name])
     raw = paths["hidden_wrong"].read_bytes()
+    paths["trailing_byte"] = tmp_path / "trailing_byte.bin"
+    paths["trailing_byte"].write_bytes(raw + b"\0")  # a valid model, then one more byte
     assert raw.count(b'"hidden": 2') == 1
     paths["hidden_wrong"].write_bytes(raw.replace(b'"hidden": 2', b'"hidden": 3'))
     # a valid model whose vocabulary token 肝 is the escape of a lone surrogate

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -14,13 +15,6 @@ from emrkg.corpus import (
     BioSentence,
     DatasetSplit,
     EntitySpan,
-    MalformedBio,
-    MalformedLine,
-    OffsetOutOfBounds,
-    SurfaceMismatch,
-    TooFewSentences,
-    UnknownLabel,
-    UnsplittableEntity,
     ValidationReport,
     from_bio,
     load_corpus_dir,
@@ -70,27 +64,35 @@ def test_parse_ann_skips_blank_lines(schema):
     assert len(doc.spans) == 1
 
 
-@pytest.mark.parametrize(
-    "ann, exc",
-    [
-        ("T1 disease 280 291 " + SURFACE, MalformedLine),  # spaces, no tabs
-        (f"T1\tdisease 280\t{SURFACE}", MalformedLine),  # missing end offset
-        (f"T1\tdisease 280 291 x\t{SURFACE}", MalformedLine),  # extra mid field
-        (f"T1\tdisease a b\t{SURFACE}", MalformedLine),  # non-integer offsets
-        (f"T1\tgene 280 291\t{SURFACE}", UnknownLabel),
-        (f"T1\tdisease 280 405\t{SURFACE}", OffsetOutOfBounds),
-        (f"T1\tdisease 291 280\t{SURFACE}", OffsetOutOfBounds),  # inverted
-        (f"T1\tdisease 279 290\t{SURFACE}", SurfaceMismatch),  # shifted slice
-    ],
-)
-def test_parse_ann_rejects_malformed_lines(schema, ann, exc):
-    with pytest.raises(exc):
+# each malformed .ann line, and the message it raises
+_MALFORMED_ANN = {
+    "T1 disease 280 291 " + SURFACE:  # spaces, no tabs
+        "^doc1 line 1: expected 3 tab-separated fields$",
+    f"T1\tdisease 280\t{SURFACE}":  # missing end offset
+        "^doc1 line 1: expected `<label> <start> <end>`, got 'disease 280'$",
+    f"T1\tdisease 280 291 x\t{SURFACE}":  # extra mid field
+        "^doc1 line 1: expected `<label> <start> <end>`, got 'disease 280 291 x'$",
+    f"T1\tdisease a b\t{SURFACE}":  # non-integer offsets
+        "^doc1 line 1: non-integer offsets 'disease a b'$",
+    f"T1\tgene 280 291\t{SURFACE}": "^doc1 line 1: label 'gene' not in schema$",
+    f"T1\tdisease 280 405\t{SURFACE}":
+        rf"^doc1 line 1: span \[280,405\) outside text of length {len(TEXT)}$",
+    f"T1\tdisease 291 280\t{SURFACE}":  # inverted
+        rf"^doc1 line 1: span \[291,280\) outside text of length {len(TEXT)}$",
+    f"T1\tdisease 279 290\t{SURFACE}":  # shifted slice
+        f"^doc1 line 1: text slice '{TEXT[279:290]}' != surface '{SURFACE}'$",
+}
+
+
+@pytest.mark.parametrize("ann", list(_MALFORMED_ANN))
+def test_parse_ann_rejects_malformed_lines(schema, ann):
+    with pytest.raises(DataError, match=_MALFORMED_ANN[ann]):
         parse_ann(ann, TEXT, schema, doc_id="doc1")
 
 
 def test_parse_ann_error_names_the_line(schema):
     ann = ANN + "\nT2\tdisease x y\t" + SURFACE
-    with pytest.raises(MalformedLine, match="line 2"):
+    with pytest.raises(DataError, match="^ line 2: non-integer offsets 'disease x y'$"):
         parse_ann(ann, TEXT, schema)
 
 
@@ -179,7 +181,7 @@ def test_segment_wrap_point_moves_back_to_entity_start():
 def test_segment_rejects_entity_longer_than_max_len():
     text = "长" * 60
     doc = _doc(text, [("Disease", 0, 55)])
-    with pytest.raises(UnsplittableEntity):
+    with pytest.raises(DataError, match=r"^doc: entity T1 \(55 chars\) exceeds max_len 50$"):
         segment(doc, max_len=50)
 
 
@@ -232,6 +234,10 @@ def test_segment_matches_scanning_reference_on_fixtures(corpus_dir, schema):
             assert _segment_outcome(segment, doc, max_len) == want, (doc.doc_id, max_len)
 
 
+# the two faults a segmentation can meet
+_SEGMENT_FAULT = re.compile(r"exceeds max_len|lost during segmentation")
+
+
 def test_segment_matches_scanning_reference_on_long_notes():
     rng = random.Random(29)
     outcomes = Counter()
@@ -240,9 +246,10 @@ def test_segment_matches_scanning_reference_on_long_notes():
         for max_len in (16, 40, 120):
             want = _segment_outcome(segment_by_scan, doc, max_len)
             assert _segment_outcome(segment, doc, max_len) == want, (n, max_len)
-            outcomes[want[0].__name__ if isinstance(want, tuple) else "segments"] += 1
+            outcomes[_SEGMENT_FAULT.search(want[1])[0] if isinstance(want, tuple)
+                     else "segments"] += 1
     # the comparison covers both errors and successful segmentations
-    assert set(outcomes) == {"segments", "UnsplittableEntity", "DataError"}, outcomes
+    assert set(outcomes) == {"segments", "exceeds max_len", "lost during segmentation"}, outcomes
 
 
 def test_parse_ann_overlap_check_matches_first_fit_reference(schema):
@@ -291,17 +298,19 @@ def test_tags_for_spans_inverts_from_bio():
     assert tags_for_spans(len(sentence), from_bio(sentence)) == tags
 
 
-@pytest.mark.parametrize(
-    "chars, tags",
-    [
-        ("肝癌", ("B-Disease",)),  # length mismatch
-        ("肝癌", ("O", "I-Disease")),  # I- without B-
-        ("肝癌", ("B-Disease", "I-Symptom")),  # type switch inside entity
-        ("肝癌", ("B-Disease", "X-Disease")),  # unknown prefix
-    ],
-)
+# each malformed tag sequence for 肝癌, and the message it raises
+_MALFORMED_TAGS = {
+    ("B-Disease",): "^2 chars vs 1 tags$",  # length mismatch
+    ("O", "I-Disease"): "^tag 'I-Disease' at position 1 follows 'O'$",  # I- without B-
+    ("B-Disease", "I-Symptom"):  # type switch inside entity
+        "^tag 'I-Symptom' at position 1 follows 'B-Disease'$",
+    ("B-Disease", "X-Disease"): "^unrecognized tag 'X-Disease' at position 1$",  # unknown prefix
+}
+
+
+@pytest.mark.parametrize("chars, tags", [("肝癌", tags) for tags in _MALFORMED_TAGS])
 def test_bio_sentence_rejects_malformed_sequences(chars, tags):
-    with pytest.raises(MalformedBio):
+    with pytest.raises(DataError, match=_MALFORMED_TAGS[tags]):
         BioSentence(chars, tags)
 
 
@@ -412,7 +421,7 @@ def test_split_dataset_is_seed_deterministic():
 
 
 def test_split_dataset_requires_ten_sentences():
-    with pytest.raises(TooFewSentences):
+    with pytest.raises(DataError, match="^need at least 10 sentences, got 9$"):
         split_dataset(_sentences(9), seed=0)
 
 
@@ -438,7 +447,8 @@ def test_bio_file_format_is_char_tab_tag(tmp_path):
 def test_read_bio_file_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.bio"
     path.write_text("肝癌\tB-Disease\n", encoding="utf-8")
-    with pytest.raises(MalformedBio, match="line 1"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 1: expected "
+                                        r"`<char>\\t<tag>`$"):
         read_bio_file(path)
 
 

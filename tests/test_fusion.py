@@ -11,9 +11,6 @@ import pytest
 from emrkg.errors import ConfigError, DataError
 from emrkg.fusion import (
     Alignment,
-    DanglingAlignment,
-    EmptyCatalog,
-    EmptyDocument,
     FusionConfig,
     align,
     build_index,
@@ -45,7 +42,7 @@ def test_ngrams_cover_every_order_with_multiplicity():
 def test_term_frequency_is_count_over_length():
     assert term_frequency("肝", ["肝", "癌", "肝", "炎"]) == pytest.approx(0.5)
     assert term_frequency("无", ["肝", "癌"]) == 0.0
-    with pytest.raises(EmptyDocument):
+    with pytest.raises(DataError, match="^term frequency over an empty document$"):
         term_frequency("肝", [])
 
 
@@ -58,7 +55,7 @@ def test_idf_follows_log_ratio():
     corpus = [["肝"]] + [["x"]] * 9
     assert inverse_document_frequency("肝", corpus) == pytest.approx(math.log(10))
     assert inverse_document_frequency("癌", corpus) == pytest.approx(math.log(10) + 1.0)
-    with pytest.raises(EmptyCatalog):
+    with pytest.raises(DataError, match="^IDF over an empty corpus$"):
         inverse_document_frequency("肝", [])
 
 
@@ -105,9 +102,9 @@ def test_name_composed_of_shared_terms_has_a_zero_row():
 
 
 def test_empty_catalog_and_empty_name_are_rejected():
-    with pytest.raises(EmptyCatalog):
+    with pytest.raises(DataError, match="^cannot build an index over zero names$"):
         build_index([])
-    with pytest.raises(EmptyDocument):
+    with pytest.raises(DataError, match=r"^name '' yields no terms for orders \(1, 2\)$"):
         build_index([""])
 
 
@@ -261,7 +258,8 @@ def test_fusion_config_keeps_the_orders_as_a_tuple():
 @pytest.mark.parametrize(
     "threshold, orders",
     [(0, (1,)), (1.5, (1,)), (True, (1,)), ("0.8", (1,)), (None, (1,)), (math.nan, (1,)),
-     (0.8, ()), (0.8, (0,)), (0.8, (1.0,)), (0.8, (True,)), (0.8, "12"), (0.8, None)],
+     (0.8, ()), (0.8, (0,)), (0.8, (1.0,)), (0.8, (True,)), (0.8, "12"), (0.8, None),
+     (0.8, (1, 2, 1))],
 )
 def test_fusion_config_rejects_bad_values(threshold, orders):
     with pytest.raises(ConfigError):
@@ -366,7 +364,7 @@ def test_fuse_with_exact_match_is_a_recorded_noop(kb_file):
 def test_fuse_requires_canonical_node_in_graph():
     graph = KnowledgeGraph()
     graph.upsert_node("Disease", "某病")
-    with pytest.raises(DanglingAlignment):
+    with pytest.raises(DataError, match=r"^target '不在图中' \(Disease\) not in graph$"):
         fuse(graph, [Alignment("某病", "不在图中", 0.95)])
 
 

@@ -20,13 +20,8 @@ import emrkg.graph
 from emrkg.cli import main
 from emrkg.errors import DataError, InternalError, encode_record
 from emrkg.graph import (
-    DanglingEndpoint,
-    IoError,
     KnowledgeGraph,
-    LabelUnknown,
     Node,
-    RelationTypeMismatch,
-    SchemaVersionMismatch,
     add_patient_record,
     canonical_order,
     export_csv,
@@ -104,7 +99,7 @@ def test_width_variants_are_one_node():
 
 def test_upsert_rejects_unknown_label_and_blank_name():
     graph = KnowledgeGraph()
-    with pytest.raises(LabelUnknown):
+    with pytest.raises(DataError, match="^unknown node label 'Gene'$"):
         graph.upsert_node("Gene", "BRCA1")
     with pytest.raises(DataError):
         graph.upsert_node("Disease", "   ")
@@ -139,11 +134,11 @@ def test_add_triple_rejects_missing_endpoints_and_bad_types():
     graph = KnowledgeGraph()
     disease = graph.upsert_node("Disease", "肝癌")
     food = graph.upsert_node("Food", "鸡蛋")
-    with pytest.raises(DanglingEndpoint):
+    with pytest.raises(DataError, match="^triple endpoint id 999 not in graph$"):
         graph.add_triple(disease, "RecommendedFood", 999)
-    with pytest.raises(RelationTypeMismatch):
+    with pytest.raises(DataError, match="^RecommendedFood does not admit Food -> Disease$"):
         graph.add_triple(food, "RecommendedFood", disease)  # reversed endpoints
-    with pytest.raises(RelationTypeMismatch):
+    with pytest.raises(DataError, match="^unknown relation type 'Causes'$"):
         graph.add_triple(disease, "Causes", food)  # unknown relation
 
 
@@ -164,7 +159,7 @@ def test_has_symptom_links_both_diseases_and_patients():
     patient = graph.upsert_node("Patient", "p1")
     assert graph.add_triple(disease, "HasSymptom", symptom)
     assert graph.add_triple(patient, "HasSymptom", symptom)
-    with pytest.raises(RelationTypeMismatch):
+    with pytest.raises(DataError, match="^HasSymptom does not admit Symptom -> Disease$"):
         graph.add_triple(symptom, "HasSymptom", disease)
 
 
@@ -223,7 +218,7 @@ def test_failed_merge_leaves_the_graph_unchanged():
     graph.add_triple(patient, "HasSymptom", symptom)
     before = (graph.triples, dict(graph.nodes), triples_from(graph, disease),
               triples_to(graph, symptom))
-    with pytest.raises(RelationTypeMismatch, match="AvoidFood"):
+    with pytest.raises(DataError, match="^AvoidFood does not admit Symptom -> Food$"):
         graph.merge_node_into(disease, symptom)
     assert (graph.triples, dict(graph.nodes), triples_from(graph, disease),
             triples_to(graph, symptom)) == before
@@ -240,7 +235,7 @@ def test_merge_of_identical_ids_is_a_noop():
 def test_merge_requires_both_endpoints():
     graph = KnowledgeGraph()
     node = graph.upsert_node("Disease", "肝癌")
-    with pytest.raises(DanglingEndpoint):
+    with pytest.raises(DataError, match="^merge endpoints must exist$"):
         graph.merge_node_into(node, 42)
 
 
@@ -324,7 +319,7 @@ def test_add_patient_record_links_each_entity_with_its_relation():
 
 def test_add_patient_record_rejects_untyped_entities():
     graph = KnowledgeGraph()
-    with pytest.raises(LabelUnknown):
+    with pytest.raises(DataError, match="^no patient relation for entity type 'Food'$"):
         add_patient_record(graph, "p", [("Food", "鸡蛋")])  # no patient relation
 
 
@@ -602,7 +597,7 @@ def test_load_graph_reads_each_line_as_json_loads_does(tmp_path):
     assert load_graph(path).find_node("Disease", "\U0001F600").id == 1
     for lines, message in _MALFORMED:
         path.write_text(_graph_text(lines), encoding="utf-8")
-        with pytest.raises(IoError, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_graph(path)
 
 
@@ -666,12 +661,14 @@ def test_export_of_a_file_equals_the_export_of_its_loaded_graph(tmp_path):
 def test_load_graph_rejects_empty_and_unversioned_files(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
-    with pytest.raises(SchemaVersionMismatch):
+    with pytest.raises(DataError, match=f'^{re.escape(str(empty))}: line 1: expected the header '
+                                        '{"schema": "graph/1"}, got an empty file$'):
         load_graph(empty)
 
     headerless = tmp_path / "headerless.jsonl"
     headerless.write_text('{"kind": "node"}\n', encoding="utf-8")
-    with pytest.raises(SchemaVersionMismatch):
+    with pytest.raises(DataError, match=f'^{re.escape(str(headerless))}: line 1: expected the '
+                                        'header {"schema": "graph/1"}, got \'{"kind": "node"}\'$'):
         load_graph(headerless)
 
 
@@ -682,7 +679,8 @@ def test_load_graph_reports_truncated_records_with_position(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     cut = tmp_path / "cut.jsonl"
     cut.write_text("\n".join(lines[:2] + [lines[2][: len(lines[2]) // 2]]) + "\n", encoding="utf-8")
-    with pytest.raises(IoError, match="line 3"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(cut))}: line 3: truncated or invalid "
+                                        "record: Unterminated string starting at$"):
         load_graph(cut)
 
 
@@ -696,7 +694,8 @@ def test_load_graph_rejects_dangling_triples(tmp_path):
         ]) + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(IoError):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 3: triple endpoint id 9 "
+                                        "not in graph$"):
         load_graph(path)
 
 
@@ -857,7 +856,7 @@ def test_a_triple_that_fails_where_it_is_scanned_is_held_not_raised(block, tmp_p
                     + _NODE.replace('"肝癌"', "5") + "\n", encoding="utf-8")
     monkeypatch.setattr(emrkg.errors, "_BLOCK_CHARS", block)
     for read in (load_graph, load_nodes_and_triples):
-        with pytest.raises(IoError, match=f"^{re.escape(str(path))}: line 4: malformed node record$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 4: malformed node record$"):
             read(path)
 
 
@@ -885,7 +884,7 @@ def test_node_ids_zero_and_negative_load_as_the_reference_loads_them(block, tmp_
         with pytest.raises(DataError) as expected:
             graph_records_by_line(path)
         for read in (load_graph, load_nodes_and_triples):
-            with pytest.raises(IoError, match=f"^{re.escape(str(expected.value))}$"):
+            with pytest.raises(DataError, match=f"^{re.escape(str(expected.value))}$"):
                 read(path)
 
 
@@ -938,7 +937,7 @@ def test_a_bad_byte_after_scanned_blocks_is_reported_as_unreadable(tmp_path, mon
     monkeypatch.setattr(emrkg.graph, "_TRIPLE_LINES", CountingScan())
     for read in (load_graph, load_nodes_and_triples):
         found.clear()
-        with pytest.raises(IoError, match=f"^cannot read {re.escape(str(path))}: "):
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
             read(path)
         assert sum(found) >= 100  # scanned triples before the fault was met
     out = tmp_path / "out"

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emrkg.corpus import BioSentence
+from emrkg.errors import DataError
 from emrkg.metrics import (
     EvalCounts,
-    LengthMismatch,
     count_matches,
     precision_recall_f1,
     report_dict,
@@ -50,9 +50,9 @@ def test_type_error_counts_against_both_types():
 
 def test_count_matches_requires_parallel_corpora():
     sentence = BioSentence("无", ("O",))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="^1 gold vs 0 predicted sentences$"):
         count_matches([sentence], [])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="^sentence 0: 1 gold chars vs 2 predicted$"):
         count_matches([sentence], [BioSentence("无无", ("O", "O"))])
 
 

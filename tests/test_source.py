@@ -34,6 +34,40 @@ def unused_imports(source: str) -> list[str]:
             if name not in read and name not in exported]
 
 
+def error_classes(source: str, bases: set[str]) -> list[tuple[int, str]]:
+    """The ``(line, name)`` of each class a module defines on one of
+    ``bases``, or on a class it defines so; a base may be named bare or as
+    a module attribute (``errors.DataError``)."""
+    bases = set(bases)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) in bases for base in node.bases):
+            bases.add(node.name)
+            found.append((node.lineno, node.name))
+    return found
+
+
+def test_the_check_finds_an_error_class():
+    source = ("class A(DataError): pass\nclass B(A): pass\nclass C(Exception): pass\n"
+              "class D(errors.ConfigError): pass\nclass E(C, errors.A): pass\n")
+    assert error_classes(source, {"DataError", "ConfigError"}) == [
+        (1, "A"), (2, "B"), (4, "D"), (5, "E")]
+    assert error_classes("class DataError(Exception): pass\n", {"DataError"}) == []
+
+
+def test_only_errors_py_defines_an_error_class():
+    """Every fault raises one of the three classes of ``errors.py``, which
+    the CLI maps to exit codes 2, 3 and 4; no other module subclasses them."""
+    errors_py = SRC / "emrkg" / "errors.py"
+    defined = error_classes(errors_py.read_text(encoding="utf-8"), {"EmrkgError"})
+    bases = {"EmrkgError", *(name for _, name in defined)}
+    assert bases == {"EmrkgError", "ConfigError", "DataError", "InternalError"}
+    found = [f"{path.relative_to(SRC)}:{line}: {name}" for path in MODULES if path != errors_py
+             for line, name in error_classes(path.read_text(encoding="utf-8"), bases)]
+    assert not found, f"{len(found)} error classes outside errors.py:\n" + "\n".join(found)
+
+
 def test_the_check_finds_an_unused_import():
     assert unused_imports("import json\nimport re\nre.compile('x')\n") == ["line 1: json"]
     assert unused_imports("from a import b, c as d\nprint(b)\n") == ["line 1: d"]

@@ -15,12 +15,11 @@ from emrkg.schema import EntitySchema
 from emrkg.tagger import TaggerModel, TagSet, Vocabulary, load_model, predict, save_model
 from emrkg.tagger.model import (
     _PREDICT_CHUNK,
-    ModelFormatError,
     init_model,
     param_shapes,
     sentence_loss_and_grads,
 )
-from emrkg.tagger.crf import EmptySentence, nll_with_grad
+from emrkg.tagger.crf import nll_with_grad
 from emrkg.tagger.vocab import PAD_TOKEN, UNK_TOKEN
 from tests.oracles import emissions_by_sentence, predict_by_sentence
 from tests.support import encode, gradient_check, sentence_loss
@@ -155,9 +154,9 @@ def test_predict_of_nothing_is_nothing(model):
 
 
 def test_predict_rejects_a_zero_length_sentence(model):
-    with pytest.raises(EmptySentence):
+    with pytest.raises(DataError, match="^emission matrix has zero rows$"):
         predict(model, [BioSentence("", ())])
-    with pytest.raises(EmptySentence):
+    with pytest.raises(DataError, match="^a row of the emission batch has zero length$"):
         predict(model, [BioSentence("肝癌", ("O", "O")), BioSentence("", ())])
 
 
@@ -263,14 +262,16 @@ def test_load_rejects_an_array_of_the_wrong_shape(model, name, tmp_path):
     params = {**model.params, name: np.concatenate([array, array[:1]])}
     path = tmp_path / "model.bin"
     save_model(TaggerModel(model.vocab, model.tagset, params), path)
-    with pytest.raises(ModelFormatError, match=f"array {re.escape(name)} has shape"):
+    stated = (len(array) + 1, *array.shape[1:])
+    message = f"{path}: array {name} has shape {stated}, expected {array.shape}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_model(path)
 
 
 def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"not a model file at all")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} is not a tagger model file$"):
         load_model(path)
 
 
@@ -280,5 +281,6 @@ def test_load_rejects_truncated_file(model, tmp_path):
     data = path.read_bytes()
     truncated = tmp_path / "cut.bin"
     truncated.write_bytes(data[: len(data) // 2])
-    with pytest.raises(ModelFormatError, match="truncated"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(truncated))}: truncated model file "
+                                        r"while reading array bw\.w data$"):
         load_model(truncated)

@@ -10,11 +10,10 @@ import pytest
 
 from emrkg.corpus import BioSentence, DatasetSplit
 from emrkg.derm import EntityDictionary
-from emrkg.errors import ConfigError
+from emrkg.errors import ConfigError, DataError
 from emrkg.metrics import count_matches, precision_recall_f1
 from emrkg.schema import EntitySchema
 from emrkg.tagger import TrainConfig, predict, train
-from emrkg.tagger.train import DivergedLoss, EmptyTrainSet
 
 SCHEMA = EntitySchema(("Disease", "Symptom"))
 
@@ -107,7 +106,7 @@ def test_vocabulary_covers_dictionary_surfaces():
 
 
 def test_empty_train_set_is_rejected():
-    with pytest.raises(EmptyTrainSet):
+    with pytest.raises(DataError, match="^empty training set$"):
         train(_split(train_sents=[]), DICTIONARY, _config(), SCHEMA)
 
 
@@ -123,7 +122,8 @@ def test_non_finite_loss_raises_diverged_loss(monkeypatch):
         return float("inf"), grads
 
     monkeypatch.setattr(train_module, "sentence_loss_and_grads", overflowing)
-    with pytest.raises(DivergedLoss, match="learning_rate"):
+    with pytest.raises(DataError, match=r"^non-finite loss inf at epoch 1; reduce learning_rate "
+                                         r"\(currently 0\.2\)$"):
         train(_split(), DICTIONARY, _config(), SCHEMA)
 
 

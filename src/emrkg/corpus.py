@@ -326,13 +326,21 @@ def write_bio_file(sentences: list[BioSentence], path: str | Path) -> None:
 
 
 def read_bio_file(path: str | Path) -> list[BioSentence]:
+    """The sentences of a BIO file, one `<char>\\t<tag>` line per character
+    and a blank line after each sentence. A malformed line, or a sentence
+    whose tags are not well-formed BIO, raises ``DataError`` naming the
+    file and the line (for a sentence, the line of its first character)."""
     sentences: list[BioSentence] = []
     chars: list[str] = []
     tags: list[str] = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    # a blank line after the last, so that every sentence ends at one
+    for lineno, line in enumerate(read_text(path).split("\n") + [""], start=1):
         if line == "":
             if chars:
-                sentences.append(BioSentence("".join(chars), tuple(tags)))
+                try:
+                    sentences.append(BioSentence("".join(chars), tuple(tags)))
+                except DataError as exc:
+                    raise DataError(f"{path} line {lineno - len(chars)}: {exc}") from exc
                 chars, tags = [], []
             continue
         parts = line.split("\t")
@@ -340,8 +348,6 @@ def read_bio_file(path: str | Path) -> list[BioSentence]:
             raise DataError(f"{path} line {lineno}: expected `<char>\\t<tag>`")
         chars.append(parts[0])
         tags.append(parts[1])
-    if chars:
-        sentences.append(BioSentence("".join(chars), tuple(tags)))
     return sentences
 
 

@@ -120,7 +120,7 @@ def write_records(path: str | Path, schema: str, records: Iterable[dict]) -> Non
 
 
 # About 64 KiB of text per block: large enough that a block's lines cost
-# one regex scan (see ``graph._graph_records``), small enough that a load
+# one regex scan (see ``graph._graph_triples``), small enough that a load
 # holds only its records and one block.
 _BLOCK_CHARS = 1 << 16
 
@@ -154,26 +154,40 @@ def read_blocks(path: str | Path, schema: str) -> Iterator[tuple[int, list[str]]
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def parse_object(text: str) -> dict | None:
+    """The dict ``json.loads`` gives for ``text`` if ``text`` is exactly one
+    JSON object, with no surrounding whitespace, holding no lone
+    surrogate; otherwise None. ``{}`` gives a new dict each time."""
+    if text == "{}":
+        return {}
+    try:
+        obj, end = _raw_decode(text)
+    except (ValueError, RecursionError):
+        return None
+    if end != len(text) or type(obj) is not dict or find_lone_surrogate(text, obj) is not None:
+        return None
+    return obj
+
+
 def decode_record(path: str | Path, lineno: int, line: str) -> dict | None:
     """The JSON object on line ``lineno`` of ``path``, or None for a blank
-    line. A line that is not one JSON object, or that holds a lone
-    surrogate, raises ``DataError`` naming the file and the line.
-    ``ValueError`` covers ``JSONDecodeError`` and an integer longer than
+    line. A line ``parse_object`` rejects is decoded again: one that is
+    not one JSON object, or that holds a lone surrogate, raises
+    ``DataError`` naming the file and the line. ``ValueError`` covers ``JSONDecodeError`` and an integer longer than
     Python converts (4,300 digits by default)."""
     line = line.rstrip("\n")
     if not line.strip():
         return None
+    obj = parse_object(line)
+    if obj is not None:
+        return obj
+    # surrounding whitespace, or a fault whose reason the message names
     try:
-        obj, end = _raw_decode(line)
-    except (ValueError, RecursionError):
-        end = -1
-    if end != len(line):  # surrounding whitespace, or not one JSON value
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            reason = ("nested too deeply" if isinstance(exc, RecursionError)
-                      else getattr(exc, "msg", str(exc)))
-            raise DataError(f"{path}: line {lineno}: truncated or invalid record: {reason}") from exc
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        reason = ("nested too deeply" if isinstance(exc, RecursionError)
+                  else getattr(exc, "msg", str(exc)))
+        raise DataError(f"{path}: line {lineno}: truncated or invalid record: {reason}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: line {lineno}: record is not a JSON object")
     bad = find_lone_surrogate(line, obj)

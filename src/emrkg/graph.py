@@ -30,6 +30,7 @@ from emrkg.errors import (
     InternalError,
     decode_record,
     encode_record,
+    parse_object,
     read_blocks,
     write_lines,
 )
@@ -354,7 +355,7 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
 
 
 # A whole line in ``_triple_line``'s shape, so a match decodes to what
-# ``json.loads`` gives for it; ``_graph_records`` scans a block of such lines
+# ``json.loads`` gives for it; ``_graph_triples`` scans a block of such lines
 # at once. An id of more than 18 digits does not match, so that a line too
 # long for ``int`` meets ``decode_record``'s checks.
 _TRIPLE_LINES = re.compile(
@@ -363,15 +364,46 @@ _TRIPLE_LINES = re.compile(
     re.M,
 )
 
+# A whole line in the shape ``save_graph`` writes a node's record in, its
+# ids as in ``_TRIPLE_LINES``. A name with no quote, backslash or control
+# character is its own decoded value. The name admits no quote, so only
+# one end of the attributes group lets the rest match up to the line feed:
+# a match decodes to what ``json.loads`` gives for it whenever that group
+# is one JSON object on its own (see ``parse_object``).
+_NODE_LINES = re.compile(
+    r'^\{"attributes": (.*?), "id": (0|-?[1-9][0-9]{0,17}), "kind": "node", '
+    r'"label": "([A-Za-z]+)", "name": "([^"\\\x00-\x1f]*)"\}\n',
+    re.M,
+)
 
-def _graph_records(
-    path: str | Path, by_key: dict[tuple[str, str], int], head_key: tuple[str, str] | None = None
-) -> Iterator[Node | Triple]:
-    """The checked records of a ``graph/1`` file, in file order: each node
-    where it is read, each triple once it is checked. ``by_key`` receives
-    each node's (label, normalized name) -> id. With ``head_key``, only the
-    triples whose head is that node come out, though every record is
-    checked. The first bad record raises DataError naming its line.
+
+def _graph_blocks(path: str | Path) -> Iterator[tuple[int, list[str], str]]:
+    """``(line number of the first line, lines, their text)`` for each block
+    ``read_blocks`` reads from a ``graph/1`` file. A block led by a node line
+    is cut before its first triple line, so that each part can be scanned
+    whole."""
+    for first, lines in read_blocks(path, SCHEMA_TAG):
+        text = "".join(lines)
+        cut = text.find('\n{"head": ') + 1 if text.startswith('{"attributes": ') else 0
+        if cut:
+            count = text.count("\n", 0, cut)
+            yield first, lines[:count], text[:cut]
+            first, lines, text = first + count, lines[count:], text[cut:]
+        yield first, lines, text
+
+
+def _graph_triples(
+    path: str | Path,
+    nodes: dict[int, Node],
+    by_key: dict[tuple[str, str], int],
+    head_key: tuple[str, str] | None = None,
+) -> Iterator[Triple]:
+    """The checked triples of a ``graph/1`` file, in file order, each once
+    it is checked. ``nodes`` receives each node by id and ``by_key`` its
+    (label, normalized name) -> id, where the node is read. With
+    ``head_key``, only the triples whose head is that node come out, though
+    every record is checked. The first bad record raises DataError naming
+    its line.
 
     A triple passes where it is read if nothing is held and its endpoints
     are in and admit its relation; node ids are unique, so it passes for
@@ -381,16 +413,19 @@ def _graph_records(
     A block led by a triple line is scanned whole with ``_TRIPLE_LINES``;
     if every line matches, its triples come from the match groups and are
     checked with one set test keyed on id text (the regex admits only
-    canonical decimal ids). Any other block is decoded line by line."""
-    nodes: dict[int, Node] = {}
+    canonical decimal ids). A block led by a node line is scanned whole
+    with ``_NODE_LINES``; if every line matches, its nodes are checked with
+    set tests before any is kept. Any other block, or one that fails a
+    check, is decoded line by line, which raises the first fault's
+    message."""
     label_of: dict[str, str] = {}  # str(node id) -> label
     held: list[tuple[int, str, int]] = []
     linenos: list[int] = []  # each held triple's line
     head_id = None  # the id of head_key's node, once it is read
     relation_of = _RELATION_NAMES.get
-    for first, lines in read_blocks(path, SCHEMA_TAG):
-        if lines[0].startswith('{"head": '):
-            found = _TRIPLE_LINES.findall("".join(lines))
+    for first, lines, text in _graph_blocks(path):
+        if text.startswith('{"head": '):
+            found = _TRIPLE_LINES.findall(text)
             if len(found) == len(lines):
                 heads, relations, tails = zip(*found)
                 triples = zip(map(int, heads), map(relation_of, relations, relations),
@@ -402,10 +437,27 @@ def _graph_records(
                 elif head_key is None:
                     yield from map(_new_triple, triples)
                 elif head_id is not None:
-                    text = str(head_id)
+                    head_text = str(head_id)
                     yield from (_new_triple((head_id, relation_of(r), int(t)))
-                                for h, r, t in found if h == text)
+                                for h, r, t in found if h == head_text)
                 continue
+        elif text.startswith('{"attributes": '):
+            found = _NODE_LINES.findall(text)
+            if len(found) == len(lines):
+                attributes, id_texts, labels, names = zip(*found)
+                ids = list(map(int, id_texts))
+                keys = list(zip(labels, map(normalize_name, names)))
+                attributes = list(map(parse_object, attributes))
+                if (None not in attributes and all(map(str.strip, names))
+                        and set(labels).issubset(GRAPH_LABELS)
+                        and len(set(keys)) == len(keys) and by_key.keys().isdisjoint(keys)
+                        and len(set(ids)) == len(ids) and nodes.keys().isdisjoint(ids)):
+                    by_key.update(zip(keys, ids))
+                    label_of.update(zip(id_texts, labels))
+                    nodes.update(zip(ids, map(Node, ids, labels, names, attributes)))
+                    if head_id is None:
+                        head_id = by_key.get(head_key)
+                    continue
         for lineno, line in enumerate(lines, start=first):
             obj = decode_record(path, lineno, line)
             if obj is None:
@@ -437,8 +489,7 @@ def _graph_records(
                 label_of[str(node_id)] = label
                 if key == head_key:
                     head_id = node_id
-                node = nodes[node_id] = Node(node_id, label, name, attributes)
-                yield node
+                nodes[node_id] = Node(node_id, label, name, attributes)
             else:
                 raise DataError(f"{path}: line {lineno}: unknown record kind {kind!r}")
     for lineno, triple in zip(linenos, held):
@@ -451,22 +502,18 @@ def _graph_records(
 
 
 def load_graph(path: str | Path, head: tuple[str, str] | None = None) -> KnowledgeGraph:
-    """Read a ``graph/1`` file, every record checked by ``_graph_records``. With
+    """Read a ``graph/1`` file, every record checked by ``_graph_triples``. With
     ``head``, a (label, name), keep every node but only the triples whose
     head is that node: all that ``pattern_query`` on it reads. A repeated
     triple keeps its first position."""
     graph = KnowledgeGraph()
-    nodes, by_key = graph.nodes, graph._by_key
     triples, by_head, by_tail = graph._triples, graph._by_head, graph._by_tail
     head_key = None if head is None else (head[0], normalize_name(head[1]))
-    for record in _graph_records(path, by_key, head_key):
-        if type(record) is Node:
-            nodes[record.id] = record
-        else:
-            triples[record] = None
-            by_head.setdefault(record.head, {})[record] = None
-            by_tail.setdefault(record.tail, {})[record] = None
-    graph._next_id = max(graph._next_id, max(nodes, default=0) + 1)
+    for triple in _graph_triples(path, graph.nodes, graph._by_key, head_key):
+        triples[triple] = None
+        by_head.setdefault(triple.head, {})[triple] = None
+        by_tail.setdefault(triple.tail, {})[triple] = None
+    graph._next_id = max(graph._next_id, max(graph.nodes, default=0) + 1)
     return graph
 
 
@@ -474,11 +521,6 @@ def load_nodes_and_triples(path: str | Path) -> tuple[list[Node], dict[Triple, N
     """The nodes and the distinct triples of a ``graph/1`` file, checked as
     ``load_graph`` checks them, without the graph's name and endpoint
     indexes: all that ``canonical_order`` reads."""
-    nodes: list[Node] = []
-    triples: dict[Triple, None] = {}
-    for record in _graph_records(path, {}):
-        if type(record) is Node:
-            nodes.append(record)
-        else:
-            triples[record] = None
-    return nodes, triples
+    nodes: dict[int, Node] = {}
+    triples = dict.fromkeys(_graph_triples(path, nodes, {}))
+    return list(nodes.values()), triples

@@ -208,6 +208,8 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="entities-header"),
         pytest.param(["convert", "--max-len", "1"], 2, None, id="max-len"),
         pytest.param(["split", "--bio", "{gbk}"], 3, "gbk", id="split-bio-not-utf8"),
+        pytest.param(["split", "--bio", "{bio_bad_tags}"], 3, "bio_bad_tags",
+                     id="split-bio-malformed-tags"),
         pytest.param(["align", "--names", "{gbk}"], 3, "gbk", id="align-names-not-utf8"),
         pytest.param(["augment", "--bio", "{present}", "--dictionary", "{gbk}"], 3, "gbk",
                      id="augment-dictionary-not-utf8"),
@@ -328,6 +330,8 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     }
     paths["present"].write_text("", encoding="utf-8")
     paths["gbk"].write_bytes("肝\tB-Disease\n癌\tI-Disease\n".encode("gbk"))
+    paths["bio_bad_tags"] = tmp_path / "bio_bad_tags.bio"
+    paths["bio_bad_tags"].write_text("肝\tO\n癌\tI-Disease\n", encoding="utf-8")
     no_pad = [t for t in Vocabulary.build(["肝"]).tokens if t != "<pad>"]
     for name, meta in [("meta_not_utf8", '{"vocab": ["肝"]}'.encode("gbk")),
                        ("meta_no_vocab", b'{"entity_types": ["Disease"]}'),

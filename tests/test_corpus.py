@@ -452,6 +452,18 @@ def test_read_bio_file_rejects_malformed_rows(tmp_path):
         read_bio_file(path)
 
 
+@pytest.mark.parametrize("end", ["\n", ""], ids=["line-feed-at-end", "no-line-feed-at-end"])
+@pytest.mark.parametrize("tags", [tags for tags in _MALFORMED_TAGS if len(tags) == 2])
+def test_read_bio_file_names_the_first_line_of_a_malformed_sentence(tags, end, tmp_path):
+    """A sentence whose tags ``BioSentence`` rejects is named by the line
+    of its first character, after the file, whether or not a blank line
+    ends it."""
+    path = tmp_path / "bad.bio"
+    path.write_text(f"腹\tO\n\n\n肝\t{tags[0]}\n癌\t{tags[1]}{end}", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))} line 4: {_MALFORMED_TAGS[tags][1:]}"):
+        read_bio_file(path)
+
+
 def test_readers_name_a_file_that_is_not_utf8(tmp_path, schema):
     bio = tmp_path / "gbk.bio"
     bio.write_bytes("肝\tB-Disease\n".encode("gbk"))

@@ -547,6 +547,17 @@ def test_save_load_round_trip_on_random_graphs(tmp_path):
 _NODE = '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}'
 
 
+def _node_line(node_id: int, label: str, name: str) -> str:
+    """A node's line as ``save_graph`` writes it, with no attributes."""
+    return encode_record({"kind": "node", "id": node_id, "label": label, "name": name,
+                          "attributes": {}}) + "\n"
+
+
+# node lines in save_graph's shape, which a load scans a block at a time
+_SAVED = [_node_line(1, "Disease", "肝癌")[:-1], _node_line(2, "Food", "苹果")[:-1],
+          _node_line(3, "Disease", "HBV")[:-1]]
+
+
 def _triple(head, relation, tail) -> str:
     return json.dumps({"kind": "triple", "head": head, "relation": relation, "tail": tail})
 
@@ -568,6 +579,11 @@ _MALFORMED = [
     ([_NODE.replace("Disease", "Organ")], "line 2: unknown label 'Organ'"),
     ([_NODE, _NODE.replace('"id": 1', '"id": 2')], "line 3: duplicate node ('Disease', '肝癌')"),
     ([_NODE, _NODE.replace("肝癌", "肝炎")], "line 3: duplicate node ('Disease', '肝炎')"),
+    # the same faults in scanned blocks: each is named at its own line
+    (_SAVED + [_node_line(4, "Organ", "肝")[:-1]], "line 5: unknown label 'Organ'"),
+    (_SAVED + [_node_line(2, "Food", "梨")[:-1]], "line 5: duplicate node ('Food', '梨')"),
+    (_SAVED + [_node_line(4, "Disease", "\u3000ＨＢＶ")[:-1]],
+     "line 5: duplicate node ('Disease', 'HBV')"),
     ([_NODE, _triple(1, "RecommendedFood", 9)], "line 3: triple endpoint id 9 not in graph"),
     ([_NODE, _triple(1, "Cures", 1)], "line 3: unknown relation type 'Cures'"),
     ([_NODE, _triple(1, "RecommendedFood", 1)],
@@ -743,14 +759,55 @@ _TRIPLE_REWRITES = {
 }
 
 
+def _other_width(name: str) -> str:
+    """``name`` with each ASCII character in its full-width form and each
+    full-width one in its ASCII form: the same name after normalization."""
+    return "".join(chr(ord(c) + 0xFEE0) if "!" <= c <= "~" else
+                   chr(ord(c) - 0xFEE0) if "\uff01" <= c <= "\uff5e" else c for c in name)
+
+
+def _with(record: dict, **changes) -> str:
+    return encode_record({**record, **changes}) + "\n"
+
+
+# rewrites of one node line that a load must read as json.loads does, each
+# giving the rewritten line with its line end; some make the file bad
+_NODE_REWRITES = {
+    "keys-reordered": lambda r, line: json.dumps(dict(reversed(r.items())), ensure_ascii=False)
+    + "\n",
+    "compact": lambda r, line: json.dumps(r, ensure_ascii=False, sort_keys=True,
+                                          separators=(",", ":")) + "\n",
+    "name-quote": lambda r, line: _with(r, name=r["name"] + '"'),
+    "name-backslash": lambda r, line: _with(r, name="\\" + r["name"]),
+    "name-escape": lambda r, line: line.replace(f'"name": {encode_record(r["name"])}',
+                                                f'"name": {encode_record(r["name"])[:-1]}\\u00e9"')
+    + "\n",
+    "attribute-lone-surrogate": lambda r, line: _with(
+        r, attributes={**r["attributes"], "note": "SURROGATE"}).replace("SURROGATE", "\\ud800"),
+    # an attribute that holds the end of another node line
+    "attribute-holds-a-line-end": lambda r, line: _with(r, attributes={
+        **r["attributes"], "note": '}, "id": 9, "kind": "node", "label": "Food", "name": "x"}'}),
+    "id-minus-zero": lambda r, line: line.replace(f'"id": {r["id"]},', '"id": -0,') + "\n",
+    "id-leading-zero": lambda r, line: line.replace('"id": ', '"id": 0') + "\n",
+    "id-float": lambda r, line: line.replace(f'"id": {r["id"]},', f'"id": {r["id"]}.0,') + "\n",
+    "id-19-digits": lambda r, line: _with(r, id=r["id"] + 10**18),
+    "name-blank": lambda r, line: _with(r, name=" \u3000"),
+    # a second node line, its name the first one's in the other width
+    "width-folded-duplicate": lambda r, line: line + "\n" + _with(
+        r, id=r["id"] + 10**6, name="\u3000" + _other_width(r["name"])),
+    "crlf": lambda r, line: line + "\r\n",
+    "trailing-garbage": lambda r, line: line + " x\n",
+}
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32 - 1), block=st.integers(1, 2000), data=st.data())
 def test_graph_readers_agree_with_the_line_by_line_reference(seed, block, data, tmp_path, caplog):
     """``load_graph``, ``load_nodes_and_triples`` and ``query`` give the
     records, or the message, of a reader that decodes each line with
-    ``json.loads``, whether a triple line is in ``save_graph``'s shape
-    (scanned a block at a time) or in any other form, and wherever the
-    blocks end."""
+    ``json.loads``, whether a node or triple line is in ``save_graph``'s
+    shape (scanned a block at a time) or in any other form, and wherever
+    the blocks end."""
     rng = random.Random(seed)
     graph = _build(_random_spec(rng, n_nodes=24, n_triples=40), rng)
     path = tmp_path / "graph.jsonl"
@@ -762,6 +819,10 @@ def test_graph_readers_agree_with_the_line_by_line_reference(seed, block, data, 
                                          st.sampled_from(sorted(_TRIPLE_REWRITES))), max_size=4))
     for i, how in edits:
         texts[i] = _TRIPLE_REWRITES[how](json.loads(lines[i]), lines[i])
+    edits = data.draw(st.lists(st.tuples(st.integers(0, n_nodes - 1),
+                                         st.sampled_from(sorted(_NODE_REWRITES))), max_size=3))
+    for i, how in edits:
+        texts[i] = _NODE_REWRITES[how](json.loads(lines[i]), lines[i])
     if data.draw(st.booleans()):  # a node line after the triples, or among them
         moved = texts.pop(data.draw(st.integers(0, n_nodes - 1)))
         at = data.draw(st.one_of(st.just(len(texts)), st.integers(n_nodes - 1, len(texts))))
@@ -802,11 +863,6 @@ def test_graph_readers_agree_with_the_line_by_line_reference(seed, block, data, 
     assert code == 0
     assert answer.read_text(encoding="utf-8") == "".join(
         n.name + "\n" for n in pattern_scan(reference, node.label, node.name, relation))
-
-
-def _node_line(node_id: int, label: str, name: str) -> str:
-    return encode_record({"kind": "node", "id": node_id, "label": label, "name": name,
-                          "attributes": {}}) + "\n"
 
 
 def _assert_reads_as_the_reference(path) -> None:
@@ -913,6 +969,36 @@ def test_query_builds_a_triple_only_for_its_heads_triples(tmp_path, monkeypatch)
     assert len(built) == 8
     assert answer.read_text(encoding="utf-8") == "".join(
         n.name + "\n" for n in graph.pattern_query("Disease", "疾病7", "RecommendedFood"))
+
+
+@pytest.mark.parametrize("block", [1, 150, 1 << 16])
+def test_every_line_save_graph_writes_is_read_without_a_json_decode(block, tmp_path, monkeypatch):
+    """Node and triple lines in ``save_graph``'s shape are all scanned,
+    wherever the blocks end, so a slip in either regex cannot send them
+    quietly back to the line-by-line decode."""
+    graph = _large_graph()
+    graph.upsert_node("Disease", "肝癌", {"aliases": ['原发性"肝癌"', "c\\d", "a b"], "n": 1.5})
+    path = tmp_path / "graph.jsonl"
+    save_graph(graph, path)
+    decoded = []
+
+    def counting(path, lineno, line, decode=emrkg.graph.decode_record):
+        decoded.append(lineno)
+        return decode(path, lineno, line)
+
+    monkeypatch.setattr(emrkg.graph, "decode_record", counting)
+    monkeypatch.setattr(emrkg.errors, "_BLOCK_CHARS", block)
+    loaded = load_graph(path)
+    assert (loaded.nodes, loaded.triples) == (graph.nodes, graph.triples)
+    nodes, triples = load_nodes_and_triples(path)
+    assert (nodes, list(triples)) == (list(graph.nodes.values()), graph.triples)
+    answer = tmp_path / "answer.txt"
+    assert main(["query", "--seed", "1", "--output-dir", str(tmp_path / "out"), "--graph",
+                 str(path), "--label", "Disease", "--name", "疾病7", "--relation",
+                 "HasSymptom", "--out", str(answer)]) == 0
+    assert answer.read_text(encoding="utf-8") == "".join(
+        n.name + "\n" for n in graph.pattern_query("Disease", "疾病7", "HasSymptom"))
+    assert decoded == []
 
 
 def test_a_bad_byte_after_scanned_blocks_is_reported_as_unreadable(tmp_path, monkeypatch, caplog):

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage, 2 configuration, 3 data, 4 internal.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import json
@@ -617,6 +618,9 @@ def run_pipeline(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``emrkg`` argument parser. ``main`` runs subcommand ``x-y`` as
+    this module's ``run_x_y``, looked up when it runs, so a wrapper
+    installed after the parser is built still runs."""
     parser = argparse.ArgumentParser(
         prog="emrkg",
         description="Clinical-text knowledge-graph pipeline: annotation "
@@ -634,52 +638,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sub.add_parser("convert", parents=[common],
-                   help="standoff corpus to BIO sentences").set_defaults(func=run_convert)
+                   help="standoff corpus to BIO sentences")
 
     p = sub.add_parser("split", parents=[common], help="8:1:1 dataset split")
     p.add_argument("--bio", help="input BIO file (default: <output-dir>/corpus.bio)")
-    p.set_defaults(func=run_split)
 
     p = sub.add_parser("augment", parents=[common],
                        help="one replace/mask augmentation pass over a BIO file")
     p.add_argument("--bio", required=True, help="input BIO file")
     p.add_argument("--dictionary", required=True, help="entity dictionary TSV")
     p.add_argument("--out", help="output BIO file")
-    p.set_defaults(func=run_augment)
 
     p = sub.add_parser("train", parents=[common], help="train the sequence tagger")
     p.add_argument("--train", help="training BIO file (default: <output-dir>/train.bio)")
     p.add_argument("--validation", help="validation BIO file (default: <output-dir>/validation.bio)")
     p.add_argument("--dictionary", help="entity dictionary TSV (default: built from data)")
-    p.set_defaults(func=run_train)
 
     p = sub.add_parser("tag", parents=[common], help="tag a corpus or plain text")
     p.add_argument("--text", help="plain text file, one sentence per line")
-    p.set_defaults(func=run_tag)
 
     p = sub.add_parser("evaluate", parents=[common], help="entity-level P/R/F1")
     p.add_argument("--gold", help="gold BIO file (default: <output-dir>/test.bio)")
-    p.set_defaults(func=run_evaluate)
 
     sub.add_parser("kb-load", parents=[common],
-                   help="load the KB into a graph file").set_defaults(func=run_kb_load)
+                   help="load the KB into a graph file")
 
     p = sub.add_parser("align", parents=[common],
                        help="TF-IDF-align entity names to KB diseases")
     p.add_argument("--names", help="file of names, one per line")
     p.add_argument("--entities", help="extracted-entities JSONL from the tag step")
-    p.set_defaults(func=run_align)
 
     p = sub.add_parser("fuse", parents=[common],
                        help="insert patient records and merge aligned nodes")
     p.add_argument("--graph", help="input graph file (default: <output-dir>/kb_graph.jsonl)")
     p.add_argument("--entities", help="extracted-entities JSONL to insert")
     p.add_argument("--alignments", help="alignment TSV (default: <output-dir>/alignments.tsv)")
-    p.set_defaults(func=run_fuse)
 
     p = sub.add_parser("export", parents=[common], help="Cypher and CSV export")
     p.add_argument("--graph", help="input graph file (default: <output-dir>/graph.jsonl)")
-    p.set_defaults(func=run_export)
 
     p = sub.add_parser("query", parents=[common], help="pattern query over a graph file")
     p.add_argument("--graph", help="graph file (default: <output-dir>/graph.jsonl)")
@@ -687,11 +683,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, help="head node name")
     p.add_argument("--relation", required=True, help="relation type")
     p.add_argument("--out", help="write results here instead of stdout")
-    p.set_defaults(func=run_query)
 
     sub.add_parser("pipeline", parents=[common],
-                   help="run every stage end to end").set_defaults(func=run_pipeline)
+                   help="run every stage end to end")
     return parser
+
+
+# built once per process, which may call ``main`` once per stage and query
+_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -702,9 +701,9 @@ def main(argv: list[str] | None = None) -> int:
     triples and index dicts that live until it returns, and every full
     collection would walk them all again; none of them can be part of a
     cycle, so reference counting frees them as before. The little cyclic
-    garbage a run makes, mostly the argument parser, does not grow with
-    its inputs (``test_a_stage_leaves_the_same_cyclic_garbage_at_any_size``)
-    and waits for the caller's next collection."""
+    garbage a run makes does not grow with its inputs
+    (``test_a_stage_leaves_the_same_cyclic_garbage_at_any_size``) and
+    waits for the caller's next collection."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -718,16 +717,15 @@ def _main(argv: list[str] | None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 for --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         cfg = load_config(args)
         _mkdir(cfg.output_dir)
-        inputs = args.func(cfg, args)
+        inputs = globals()["run_" + args.subcommand.replace("-", "_")](cfg, args)
         if inputs is not None:
             write_manifest(cfg, args.subcommand, inputs)
         return EXIT_OK

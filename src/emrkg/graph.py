@@ -20,7 +20,9 @@ import functools
 import itertools
 import json
 import logging
+import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -42,6 +44,8 @@ SCHEMA_TAG = "graph/1"
 
 
 _WIDTH_FOLD = {code: code - 0xFEE0 for code in range(0xFF01, 0xFF5F)} | {0x3000: " "}
+
+_LABELS = frozenset(GRAPH_LABELS)
 
 # every admitted (head label, relation, tail label)
 _ENDPOINTS = frozenset((h, r, t) for r, pairs in RELATION_ENDPOINTS.items() for h, t in pairs)
@@ -93,15 +97,16 @@ class KnowledgeGraph:
 
     The triple store and both endpoint indexes are dicts used as
     insertion-ordered sets, so removing a triple costs O(1) and export
-    order follows insertion order.
+    order follows insertion order; an endpoint index makes a node's dict
+    when it is first indexed, so read one with ``get``.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[int, Node] = {}
         self._triples: dict[Triple, None] = {}
         self._by_key: dict[tuple[str, str], int] = {}
-        self._by_head: dict[int, dict[Triple, None]] = {}
-        self._by_tail: dict[int, dict[Triple, None]] = {}
+        self._by_head: defaultdict[int, dict[Triple, None]] = defaultdict(dict)
+        self._by_tail: defaultdict[int, dict[Triple, None]] = defaultdict(dict)
         self._next_id = 1
 
     @property
@@ -114,11 +119,12 @@ class KnowledgeGraph:
     def upsert_node(self, label: str, name: str, attributes: dict | None = None) -> int:
         """Insert or update the node identified by (label, normalized name);
         on update, incoming attributes overwrite same-named keys."""
-        if label not in GRAPH_LABELS:
+        if label not in _LABELS:
             raise DataError(f"unknown node label {label!r}")
-        if not name.strip():
+        normalized = normalize_name(name)
+        if not normalized:
             raise DataError("node name must be non-empty")
-        key = (label, normalize_name(name))
+        key = (label, normalized)
         node_id = self._by_key.get(key)
         if node_id is None:
             node_id = self._next_id
@@ -138,13 +144,16 @@ class KnowledgeGraph:
     def add_triple(self, head: int, relation: str, tail: int) -> bool:
         """Add one typed edge; re-adding an existing triple is a no-op.
         Returns True if the triple was new."""
-        _check_endpoints(self.nodes, head, relation, tail)
-        triple = Triple(head, relation, tail)
+        nodes = self.nodes
+        if (head not in nodes or tail not in nodes
+                or (nodes[head].label, relation, nodes[tail].label) not in _ENDPOINTS):
+            _check_endpoints(nodes, head, relation, tail)  # raises the fault's message
+        triple = _new_triple((head, relation, tail))
         if triple in self._triples:
             return False
         self._triples[triple] = None
-        self._by_head.setdefault(head, {})[triple] = None
-        self._by_tail.setdefault(tail, {})[triple] = None
+        self._by_head[head][triple] = None
+        self._by_tail[tail][triple] = None
         return True
 
     def _remove_triple(self, triple: Triple) -> None:
@@ -238,21 +247,21 @@ def add_patient_record(
 
 class CanonicalOrder(NamedTuple):
     """A graph's export order: its nodes sorted by (label, normalized name),
-    each node id's 1-based rank in that order, and its triples sorted by
-    (rank of head, relation, rank of tail)."""
+    and its triples as sorted ``(rank of head, relation, rank of tail)``
+    tuples, a rank being a node's 1-based place in ``nodes``."""
 
     nodes: list[Node]
-    rank: dict[int, int]
-    triples: list[Triple]
+    triples: list[tuple[int, str, int]]
 
 
 def canonical_order(nodes: Iterable[Node], triples: Iterable[Triple]) -> CanonicalOrder:
     """The export order of a graph's nodes and distinct triples; the
     exporters take it, so one export sorts the graph once."""
     nodes = sorted(nodes, key=lambda n: (n.label, normalize_name(n.name)))
-    rank = {node.id: i for i, node in enumerate(nodes, start=1)}
-    triples = sorted(triples, key=lambda t: (rank[t.head], t.relation, rank[t.tail]))
-    return CanonicalOrder(nodes, rank, triples)
+    rank = {node.id: i for i, node in enumerate(nodes, start=1)}.__getitem__
+    ranked = [(rank(head), relation, rank(tail)) for head, relation, tail in triples]
+    ranked.sort()
+    return CanonicalOrder(nodes, ranked)
 
 
 @functools.cache
@@ -273,7 +282,11 @@ def _cypher_value(value) -> str:
         return f"'{escaped}'"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
+        return repr(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):  # a graph file's NaN or Infinity: no Cypher literal
+            raise DataError(f"non-finite attribute value {value!r}")
         return repr(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_cypher_value(v) for v in value) + "]"
@@ -288,12 +301,17 @@ def export_cypher(order: CanonicalOrder, path: str | Path) -> int:
     the only ones ``_cypher_value`` can reject, so an export that fails
     writes no file. The triple statements are then written as a stream."""
     statements = []
-    match = {}  # node id -> its "Label {name: ...}" pattern
+    match = [""]  # at each node's rank, its "Label {name: ...}" pattern
     for node in order.nodes:
-        props = {"name": node.name, **dict(sorted(node.attributes.items()))}
-        rendered = ", ".join(f"{k}: {_cypher_value(v)}" for k, v in props.items())
-        statements.append(f"MERGE (n:{node.label} {{{rendered}}});\n")
-        match[node.id] = f"{node.label} {{name: {_cypher_value(node.name)}}}"
+        pattern = f"{node.label} {{name: {_cypher_value(node.name)}}}"
+        if node.attributes:
+            # an attribute called name takes the name's place, first
+            props = {"name": node.name, **dict(sorted(node.attributes.items()))}
+            rendered = ", ".join(f"{k}: {_cypher_value(v)}" for k, v in props.items())
+            statements.append(f"MERGE (n:{node.label} {{{rendered}}});\n")
+        else:
+            statements.append(f"MERGE (n:{pattern});\n")
+        match.append(pattern)
     edges = (
         f"MATCH (a:{match[head]}), (b:{match[tail]}) "
         f"MERGE (a)-[:{relation_identifier(relation)}]->(b);\n"
@@ -313,26 +331,27 @@ def export_cypher(order: CanonicalOrder, path: str | Path) -> int:
 # relation names (see RELATION_ENDPOINTS) do, and ends each row in CRLF.
 _rels_row = "{},{},{}\r\n".format
 
+# ``json.dumps(value, ensure_ascii=False)``, which builds an encoder per call
+_encode_attributes = json.JSONEncoder(ensure_ascii=False).encode
+
 
 def export_csv(order: CanonicalOrder, nodes_path: str | Path, rels_path: str | Path) -> None:
     """Bulk-import companion to the Cypher export: nodes.csv carries
-    canonical re-numbered ids so identical graphs yield identical files."""
-    export_id = order.rank
+    canonical re-numbered ids (the ranks) so identical graphs yield
+    identical files."""
     try:
         with open(nodes_path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["id", "label", "name", "attributes"])
-            for node in order.nodes:
-                writer.writerow([
-                    export_id[node.id],
-                    node.label,
-                    node.name,
-                    json.dumps(dict(sorted(node.attributes.items())), ensure_ascii=False),
-                ])
+            writer.writerows(
+                (rank, node.label, node.name,
+                 _encode_attributes(dict(sorted(node.attributes.items())))
+                 if node.attributes else "{}")
+                for rank, node in enumerate(order.nodes, start=1)
+            )
         with open(rels_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(_rels_row("head", "relation", "tail"))
-            handle.writelines(_rels_row(export_id[head], relation, export_id[tail])
-                              for head, relation, tail in order.triples)
+            handle.writelines(itertools.starmap(_rels_row, order.triples))
     except OSError as exc:
         raise DataError(f"cannot write CSV export: {exc}") from exc
 
@@ -344,11 +363,20 @@ def export_csv(order: CanonicalOrder, nodes_path: str | Path, rels_path: str | P
 # only int node ids and relations named in RELATION_ENDPOINTS.
 _triple_line = '{{"head": {}, "kind": "triple", "relation": "{}", "tail": {}}}\n'.format
 
+# The line ``encode_record`` writes for a node's record, in ``_NODE_LINES``'
+# shape: its attributes' JSON, then its name's JSON string unquoted, which
+# is the name itself unless it holds a character in ``_JSON_ESCAPED``
+# (labels are letters: see GRAPH_LABELS).
+_node_line = ('{{"attributes": {}, "id": {}, "kind": "node", '
+              '"label": "{}", "name": "{}"}}\n').format
+_JSON_ESCAPED = re.compile(r'["\\\x00-\x1f]')
+
 
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     """Lossless line-delimited JSON snapshot (internal ids preserved)."""
-    nodes = (encode_record({"kind": "node", "id": node.id, "label": node.label,
-                            "name": node.name, "attributes": node.attributes}) + "\n"
+    nodes = (_node_line(encode_record(node.attributes) if node.attributes else "{}", node.id,
+                        node.label, encode_record(node.name)[1:-1]
+                        if _JSON_ESCAPED.search(node.name) else node.name)
              for _, node in sorted(graph.nodes.items()))
     triples = itertools.starmap(_triple_line, graph._triples)
     write_lines(path, SCHEMA_TAG, itertools.chain(nodes, triples))
@@ -511,8 +539,8 @@ def load_graph(path: str | Path, head: tuple[str, str] | None = None) -> Knowled
     head_key = None if head is None else (head[0], normalize_name(head[1]))
     for triple in _graph_triples(path, graph.nodes, graph._by_key, head_key):
         triples[triple] = None
-        by_head.setdefault(triple.head, {})[triple] = None
-        by_tail.setdefault(triple.tail, {})[triple] = None
+        by_head[triple[0]][triple] = None
+        by_tail[triple[2]][triple] = None
     graph._next_id = max(graph._next_id, max(graph.nodes, default=0) + 1)
     return graph
 

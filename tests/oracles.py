@@ -23,7 +23,7 @@ import numpy as np
 from emrkg.corpus import EntitySpan, Segment
 from emrkg.errors import DataError
 from emrkg.graph import KnowledgeGraph, Node, Triple, normalize_name
-from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS
+from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
 
 
 # -- standoff spans and segmentation ----------------------------------------
@@ -429,7 +429,13 @@ def _cypher_literal(value) -> str:
         return repr(value)
     if isinstance(value, str):
         return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
-    return "[" + ", ".join(_cypher_literal(v) for v in value) + "]"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_cypher_literal(v) for v in value) + "]"
+    raise DataError(f"unsupported attribute value type {type(value).__name__}")
+
+
+def _relation_identifier(relation: str) -> str:
+    return re.sub(r"(?<=.)([A-Z])", r"_\1", relation).upper()
 
 
 def cypher_by_sort(graph: KnowledgeGraph) -> str:
@@ -441,11 +447,10 @@ def cypher_by_sort(graph: KnowledgeGraph) -> str:
         lines.append(f"MERGE (n:{node.label} {{{rendered}}});")
     for triple in canonical_triples(graph):
         head, tail = graph.nodes[triple.head], graph.nodes[triple.tail]
-        relation = re.sub(r"(?<=.)([A-Z])", r"_\1", triple.relation).upper()
         lines.append(
             f"MATCH (a:{head.label} {{name: {_cypher_literal(head.name)}}}), "
             f"(b:{tail.label} {{name: {_cypher_literal(tail.name)}}}) "
-            f"MERGE (a)-[:{relation}]->(b);"
+            f"MERGE (a)-[:{_relation_identifier(triple.relation)}]->(b);"
         )
     return "".join(line + "\n" for line in lines)
 
@@ -462,9 +467,123 @@ def csv_by_sort(graph: KnowledgeGraph) -> tuple[str, str]:
     rel_rows = [["head", "relation", "tail"]] + [
         [export_id[t.head], t.relation, export_id[t.tail]] for t in canonical_triples(graph)
     ]
-    texts = []
-    for rows in (node_rows, rel_rows):
-        buffer = io.StringIO(newline="")
-        csv.writer(buffer).writerows(rows)
-        texts.append(buffer.getvalue())
-    return texts[0], texts[1]
+    return _csv_text(node_rows), _csv_text(rel_rows)
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+# -- graph writers, one record at a time -----------------------------------
+#
+# The package inserts nodes and triples, writes node lines, ranks the
+# export order and renders both exports in tuned loops. These are the
+# versions they replaced, each record going through the general path.
+
+
+def add_patient_record_by_upserts(
+    graph: KnowledgeGraph, patient_name: str, entities: list[tuple[str, str]],
+    attributes: dict | None = None,
+) -> int:
+    """One node upsert and one triple insert per mention, as
+    ``upsert_node`` and ``add_triple`` did them before they were tuned."""
+    patient_id = _upsert_node(graph, "Patient", patient_name, attributes)
+    for label, surface in entities:
+        relation = SPAN_TYPE_TO_RELATION.get(label)
+        if relation is None:
+            raise DataError(f"no patient relation for entity type {label!r}")
+        _add_triple(graph, patient_id, relation, _upsert_node(graph, label, surface))
+    return patient_id
+
+
+def _upsert_node(
+    graph: KnowledgeGraph, label: str, name: str, attributes: dict | None = None,
+) -> int:
+    if label not in GRAPH_LABELS:
+        raise DataError(f"unknown node label {label!r}")
+    if not name.strip():
+        raise DataError("node name must be non-empty")
+    key = (label, normalize_name(name))
+    node_id = graph._by_key.get(key)
+    if node_id is None:
+        node_id = graph._next_id
+        graph._next_id += 1
+        graph.nodes[node_id] = Node(node_id, label, name, dict(attributes or {}))
+        graph._by_key[key] = node_id
+    elif attributes:
+        graph.nodes[node_id].attributes.update(attributes)
+    return node_id
+
+
+def _add_triple(graph: KnowledgeGraph, head: int, relation: str, tail: int) -> None:
+    nodes = graph.nodes
+    if head not in nodes or tail not in nodes:
+        raise DataError(f"triple endpoint id {head if head not in nodes else tail} not in graph")
+    head_label, tail_label = nodes[head].label, nodes[tail].label
+    if relation not in RELATION_ENDPOINTS:
+        raise DataError(f"unknown relation type {relation!r}")
+    if (head_label, tail_label) not in RELATION_ENDPOINTS[relation]:
+        raise DataError(f"{relation} does not admit {head_label} -> {tail_label}")
+    triple = Triple(head, relation, tail)
+    if triple not in graph._triples:
+        graph._triples[triple] = None
+        graph._by_head.setdefault(head, {})[triple] = None
+        graph._by_tail.setdefault(tail, {})[triple] = None
+
+
+def _record_line(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def graph_file_by_records(graph: KnowledgeGraph) -> str:
+    """The text ``save_graph`` writes for ``graph``: the header, its nodes
+    by id, then its triples in insertion order, each record a dict encoded
+    whole."""
+    nodes = [_record_line({"kind": "node", "id": n.id, "label": n.label, "name": n.name,
+                           "attributes": n.attributes})
+             for _, n in sorted(graph.nodes.items())]
+    triples = [_record_line({"kind": "triple", "head": t.head, "relation": t.relation,
+                             "tail": t.tail}) for t in graph.triples]
+    return _record_line({"schema": "graph/1"}) + "".join(nodes + triples)
+
+
+def canonical_order_by_key(nodes, triples) -> tuple[list[Node], dict[int, int], list[Triple]]:
+    """The export order as nodes sorted by key, each id's 1-based rank among
+    them, and the triples sorted by (rank of head, relation, rank of tail)."""
+    nodes = sorted(nodes, key=lambda n: (n.label, normalize_name_by_loop(n.name)))
+    rank = {node.id: i for i, node in enumerate(nodes, start=1)}
+    return nodes, rank, sorted(triples, key=lambda t: (rank[t.head], t.relation, rank[t.tail]))
+
+
+def cypher_by_rank(nodes: list[Node], triples: list[Triple]) -> str:
+    """The Cypher export of an order from ``canonical_order_by_key``: each
+    node's properties a dict of its name, then its sorted attributes (so an
+    attribute called name takes the first place), and each triple's
+    patterns looked up by node id. An unsupported value raises the
+    package's message."""
+    statements, match = [], {}
+    for node in nodes:
+        props = {"name": node.name, **dict(sorted(node.attributes.items()))}
+        rendered = ", ".join(f"{k}: {_cypher_literal(v)}" for k, v in props.items())
+        statements.append(f"MERGE (n:{node.label} {{{rendered}}});\n")
+        match[node.id] = f"{node.label} {{name: {_cypher_literal(node.name)}}}"
+    for head, relation, tail in triples:
+        statements.append(f"MATCH (a:{match[head]}), (b:{match[tail]}) "
+                          f"MERGE (a)-[:{_relation_identifier(relation)}]->(b);\n")
+    return "".join(statements)
+
+
+def csv_by_rank(nodes: list[Node], rank: dict[int, int], triples: list[Triple]) -> tuple[str, str]:
+    """The nodes.csv and rels.csv texts of an order from
+    ``canonical_order_by_key``, written row by row with ``csv.writer``."""
+    node_rows = [["id", "label", "name", "attributes"]] + [
+        [rank[n.id], n.label, n.name,
+         json.dumps(dict(sorted(n.attributes.items())), ensure_ascii=False)]
+        for n in nodes
+    ]
+    rel_rows = [["head", "relation", "tail"]] + [
+        [rank[head], relation, rank[tail]] for head, relation, tail in triples
+    ]
+    return _csv_text(node_rows), _csv_text(rel_rows)

@@ -273,6 +273,9 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
           for name in _BAD_SIMILARITIES],
         pytest.param(["export", "--graph", "{graph_name_lone_surrogate}"], 3,
                      "graph_name_lone_surrogate", id="export-graph-name-lone-surrogate"),
+        # loads (the record decoder reads NaN and Infinity) but has no Cypher literal
+        pytest.param(["export", "--graph", "{graph_attributes_non_finite}"], 3, None,
+                     id="export-graph-attributes-non-finite"),
         pytest.param(["fuse", "--graph", "{graph_aliases_string}", "--alignments",
                       "{aligned_to_aliases_string}"], 3, None, id="fuse-aliases-not-a-list"),
         pytest.param(["convert", "--config", "{deep_config}"], 2, "deep_config",
@@ -385,6 +388,8 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
          _NODE + '\n{"kind": "triple", "head": 1, "relation": ["Complication"], "tail": 1}'),
         ("graph_valid", _NODE),
         ("graph_name_lone_surrogate", _NODE.replace('"肝癌"', '"\\ud800x"')),
+        ("graph_attributes_non_finite",
+         _NODE[:-1] + ', "attributes": {"x": NaN, "y": Infinity}}'),
         ("graph_aliases_string",
          _NODE.replace('"肝癌"', '"原发性肝细胞癌", "attributes": {"aliases": "x"}') + "\n"
          + _NODE.replace('"id": 1', '"id": 2').replace('"肝癌"', '"原发性肝细胞癌。"')),
@@ -772,6 +777,25 @@ def test_a_model_file_under_a_file_stops_train_before_any_output(tmp_path):
     assert main(["train", "--seed", "5", "--train", str(bio), "--validation", str(bio),
                  "--model-file", str(afile / "model.bin"), "--output-dir", str(out)]) == 2
     assert list(out.iterdir()) == []  # no train_log.csv, dictionary.tsv or manifest
+
+
+def test_main_runs_a_stage_function_patched_after_an_earlier_call(tmp_path, kb_file, monkeypatch):
+    """``main`` builds its parser once, but looks each subcommand's
+    function up on ``emrkg.cli`` when it runs, so a wrapper installed after
+    an earlier call is the one that runs."""
+    out = tmp_path / "out"
+    argv = ["kb-load", "--seed", "5", "--kb-file", str(kb_file), "--output-dir", str(out)]
+    assert main(argv) == 0
+    calls = []
+
+    def wrapped(cfg, args, _run=emrkg.cli.run_kb_load):
+        calls.append(args.subcommand)
+        return _run(cfg, args)
+
+    monkeypatch.setattr(emrkg.cli, "run_kb_load", wrapped)
+    assert main(argv) == 0
+    assert calls == ["kb-load"]
+    assert emrkg.cli._parser() is emrkg.cli._parser()
 
 
 def test_export_sorts_the_graph_once(tmp_path, kb_file, monkeypatch):

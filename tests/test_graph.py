@@ -35,10 +35,15 @@ from emrkg.graph import (
     _rels_row,
     _triple_line,
 )
-from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS
+from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
 from tests.oracles import (
+    add_patient_record_by_upserts,
+    canonical_order_by_key,
+    csv_by_rank,
     csv_by_sort,
+    cypher_by_rank,
     cypher_by_sort,
+    graph_file_by_records,
     graph_records_by_line,
     normalize_name_by_loop,
     pattern_scan,
@@ -329,6 +334,53 @@ def test_repeated_entity_mentions_collapse_to_one_triple():
     assert len(graph.triples) == 1
 
 
+# Characters a name or value may hold that a writer has to get right: JSON
+# and Cypher escapes, control and line-separator characters, non-BMP and
+# full-width forms, and whitespace that normalization trims.
+_ODD_CHARS = "\"\\'\x00\x1f\n\t\x7f\x85\u2028\u2029 \u3000ＣＴ１ａ𠀀😀肝癌aB"
+_odd_names = st.text(alphabet=st.one_of(st.sampled_from(_ODD_CHARS),
+                                        st.characters(exclude_categories=("Cs",))), max_size=5)
+
+
+def _graph_state(graph: KnowledgeGraph):
+    """Everything a graph holds, in its insertion orders; an endpoint index
+    entry with no triples counts as no entry."""
+    return (list(graph.nodes.items()), list(graph._by_key.items()), graph.triples,
+            [(k, list(v)) for k, v in graph._by_head.items() if v],
+            [(k, list(v)) for k, v in graph._by_tail.items() if v], graph._next_id)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_add_patient_record_matches_the_upsert_and_add_triple_loop(data):
+    """The tuned ``upsert_node`` and ``add_triple`` give the ids, graph and
+    messages of the versions they replaced, and leave the graph as those
+    leave it when a mention is refused part way: repeated and width-variant
+    mentions, labels with no patient relation, blank names."""
+    pool = data.draw(st.lists(_odd_names, min_size=1, max_size=4))
+    surfaces = st.one_of(st.sampled_from(pool), st.sampled_from(pool).map(_other_width),
+                         st.sampled_from(pool).map(lambda name: f" {name}\u3000"), _odd_names)
+    labels = st.sampled_from(sorted(SPAN_TYPE_TO_RELATION) + ["Food", "Patient", "disease"])
+    records = st.lists(st.tuples(st.one_of(st.sampled_from(["p1", "ｐ1 ", "p2"]), _odd_names),
+                                 st.lists(st.tuples(labels, surfaces), max_size=6),
+                                 st.none() | st.dictionaries(st.sampled_from(["age", "name"]),
+                                                             st.integers(0, 99), max_size=2)),
+                       min_size=1, max_size=4)
+    tuned, reference = KnowledgeGraph(), KnowledgeGraph()
+    for graph in (tuned, reference):  # mentions may reuse a node that is already in
+        graph.upsert_node("Disease", pool[0] if pool[0].strip() else "肝癌", {"description": "x"})
+    for patient, entities, attributes in data.draw(records):
+        outcomes = []
+        for graph, insert in ((tuned, add_patient_record), (reference, add_patient_record_by_upserts)):
+            try:
+                outcomes.append(insert(graph, patient, entities, attributes))
+            except DataError as exc:
+                outcomes.append(("raised", str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert _graph_state(tuned) == _graph_state(reference)
+    tuned.validate()
+
+
 # -- export ----------------------------------------------------------
 
 
@@ -469,6 +521,73 @@ def test_export_equals_the_sorted_oracle_for_every_insertion_order(tmp_path):
         assert len(outputs) == 1
 
 
+# attribute values a node may hold: Cypher renders strings, numbers,
+# booleans and lists of them, and refuses null and objects
+_cypher_values = st.recursive(
+    st.one_of(st.booleans(), st.integers(-2**70, 2**70),
+              st.floats(allow_nan=False, allow_infinity=False), _odd_names),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=5)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+              st.floats(allow_nan=False, allow_infinity=False), _odd_names),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_odd_names, inner, max_size=2),
+    max_leaves=5)
+
+
+def _odd_graph(data, values, first_id: int = 1) -> KnowledgeGraph:
+    """A graph of nodes with odd names and attributes drawn from ``values``,
+    among them attributes called name, and admitted triples between them,
+    often two or more between the same two nodes. Node ids count up from
+    ``first_id``."""
+    graph = KnowledgeGraph()
+    graph._next_id = first_id
+    keys = st.one_of(st.sampled_from(["name", "aliases", "description"]), _odd_names)
+    for label, name, attributes in data.draw(st.lists(st.tuples(
+            st.sampled_from(["Patient", "Disease", "Symptom", "Food", "Department"]), _odd_names,
+            st.dictionaries(keys, values, max_size=3)), max_size=8)):
+        if name.strip():
+            graph.upsert_node(label, name, attributes)
+    ids = list(graph.nodes)
+    if ids:
+        for head, tail in data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                                             max_size=12)):
+            pair = (graph.nodes[head].label, graph.nodes[tail].label)
+            admitted = sorted(r for r, pairs in RELATION_ENDPOINTS.items() if pair in pairs)
+            if admitted:  # Disease -> Food, say, admits two relations, which sort by name
+                for relation in data.draw(st.lists(st.sampled_from(admitted), min_size=1,
+                                                   max_size=2)):
+                    graph.add_triple(head, relation, tail)
+    return graph
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_export_matches_the_exporters_that_looked_up_ranks_by_id(data, tmp_path):
+    """The rank tuples sort as the triples sorted by ranks looked up by id,
+    and both exports write what the dict-and-lookup exporters wrote, or
+    raise their message and write no Cypher file."""
+    graph = _odd_graph(data, st.one_of(_cypher_values, _cypher_values, _json_values))
+    order = canonical_order(graph.nodes.values(), graph.triples)
+    nodes, rank, triples = canonical_order_by_key(graph.nodes.values(), graph.triples)
+    assert order.nodes == nodes
+    assert order.triples == [(rank[head], relation, rank[tail]) for head, relation, tail in triples]
+    cypher = tmp_path / "graph.cypher"
+    cypher.unlink(missing_ok=True)
+    try:
+        expected = cypher_by_rank(nodes, triples)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            export_cypher(order, cypher)
+        assert str(raised.value) == str(exc)
+        assert not cypher.exists()
+    else:
+        assert export_cypher(order, cypher) == len(nodes) + len(triples)
+        assert cypher.read_bytes().decode("utf-8") == expected
+    export_csv(order, tmp_path / "nodes.csv", tmp_path / "rels.csv")
+    got = tuple((tmp_path / name).read_bytes().decode("utf-8") for name in ("nodes.csv", "rels.csv"))
+    assert got == csv_by_rank(nodes, rank, triples)
+
+
 # -- persistence ----------------------------------------------------------
 
 
@@ -487,6 +606,22 @@ def test_triple_lines_are_what_the_encoder_writes():
         for head, tail in [(1, 1), (1, 10**12), (10**12, 2)]:
             record = {"kind": "triple", "head": head, "relation": relation, "tail": tail}
             assert _triple_line(head, relation, tail) == encode_record(record) + "\n"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), first_id=st.integers(-3, 10**19))
+def test_save_graph_writes_what_the_record_encoder_writes(data, first_id, tmp_path):
+    """Each node line is the record dict encoded whole, whatever its name
+    (quotes, backslashes, control, line-separator, non-BMP and full-width
+    characters, surrounding whitespace), its nested attributes or its id,
+    and the file reads back as the graph."""
+    graph = _odd_graph(data, _json_values, first_id)
+    path = tmp_path / "graph.jsonl"
+    save_graph(graph, path)
+    assert path.read_bytes().decode("utf-8") == graph_file_by_records(graph)
+    loaded = load_graph(path)
+    assert loaded.nodes == graph.nodes
+    assert loaded.triples == graph.triples
 
 
 def test_rels_rows_are_what_the_csv_writer_writes():
@@ -1069,4 +1204,17 @@ def test_an_export_that_fails_writes_no_cypher_file(tmp_path):
     ]) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     assert main(["export", "--seed", "1", "--graph", str(path), "--output-dir", str(out)]) == 3
+    assert not (out / "graph.cypher").exists()
+
+
+# The record decoder reads JSON's NaN and Infinity as floats, which Cypher
+# has no literal for.
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "[1.5, -Infinity]"])
+def test_an_export_of_a_non_finite_attribute_value_writes_no_cypher_file(value, tmp_path, caplog):
+    path = tmp_path / "graph.jsonl"
+    path.write_text('{"schema": "graph/1"}\n{"kind": "node", "id": 1, "label": "Disease", '
+                    f'"name": "肝癌", "attributes": {{"x": {value}}}}}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["export", "--seed", "1", "--graph", str(path), "--output-dir", str(out)]) == 3
+    assert re.search(r"export: non-finite attribute value -?(nan|inf)\n", caplog.text)
     assert not (out / "graph.cypher").exists()

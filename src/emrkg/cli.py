@@ -581,7 +581,10 @@ def run_fuse(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 def run_export(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     graph_path = _input(args, "graph", cfg.output_dir / "graph.jsonl")
     order = canonical_order(*load_nodes_and_triples(graph_path))
-    count = export_cypher(order, cfg.output_dir / "graph.cypher")
+    try:
+        count = export_cypher(order, cfg.output_dir / "graph.cypher")
+    except DataError as exc:  # a refused node is found by its graph file, label and name
+        raise DataError(f"{graph_path}: {exc}") from exc
     export_csv(order, cfg.output_dir / "nodes.csv", cfg.output_dir / "rels.csv")
     log.info("exported %d statements", count)
     return [graph_path]

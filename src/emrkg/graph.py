@@ -44,6 +44,8 @@ SCHEMA_TAG = "graph/1"
 
 
 _WIDTH_FOLD = {code: code - 0xFEE0 for code in range(0xFF01, 0xFF5F)} | {0x3000: " "}
+# finds a character that _WIDTH_FOLD folds; a name without one folds to itself
+_FOLDABLE = re.compile("[" + re.escape("".join(map(chr, sorted(_WIDTH_FOLD)))) + "]").search
 
 _LABELS = frozenset(GRAPH_LABELS)
 
@@ -52,11 +54,17 @@ _ENDPOINTS = frozenset((h, r, t) for r, pairs in RELATION_ENDPOINTS.items() for 
 # each relation name to one shared copy, so loaded triples do not each keep their own
 _RELATION_NAMES = {relation: relation for relation in RELATION_ENDPOINTS}
 
+# The schema admits each patient edge, (Patient, SPAN_TYPE_TO_RELATION[label],
+# label), so add_patient_record inserts its edges without a check per edge.
+if not {("Patient", r, label) for label, r in SPAN_TYPE_TO_RELATION.items()} <= _ENDPOINTS:
+    raise InternalError("the schema does not admit every patient edge")
+
 
 def normalize_name(name: str) -> str:
     """Trim and fold full-width ASCII (U+FF01..U+FF5E, ideographic space)
     to half-width so width variants of the same name share one node."""
-    return name.strip().translate(_WIDTH_FOLD)
+    name = name.strip()
+    return name.translate(_WIDTH_FOLD) if _FOLDABLE(name) else name
 
 
 @dataclass
@@ -148,6 +156,11 @@ class KnowledgeGraph:
         if (head not in nodes or tail not in nodes
                 or (nodes[head].label, relation, nodes[tail].label) not in _ENDPOINTS):
             _check_endpoints(nodes, head, relation, tail)  # raises the fault's message
+        return self._insert_triple(head, relation, tail)
+
+    def _insert_triple(self, head: int, relation: str, tail: int) -> bool:
+        """``add_triple`` after its endpoint check, for callers whose edge
+        is one the schema admits between nodes of the graph."""
         triple = _new_triple((head, relation, tail))
         if triple in self._triples:
             return False
@@ -183,7 +196,7 @@ class KnowledgeGraph:
             _check_endpoints(self.nodes, *triple)
         for triple in incident:
             self._remove_triple(triple)
-        moved = sum(self.add_triple(*triple) for triple in repointed)
+        moved = sum(self._insert_triple(*triple) for triple in repointed)
         node = self.nodes.pop(source_id)
         del self._by_key[(node.label, normalize_name(node.name))]
         self._by_head.pop(source_id, None)
@@ -232,13 +245,13 @@ def add_patient_record(
 ) -> int:
     """Insert one patient node plus its extracted (entity type, surface)
     pairs, linked by the per-type patient relation. Returns the patient id."""
-    patient_id = graph.upsert_node("Patient", patient_name, attributes)
+    upsert, insert = graph.upsert_node, graph._insert_triple
+    patient_id = upsert("Patient", patient_name, attributes)
     for label, surface in entities:
         relation = SPAN_TYPE_TO_RELATION.get(label)
         if relation is None:
             raise DataError(f"no patient relation for entity type {label!r}")
-        entity_id = graph.upsert_node(label, surface)
-        graph.add_triple(patient_id, relation, entity_id)
+        insert(patient_id, relation, upsert(label, surface))
     return patient_id
 
 
@@ -298,17 +311,26 @@ def export_cypher(order: CanonicalOrder, path: str | Path) -> int:
     canonical order; structurally identical graphs export byte-identically.
 
     The node statements are rendered before the file is opened: they are
-    the only ones ``_cypher_value`` can reject, so an export that fails
-    writes no file. The triple statements are then written as a stream."""
+    the only ones that can be refused, so an export that fails writes no
+    file. A message naming its label and name refuses a node with an
+    attribute value ``_cypher_value`` rejects, or with an attribute called
+    name, since its MERGE would name the node by that value and no MATCH
+    of its triples would find it. The triple statements are then written
+    as a stream."""
     statements = []
     match = [""]  # at each node's rank, its "Label {name: ...}" pattern
     for node in order.nodes:
-        pattern = f"{node.label} {{name: {_cypher_value(node.name)}}}"
+        name = f"name: {_cypher_value(node.name)}"
+        pattern = f"{node.label} {{{name}}}"
         if node.attributes:
-            # an attribute called name takes the name's place, first
-            props = {"name": node.name, **dict(sorted(node.attributes.items()))}
-            rendered = ", ".join(f"{k}: {_cypher_value(v)}" for k, v in props.items())
-            statements.append(f"MERGE (n:{node.label} {{{rendered}}});\n")
+            try:
+                if "name" in node.attributes:
+                    raise DataError("attribute 'name' clashes with the node's name")
+                rendered = "".join(f", {k}: {_cypher_value(v)}"
+                                   for k, v in sorted(node.attributes.items()))
+            except DataError as exc:
+                raise DataError(f"node {node.label} {node.name!r}: {exc}") from exc
+            statements.append(f"MERGE (n:{node.label} {{{name}{rendered}}});\n")
         else:
             statements.append(f"MERGE (n:{pattern});\n")
         match.append(pattern)

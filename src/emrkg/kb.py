@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from emrkg.errors import DataError, read_records
+from emrkg.errors import DataError, InternalError, read_records
 from emrkg.schema import KB_RELATIONS, RELATION_ENDPOINTS
 
 log = logging.getLogger(__name__)
@@ -27,6 +27,11 @@ _SCALAR_FIELDS = ("description", "prevention", "cure_time", "cause")
 _TAIL_TYPE: dict[str, str] = {
     rel: RELATION_ENDPOINTS[rel][0][1] for rel in KB_RELATIONS
 }
+
+# The schema admits each KB edge, (Disease, rel, _TAIL_TYPE[rel]), so
+# kb_into_graph inserts its edges without a check per edge.
+if any(("Disease", tail) not in RELATION_ENDPOINTS[rel] for rel, tail in _TAIL_TYPE.items()):
+    raise InternalError("the schema does not admit every KB edge")
 
 
 @dataclass(frozen=True)
@@ -140,12 +145,13 @@ def kb_into_graph(graph, entries: list[DiseaseEntry]) -> int:
     """Insert KB entries into a knowledge graph: disease nodes carry the
     scalar attributes, relation targets become typed nodes. Returns the
     number of triples added."""
+    upsert, insert = graph.upsert_node, graph._insert_triple
     added = 0
     for entry in entries:
         attributes = {key: getattr(entry, key) for key in _SCALAR_FIELDS if getattr(entry, key)}
         if entry.treatments:
             attributes["treatments"] = list(entry.treatments)
-        head = graph.upsert_node("Disease", entry.name, attributes)
+        head = upsert("Disease", entry.name, attributes)
         for rel, target in entry.relations:
-            added += graph.add_triple(head, rel, graph.upsert_node(_TAIL_TYPE[rel], target))
+            added += insert(head, rel, upsert(_TAIL_TYPE[rel], target))
     return added

@@ -517,7 +517,24 @@ def _upsert_node(
     return node_id
 
 
-def _add_triple(graph: KnowledgeGraph, head: int, relation: str, tail: int) -> None:
+def kb_into_graph_by_upserts(graph: KnowledgeGraph, entries) -> int:
+    """One node upsert and one checked triple insert per relation target of
+    each KB entry, as ``kb_into_graph`` made them before it took its edge
+    types from the schema. Returns the number of triples added."""
+    added = 0
+    for entry in entries:
+        attributes = {key: getattr(entry, key) for key in
+                      ("description", "prevention", "cure_time", "cause") if getattr(entry, key)}
+        if entry.treatments:
+            attributes["treatments"] = list(entry.treatments)
+        head = _upsert_node(graph, "Disease", entry.name, attributes)
+        for relation, target in entry.relations:
+            tail_label = RELATION_ENDPOINTS[relation][0][1]
+            added += _add_triple(graph, head, relation, _upsert_node(graph, tail_label, target))
+    return added
+
+
+def _add_triple(graph: KnowledgeGraph, head: int, relation: str, tail: int) -> bool:
     nodes = graph.nodes
     if head not in nodes or tail not in nodes:
         raise DataError(f"triple endpoint id {head if head not in nodes else tail} not in graph")
@@ -527,10 +544,12 @@ def _add_triple(graph: KnowledgeGraph, head: int, relation: str, tail: int) -> N
     if (head_label, tail_label) not in RELATION_ENDPOINTS[relation]:
         raise DataError(f"{relation} does not admit {head_label} -> {tail_label}")
     triple = Triple(head, relation, tail)
-    if triple not in graph._triples:
-        graph._triples[triple] = None
-        graph._by_head.setdefault(head, {})[triple] = None
-        graph._by_tail.setdefault(tail, {})[triple] = None
+    if triple in graph._triples:
+        return False
+    graph._triples[triple] = None
+    graph._by_head.setdefault(head, {})[triple] = None
+    graph._by_tail.setdefault(tail, {})[triple] = None
+    return True
 
 
 def _record_line(record: dict) -> str:
@@ -559,14 +578,20 @@ def canonical_order_by_key(nodes, triples) -> tuple[list[Node], dict[int, int], 
 
 def cypher_by_rank(nodes: list[Node], triples: list[Triple]) -> str:
     """The Cypher export of an order from ``canonical_order_by_key``: each
-    node's properties a dict of its name, then its sorted attributes (so an
-    attribute called name takes the first place), and each triple's
-    patterns looked up by node id. An unsupported value raises the
-    package's message."""
+    node's properties its name, then its sorted attributes, and each
+    triple's patterns looked up by node id. A node with an attribute called
+    name, or with an unsupported value, raises the package's message, which
+    names the node's label and name."""
     statements, match = [], {}
     for node in nodes:
-        props = {"name": node.name, **dict(sorted(node.attributes.items()))}
-        rendered = ", ".join(f"{k}: {_cypher_literal(v)}" for k, v in props.items())
+        where = f"node {node.label} {node.name!r}"
+        if "name" in node.attributes:
+            raise DataError(f"{where}: attribute 'name' clashes with the node's name")
+        props = [("name", node.name)] + sorted(node.attributes.items())
+        try:
+            rendered = ", ".join(f"{k}: {_cypher_literal(v)}" for k, v in props)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
         statements.append(f"MERGE (n:{node.label} {{{rendered}}});\n")
         match[node.id] = f"{node.label} {{name: {_cypher_literal(node.name)}}}"
     for head, relation, tail in triples:

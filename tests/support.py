@@ -146,3 +146,11 @@ def triples_from(graph: KnowledgeGraph, node_id: int) -> list[Triple]:
 def triples_to(graph: KnowledgeGraph, node_id: int) -> list[Triple]:
     """The tail index's triples for ``node_id``."""
     return list(graph._by_tail.get(node_id, {}))
+
+
+def graph_state(graph: KnowledgeGraph):
+    """Everything a graph holds, in its insertion orders; an endpoint index
+    entry with no triples counts as no entry."""
+    return (list(graph.nodes.items()), list(graph._by_key.items()), graph.triples,
+            [(k, list(v)) for k, v in graph._by_head.items() if v],
+            [(k, list(v)) for k, v in graph._by_tail.items() if v], graph._next_id)

@@ -51,6 +51,8 @@ _CONVERT = ["convert"]
 _TRAIN = ["train", "--train", "{bio}", "--validation", "{bio}"]
 
 _NODE = '{"kind": "node", "id": 1, "label": "Disease", "name": "肝癌"}'
+_SAVED_NODE = '{"attributes": {}, "id": 1, "kind": "node", "label": "Disease", "name": "肝癌"}'
+_SAVED_TRIPLE = '{"head": 1, "kind": "triple", "relation": "Complication", "tail": 1}'
 # a JSON integer longer than Python's int-string limit (4,300 digits), which
 # json.dumps cannot write: files are given it as text
 _TOO_LONG_INT = "1" * 5000
@@ -65,6 +67,12 @@ _BAD_GRAPH_RECORDS = {
     # save_graph's own line shape, which a block of triples is scanned for
     "graph_triple_head_too_long":
         f'{{"head": {_TOO_LONG_INT}, "kind": "triple", "relation": "Complication", "tail": 1}}',
+    # save_graph's own line shapes, with text before the second line of a
+    # block led by a node line, or of one led by a triple line
+    "graph_text_before_a_node_line": _SAVED_NODE + "\nJUNK"
+        + _SAVED_NODE.replace('"id": 1', '"id": 2').replace("肝癌", "肝炎"),
+    "graph_text_before_a_triple_line":
+        _SAVED_NODE + "\n" + _SAVED_TRIPLE + "\nJUNK" + _SAVED_TRIPLE,
 }
 # doc_id is a string and entities a list of [label, surface] string pairs
 _BAD_ENTITY_RECORDS = {
@@ -274,8 +282,11 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
         pytest.param(["export", "--graph", "{graph_name_lone_surrogate}"], 3,
                      "graph_name_lone_surrogate", id="export-graph-name-lone-surrogate"),
         # loads (the record decoder reads NaN and Infinity) but has no Cypher literal
-        pytest.param(["export", "--graph", "{graph_attributes_non_finite}"], 3, None,
-                     id="export-graph-attributes-non-finite"),
+        pytest.param(["export", "--graph", "{graph_attributes_non_finite}"], 3,
+                     "graph_attributes_non_finite", id="export-graph-attributes-non-finite"),
+        # loads, but its MERGE would name the node by the attribute
+        pytest.param(["export", "--graph", "{graph_attribute_name}"], 3, "graph_attribute_name",
+                     id="export-graph-attribute-name"),
         pytest.param(["fuse", "--graph", "{graph_aliases_string}", "--alignments",
                       "{aligned_to_aliases_string}"], 3, None, id="fuse-aliases-not-a-list"),
         pytest.param(["convert", "--config", "{deep_config}"], 2, "deep_config",
@@ -390,6 +401,7 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         ("graph_name_lone_surrogate", _NODE.replace('"肝癌"', '"\\ud800x"')),
         ("graph_attributes_non_finite",
          _NODE[:-1] + ', "attributes": {"x": NaN, "y": Infinity}}'),
+        ("graph_attribute_name", _NODE[:-1] + ', "attributes": {"name": "别名"}}'),
         ("graph_aliases_string",
          _NODE.replace('"肝癌"', '"原发性肝细胞癌", "attributes": {"aliases": "x"}') + "\n"
          + _NODE.replace('"id": 1', '"id": 2').replace('"肝癌"', '"原发性肝细胞癌。"')),

@@ -35,7 +35,8 @@ from emrkg.graph import (
     _rels_row,
     _triple_line,
 )
-from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
+from emrkg.kb import _TAIL_TYPE
+from emrkg.schema import GRAPH_LABELS, KB_RELATIONS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
 from tests.oracles import (
     add_patient_record_by_upserts,
     canonical_order_by_key,
@@ -48,7 +49,7 @@ from tests.oracles import (
     normalize_name_by_loop,
     pattern_scan,
 )
-from tests.support import SEPARATOR_NAMES, triples_from, triples_to
+from tests.support import SEPARATOR_NAMES, graph_state, triples_from, triples_to
 
 
 # -- name normalization ----------------------------------------------------
@@ -71,6 +72,15 @@ _FOLD_EDGES = "\uff00\uff01\uff5e\uff5f\u3000 \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u
 @given(st.text(alphabet=st.one_of(st.sampled_from(_FOLD_EDGES), st.characters()), max_size=12))
 def test_normalize_name_matches_the_character_loop(name):
     assert normalize_name(name) == normalize_name_by_loop(name)
+
+
+def test_normalize_name_folds_each_foldable_character_alone():
+    """A name is folded only when its one foldable-character search finds
+    something, so each character of the fold table, and its neighbours,
+    is tried as the only one in its name."""
+    for code in [*range(0x2FF0, 0x3010), *range(0xFF00, 0xFF70)]:
+        name = f"甲{chr(code)}乙"
+        assert normalize_name(name) == normalize_name_by_loop(name), f"U+{code:04X}"
 
 
 # -- node identity ----------------------------------------------------------
@@ -322,6 +332,16 @@ def test_add_patient_record_links_each_entity_with_its_relation():
     assert [n.name for n in graph.pattern_query("Patient", "patient_01", "Underwent")] == ["切除术"]
 
 
+def test_every_patient_and_kb_edge_is_one_the_schema_admits():
+    """``add_patient_record`` and ``kb_into_graph`` insert their edges
+    without ``add_triple``'s endpoint check."""
+    patient = {("Patient", relation, label) for label, relation in SPAN_TYPE_TO_RELATION.items()}
+    kb = {("Disease", relation, label) for relation, label in _TAIL_TYPE.items()}
+    assert patient | kb <= emrkg.graph._ENDPOINTS
+    assert set(_TAIL_TYPE) == set(KB_RELATIONS)
+    assert {label for _, _, label in patient | kb} <= set(GRAPH_LABELS)
+
+
 def test_add_patient_record_rejects_untyped_entities():
     graph = KnowledgeGraph()
     with pytest.raises(DataError, match="^no patient relation for entity type 'Food'$"):
@@ -340,14 +360,6 @@ def test_repeated_entity_mentions_collapse_to_one_triple():
 _ODD_CHARS = "\"\\'\x00\x1f\n\t\x7f\x85\u2028\u2029 \u3000ＣＴ１ａ𠀀😀肝癌aB"
 _odd_names = st.text(alphabet=st.one_of(st.sampled_from(_ODD_CHARS),
                                         st.characters(exclude_categories=("Cs",))), max_size=5)
-
-
-def _graph_state(graph: KnowledgeGraph):
-    """Everything a graph holds, in its insertion orders; an endpoint index
-    entry with no triples counts as no entry."""
-    return (list(graph.nodes.items()), list(graph._by_key.items()), graph.triples,
-            [(k, list(v)) for k, v in graph._by_head.items() if v],
-            [(k, list(v)) for k, v in graph._by_tail.items() if v], graph._next_id)
 
 
 @settings(max_examples=150, deadline=None)
@@ -377,7 +389,7 @@ def test_add_patient_record_matches_the_upsert_and_add_triple_loop(data):
             except DataError as exc:
                 outcomes.append(("raised", str(exc)))
         assert outcomes[0] == outcomes[1]
-        assert _graph_state(tuned) == _graph_state(reference)
+        assert graph_state(tuned) == graph_state(reference)
     tuned.validate()
 
 
@@ -719,6 +731,12 @@ _MALFORMED = [
     (_SAVED + [_node_line(2, "Food", "梨")[:-1]], "line 5: duplicate node ('Food', '梨')"),
     (_SAVED + [_node_line(4, "Disease", "\u3000ＨＢＶ")[:-1]],
      "line 5: duplicate node ('Disease', 'HBV')"),
+    # text before a record of a block led by a node line, or by a triple line
+    (_SAVED + ["JUNK" + _node_line(4, "Food", "梨")[:-1]],
+     "line 5: truncated or invalid record: Expecting value"),
+    (_SAVED + [_triple_line(1, "RecommendedFood", 2)[:-1],
+               "JUNK" + _triple_line(3, "RecommendedFood", 2)[:-1]],
+     "line 6: truncated or invalid record: Expecting value"),
     ([_NODE, _triple(1, "RecommendedFood", 9)], "line 3: triple endpoint id 9 not in graph"),
     ([_NODE, _triple(1, "Cures", 1)], "line 3: unknown relation type 'Cures'"),
     ([_NODE, _triple(1, "RecommendedFood", 1)],
@@ -1216,5 +1234,22 @@ def test_an_export_of_a_non_finite_attribute_value_writes_no_cypher_file(value, 
                     f'"name": "肝癌", "attributes": {{"x": {value}}}}}\n', encoding="utf-8")
     out = tmp_path / "out"
     assert main(["export", "--seed", "1", "--graph", str(path), "--output-dir", str(out)]) == 3
-    assert re.search(r"export: non-finite attribute value -?(nan|inf)\n", caplog.text)
+    assert re.search(f"export: {re.escape(str(path))}: node Disease '肝癌': "
+                     r"non-finite attribute value -?(nan|inf)\n", caplog.text)
     assert not (out / "graph.cypher").exists()
+
+
+def test_an_export_of_a_node_with_an_attribute_called_name_writes_no_file(tmp_path, caplog):
+    """Its MERGE would name the node by the attribute's value, so that no
+    MATCH of its triples would find it and a Neo4j import would drop them."""
+    path = tmp_path / "graph.jsonl"
+    path.write_text(_graph_text([
+        _NODE[:-1] + ', "attributes": {"description": "x", "name": "别名"}}',
+        '{"kind": "node", "id": 2, "label": "Food", "name": "鸡蛋"}',
+        _triple(1, "RecommendedFood", 2),
+    ]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["export", "--seed", "1", "--graph", str(path), "--output-dir", str(out)]) == 3
+    assert (f"export: {path}: node Disease '肝癌': attribute 'name' clashes with the node's name\n"
+            in caplog.text)
+    assert not any((out / name).exists() for name in ("graph.cypher", "nodes.csv", "rels.csv"))

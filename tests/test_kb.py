@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 
 import pytest
@@ -15,7 +16,9 @@ from emrkg.kb import (
     kb_into_graph,
     load_kb,
 )
-from tests.support import kb_to_triples
+from emrkg.schema import KB_RELATIONS
+from tests.oracles import kb_into_graph_by_upserts
+from tests.support import graph_state, kb_to_triples
 
 
 def write_kb(path, records) -> None:
@@ -211,3 +214,37 @@ def test_kb_into_graph_is_idempotent(kb_file):
     nodes, triples = len(graph.nodes), len(graph.triples)
     assert kb_into_graph(graph, entries) == 0  # every triple already present
     assert (len(graph.nodes), len(graph.triples)) == (nodes, triples)
+
+
+def test_kb_into_graph_matches_the_upsert_and_add_triple_loop():
+    """Seeded KBs whose names repeat, differ in width only, or name a
+    disease as another's complication give the ids, triples, their order
+    and the count of the checked loop, and a whitespace-only target raises
+    its message and leaves the graph as that loop leaves it."""
+    names = ["肝癌", "ＨＢＶ", "HBV", " 肝炎", "腹痛", "鸡蛋", "内科", "CT"]
+    outcomes = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        targets = names + ["\u3000", " \t"] * (seed % 2)
+        entries = [DiseaseEntry(
+            name=rng.choice(names), description=rng.choice(["", "恶性"]),
+            treatments=tuple(rng.sample(["手术", "化疗"], rng.randint(0, 2))),
+            relations=tuple((rng.choice(KB_RELATIONS), rng.choice(targets))
+                            for _ in range(rng.randint(0, 6))))
+            for _ in range(rng.randint(1, 8))]
+        tuned, reference = KnowledgeGraph(), KnowledgeGraph()
+        for graph in (tuned, reference):  # an entry may reuse a node that is already in
+            graph.upsert_node("Food", "鸡蛋")
+        outcome = []
+        for graph, insert in ((tuned, kb_into_graph), (reference, kb_into_graph_by_upserts)):
+            try:
+                outcome.append(insert(graph, entries))
+            except DataError as exc:
+                outcome.append(("raised", str(exc)))
+        assert outcome[0] == outcome[1]
+        assert graph_state(tuned) == graph_state(reference)
+        tuned.validate()
+        outcomes.append(outcome[0])
+    raised = [o for o in outcomes if isinstance(o, tuple)]
+    assert raised and set(raised) == {("raised", "node name must be non-empty")}
+    assert len(raised) < len(outcomes)

@@ -73,7 +73,7 @@ from emrkg.graph import (
 )
 from emrkg.kb import kb_into_graph, load_kb
 from emrkg.metrics import count_matches, precision_recall_f1, report_dict, report_table
-from emrkg.schema import EntitySchema
+from emrkg.schema import ALIGNED_LABEL, KB_ENTITY_TYPES, SPAN_TYPE_TO_RELATION, EntitySchema
 from emrkg.tagger import TrainConfig, load_model, predict, save_model, train
 
 log = logging.getLogger(__name__)
@@ -355,13 +355,14 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
         dictionary = read_dictionary_file(dict_path)
         inputs.append(dict_path)
     else:
-        # the KB disease and symptom catalogs: the two KB types that are also span types
+        # the catalogs of the KB types that are also span types
         kb_names = {}
         if cfg.kb_file is not None:
             kb_file = cfg.require_kb_file()
             _, catalogs = load_kb(kb_file)
             inputs.append(kb_file)
-            kb_names = {"Disease": catalogs.disease, "Symptom": catalogs.symptom}
+            kb_names = {label: catalogs.names(label) for label in KB_ENTITY_TYPES
+                        if label in SPAN_TYPE_TO_RELATION}
         dictionary = build_dictionary(train_sentences, kb_names)
         write_dictionary_file(dictionary, cfg.output_dir / "dictionary.tsv")
     split = DatasetSplit(tuple(train_sentences), tuple(validation_sentences), ())
@@ -456,18 +457,27 @@ def run_kb_load(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     return [kb_file]
 
 
-def _string_pairs(entities) -> list[tuple[str, str]] | None:
-    """``entities`` as (label, surface) tuples when it is a list of lists
-    of exactly two strings; None otherwise."""
+_MALFORMED_ENTITIES = ("malformed record: expected a string doc_id and entities a list of "
+                       "[label, surface] string pairs")
+
+
+def _string_pairs(entities) -> list[tuple[str, str]]:
+    """``entities`` as (label, surface) tuples: a list of lists of exactly
+    two strings, each a label with a patient relation and a non-blank
+    surface."""
     if not isinstance(entities, list):
-        return None
+        raise DataError(_MALFORMED_ENTITIES)
     pairs = []
     for pair in entities:
         if type(pair) is not list or len(pair) != 2:
-            return None
+            raise DataError(_MALFORMED_ENTITIES)
         label, surface = pair
         if type(label) is not str or type(surface) is not str:
-            return None
+            raise DataError(_MALFORMED_ENTITIES)
+        if label not in SPAN_TYPE_TO_RELATION:
+            raise DataError(f"no patient relation for entity type {label!r}")
+        if not surface.strip():
+            raise DataError(f"blank surface for entity type {label!r}")
         pairs.append((label, surface))
     return pairs
 
@@ -476,10 +486,10 @@ def _read_entities_file(path: Path) -> list[tuple[str, list[tuple[str, str]]]]:
     records = []
     for lineno, obj in read_records(path, ENTITIES_SCHEMA_TAG):
         doc_id = obj.get("doc_id")
-        pairs = _string_pairs(obj.get("entities")) if isinstance(doc_id, str) else None
-        if pairs is None:
-            raise DataError(f"{path}: line {lineno}: malformed record: expected a string "
-                            "doc_id and entities a list of [label, surface] string pairs")
+        try:
+            pairs = _string_pairs(obj.get("entities") if isinstance(doc_id, str) else None)
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
         records.append((doc_id, pairs))
     return records
 
@@ -513,15 +523,16 @@ def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
             surface
             for _, entities in _read_entities_file(source_path)
             for label, surface in entities
-            if label == "Disease"
+            if label == ALIGNED_LABEL
         })
     for source in sources:
         _report_field(source_path, source)
     kb_file = cfg.require_kb_file()
     _, catalogs = load_kb(kb_file)
-    if not catalogs.disease:
+    kb_names = catalogs.names(ALIGNED_LABEL)
+    if not kb_names:
         raise DataError(f"{kb_file}: KB has no disease names to align against")
-    index = build_index(list(catalogs.disease), cfg.fusion.ngram_orders)
+    index = build_index(list(kb_names), cfg.fusion.ngram_orders)
     rows = ["source\ttarget\tsimilarity"]
     for source in sources:
         result = align(source, index, cfg.fusion.threshold)
@@ -530,7 +541,7 @@ def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     (cfg.output_dir / "alignments.tsv").write_text(
         "".join(row + "\n" for row in rows), encoding="utf-8"
     )
-    log.info("aligned %d names against %d KB diseases", len(sources), len(catalogs.disease))
+    log.info("aligned %d names against %d KB diseases", len(sources), len(kb_names))
     return [source_path, kb_file]
 
 

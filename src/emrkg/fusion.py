@@ -32,6 +32,7 @@ import numpy as np
 
 from emrkg.errors import ConfigError, DataError, is_real
 from emrkg.graph import KnowledgeGraph
+from emrkg.schema import ALIGNED_LABEL
 
 log = logging.getLogger(__name__)
 
@@ -189,10 +190,9 @@ class FusionReport:
     skipped: tuple[str, ...]  # sources with no node (e.g. already fused)
 
 
-def fuse(
-    graph: KnowledgeGraph, alignments: list[Alignment], label: str = "Disease"
-) -> FusionReport:
-    """Merge each matched source node into its canonical KB node.
+def fuse(graph: KnowledgeGraph, alignments: list[Alignment]) -> FusionReport:
+    """Merge each matched source node into its canonical KB node, both
+    of the aligned label.
 
     Incident triples are re-pointed (duplicates collapse), the source node
     is removed, and the original surface is recorded in the canonical
@@ -207,10 +207,10 @@ def fuse(
         if alignment.target is None:
             unmatched.append(alignment.source)
             continue
-        canonical = graph.find_node(label, alignment.target)
+        canonical = graph.find_node(ALIGNED_LABEL, alignment.target)
         if canonical is None:
-            raise DataError(f"target {alignment.target!r} ({label}) not in graph")
-        source = graph.find_node(label, alignment.source)
+            raise DataError(f"target {alignment.target!r} ({ALIGNED_LABEL}) not in graph")
+        source = graph.find_node(ALIGNED_LABEL, alignment.source)
         if source is None:
             skipped.append(alignment.source)
             continue
@@ -218,7 +218,7 @@ def fuse(
             aliases = canonical.attributes.get("aliases", [])
             if type(aliases) is not list or not all(type(a) is str for a in aliases):
                 raise DataError(
-                    f"{label} node {canonical.name!r}: aliases must be a list of strings"
+                    f"{ALIGNED_LABEL} node {canonical.name!r}: aliases must be a list of strings"
                 )
             graph.merge_node_into(source.id, canonical.id)
             if source.name not in aliases:

@@ -36,7 +36,7 @@ from emrkg.errors import (
     read_blocks,
     write_lines,
 )
-from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
+from emrkg.schema import GRAPH_LABELS, PATIENT_LABEL, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
 
 log = logging.getLogger(__name__)
 
@@ -53,11 +53,6 @@ _LABELS = frozenset(GRAPH_LABELS)
 _ENDPOINTS = frozenset((h, r, t) for r, pairs in RELATION_ENDPOINTS.items() for h, t in pairs)
 # each relation name to one shared copy, so loaded triples do not each keep their own
 _RELATION_NAMES = {relation: relation for relation in RELATION_ENDPOINTS}
-
-# The schema admits each patient edge, (Patient, SPAN_TYPE_TO_RELATION[label],
-# label), so add_patient_record inserts its edges without a check per edge.
-if not {("Patient", r, label) for label, r in SPAN_TYPE_TO_RELATION.items()} <= _ENDPOINTS:
-    raise InternalError("the schema does not admit every patient edge")
 
 
 def normalize_name(name: str) -> str:
@@ -246,7 +241,7 @@ def add_patient_record(
     """Insert one patient node plus its extracted (entity type, surface)
     pairs, linked by the per-type patient relation. Returns the patient id."""
     upsert, insert = graph.upsert_node, graph._insert_triple
-    patient_id = upsert("Patient", patient_name, attributes)
+    patient_id = upsert(PATIENT_LABEL, patient_name, attributes)
     for label, surface in entities:
         relation = SPAN_TYPE_TO_RELATION.get(label)
         if relation is None:

@@ -10,11 +10,11 @@ live crawling of the source site so runs are reproducible offline.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
-from emrkg.errors import DataError, InternalError, read_records
-from emrkg.schema import KB_RELATIONS, RELATION_ENDPOINTS
+from emrkg.errors import DataError, read_records
+from emrkg.schema import KB_ENTITY_TYPES, KB_HEAD_LABEL, KB_RELATIONS
 
 log = logging.getLogger(__name__)
 
@@ -23,19 +23,12 @@ SCHEMA_TAG = "kb/1"
 # The string attributes of a disease record, in the order graph nodes store them.
 _SCALAR_FIELDS = ("description", "prevention", "cure_time", "cause")
 
-# Tail catalog per KB relation (all KB relations are disease-headed).
-_TAIL_TYPE: dict[str, str] = {
-    rel: RELATION_ENDPOINTS[rel][0][1] for rel in KB_RELATIONS
-}
-
-# The schema admits each KB edge, (Disease, rel, _TAIL_TYPE[rel]), so
-# kb_into_graph inserts its edges without a check per edge.
-if any(("Disease", tail) not in RELATION_ENDPOINTS[rel] for rel, tail in _TAIL_TYPE.items()):
-    raise InternalError("the schema does not admit every KB edge")
-
 
 @dataclass(frozen=True)
 class DiseaseEntry:
+    """One disease record: a non-blank name, and relations that the
+    schema knows, each to a non-blank target (``_parse_record`` checks)."""
+
     name: str
     description: str = ""
     prevention: str = ""
@@ -44,20 +37,12 @@ class DiseaseEntry:
     cause: str = ""
     relations: tuple[tuple[str, str], ...] = ()  # (relation type, target name)
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise DataError("disease entry requires a non-empty name")
-        for rel, target in self.relations:
-            if rel not in _TAIL_TYPE:
-                raise DataError(f"unknown relation type {rel!r}")
-            if not target:
-                raise DataError(f"empty target for relation {rel!r} of {self.name!r}")
-
 
 @dataclass(frozen=True)
 class Catalogs:
     """Per-type entity name catalogs, each sorted and duplicate-free; each
-    field is named after its KB entity label in lower case."""
+    field is named after its KB entity label (``KB_ENTITY_TYPES``) in lower
+    case."""
 
     disease: tuple[str, ...] = ()
     food: tuple[str, ...] = ()
@@ -66,10 +51,14 @@ class Catalogs:
     examination: tuple[str, ...] = ()
     symptom: tuple[str, ...] = ()
 
+    def names(self, label: str) -> tuple[str, ...]:
+        """The catalog of the KB entity label ``label``."""
+        return getattr(self, label.lower())
+
 
 def _parse_record(obj: dict, where: str) -> DiseaseEntry:
     name = obj.get("name", "")
-    if not isinstance(name, str) or not name:
+    if not isinstance(name, str) or not name.strip():
         raise DataError(f"{where}: missing or empty disease name")
 
     def scalar(key: str) -> str:
@@ -87,9 +76,10 @@ def _parse_record(obj: dict, where: str) -> DiseaseEntry:
         raise DataError(f"{where}: 'relations' must be an object")
     relations: list[tuple[str, str]] = []
     for rel, targets in raw_relations.items():
-        if rel not in _TAIL_TYPE:
+        if rel not in KB_RELATIONS:
             raise DataError(f"{where}: unknown relation type {rel!r}")
-        if not isinstance(targets, list) or not all(isinstance(t, str) and t for t in targets):
+        if not isinstance(targets, list) or not all(
+                isinstance(t, str) and t.strip() for t in targets):
             raise DataError(f"{where}: targets of {rel!r} must be non-empty strings")
         relations.extend((rel, t) for t in targets)
 
@@ -132,12 +122,12 @@ def load_kb(path: str | Path) -> tuple[list[DiseaseEntry], Catalogs]:
     if not entries:
         log.warning("knowledge base %s contains no disease records", path)
 
-    buckets: dict[str, set[str]] = {f.name: set() for f in fields(Catalogs)}
+    buckets: dict[str, set[str]] = {label: set() for label in KB_ENTITY_TYPES}
     for entry in entries:
-        buckets["disease"].add(entry.name)
+        buckets[KB_HEAD_LABEL].add(entry.name)
         for rel, target in entry.relations:
-            buckets[_TAIL_TYPE[rel].lower()].add(target)
-    catalogs = Catalogs(**{name: tuple(sorted(names)) for name, names in buckets.items()})
+            buckets[KB_RELATIONS[rel]].add(target)
+    catalogs = Catalogs(**{label.lower(): tuple(sorted(names)) for label, names in buckets.items()})
     return entries, catalogs
 
 
@@ -151,7 +141,7 @@ def kb_into_graph(graph, entries: list[DiseaseEntry]) -> int:
         attributes = {key: getattr(entry, key) for key in _SCALAR_FIELDS if getattr(entry, key)}
         if entry.treatments:
             attributes["treatments"] = list(entry.treatments)
-        head = upsert("Disease", entry.name, attributes)
+        head = upsert(KB_HEAD_LABEL, entry.name, attributes)
         for rel, target in entry.relations:
-            added += insert(head, rel, upsert(_TAIL_TYPE[rel], target))
+            added += insert(head, rel, upsert(KB_RELATIONS[rel], target))
     return added

@@ -56,54 +56,21 @@ class EntitySchema:
         return len(self.entity_types)
 
 
-# The six entity types contributed by the external disease knowledge base.
-# Disease and Symptom overlap with the clinical span types above.
-KB_ENTITY_TYPES: tuple[str, ...] = (
-    "Disease",
-    "Food",
-    "Department",
-    "Drug",
-    "Examination",
-    "Symptom",
-)
-
-# Full node-label universe: one Patient node per record, the seven span
-# types, and the KB-only types. Twelve labels total.
-GRAPH_LABELS: tuple[str, ...] = ("Patient",) + DEFAULT_ENTITY_TYPES + tuple(
-    t for t in KB_ENTITY_TYPES if t not in DEFAULT_ENTITY_TYPES
-)
-
-# Knowledge-base relations, all headed by a disease.
-KB_RELATIONS: tuple[str, ...] = (
-    "RecommendedFood",
-    "AvoidFood",
-    "BelongsToDepartment",
-    "CommonDrug",
-    "DiagnosticCheck",
-    "HasSymptom",
-    "Complication",
-    "RelatedDepartment",
-)
-
-# Allowed (head label, tail label) pairs per relation.
-RELATION_ENDPOINTS: dict[str, tuple[tuple[str, str], ...]] = {
-    "RecommendedFood": (("Disease", "Food"),),
-    "AvoidFood": (("Disease", "Food"),),
-    "BelongsToDepartment": (("Disease", "Department"),),
-    "CommonDrug": (("Disease", "Drug"),),
-    "DiagnosticCheck": (("Disease", "Examination"),),
-    "HasSymptom": (("Disease", "Symptom"), ("Patient", "Symptom")),
-    "Complication": (("Disease", "Disease"),),
-    "RelatedDepartment": (("Disease", "Department"),),
-    "HasDisease": (("Patient", "Disease"),),
-    "Underwent": (("Patient", "Operation"),),
-    "ReceivedTreatment": (("Patient", "Treatment"),),
-    "HasCondition": (("Patient", "Condition"),),
-    "HasCheck": (("Patient", "Check"),),
-    "HasBodyCheck": (("Patient", "BodyCheck"),),
+# The graph's design is two source tables; every table after them derives
+# from them. First, each KB relation, headed by a disease, and its tail label.
+KB_RELATIONS: dict[str, str] = {
+    "RecommendedFood": "Food",
+    "AvoidFood": "Food",
+    "BelongsToDepartment": "Department",
+    "CommonDrug": "Drug",
+    "DiagnosticCheck": "Examination",
+    "HasSymptom": "Symptom",
+    "Complication": "Disease",
+    "RelatedDepartment": "Department",
 }
 
-# Patient edge per span type, used when building a graph from tagged records.
+# Second, each span type's patient relation, which links a patient record to
+# its tagged spans.
 SPAN_TYPE_TO_RELATION: dict[str, str] = {
     "Disease": "HasDisease",
     "Symptom": "HasSymptom",
@@ -112,4 +79,28 @@ SPAN_TYPE_TO_RELATION: dict[str, str] = {
     "Condition": "HasCondition",
     "Check": "HasCheck",
     "BodyCheck": "HasBodyCheck",
+}
+
+KB_HEAD_LABEL = "Disease"  # the head of every KB relation
+PATIENT_LABEL = "Patient"  # one node per record, never a tagged span
+ALIGNED_LABEL = "Disease"  # the one label whose surfaces align to the KB's names
+
+# The KB's entity types: its head label, then its relations' tails in first
+# appearance. Disease and Symptom are also span types.
+KB_ENTITY_TYPES: tuple[str, ...] = tuple(dict.fromkeys((KB_HEAD_LABEL, *KB_RELATIONS.values())))
+
+# Full node-label universe: the patient label, the seven span types, and the
+# KB-only types. Twelve labels total.
+GRAPH_LABELS: tuple[str, ...] = (PATIENT_LABEL,) + DEFAULT_ENTITY_TYPES + tuple(
+    t for t in KB_ENTITY_TYPES if t not in DEFAULT_ENTITY_TYPES
+)
+
+# Allowed (head label, tail label) pairs per relation: KB edges, then patient
+# edges. So every edge that kb_into_graph and add_patient_record insert is
+# admitted by construction.
+_EDGES = [(r, KB_HEAD_LABEL, t) for r, t in KB_RELATIONS.items()] + [
+    (r, PATIENT_LABEL, s) for s, r in SPAN_TYPE_TO_RELATION.items()
+]
+RELATION_ENDPOINTS: dict[str, tuple[tuple[str, str], ...]] = {
+    relation: tuple((h, t) for r, h, t in _EDGES if r == relation) for relation, _, _ in _EDGES
 }

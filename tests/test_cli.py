@@ -81,6 +81,13 @@ _BAD_ENTITY_RECORDS = {
     "entities_label_list": '{"doc_id": "d1", "entities": [[["Disease"], "肝癌"]]}',
     "entities_object": '{"doc_id": "d1", "entities": {"ab": 1}}',
     "entities_surface_lone_surrogate": '{"doc_id": "d1", "entities": [["Disease", "\\ud800"]]}',
+    # and each pair a label with a patient relation and a non-blank surface
+    "entities_label_no_patient_relation": '{"doc_id": "d1", "entities": [["Gene", "x"]]}',
+    "entities_label_kb_only": '{"doc_id": "d1", "entities": [["Food", "鸡蛋"]]}',
+    "entities_surface_empty": '{"doc_id": "d1", "entities": [["Disease", ""]]}',
+    "entities_surface_space":
+        '{"doc_id": "d1", "entities": [["Disease", "肝癌"], ["Symptom", " "]]}',
+    "entities_surface_ideographic_space": '{"doc_id": "d1", "entities": [["Disease", "\\u3000"]]}',
 }
 # a valid graph, and the alignments that are read after the entities
 _FUSE_ENTITIES = ["fuse", "--graph", "{graph_valid}", "--alignments", "{present}"]
@@ -295,6 +302,8 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="config-int-too-long"),
         pytest.param(["kb-load", "--kb-file", "{kb_int_too_long}"], 3, "kb_int_too_long",
                      id="kb-record-int-too-long"),
+        pytest.param(["kb-load", "--kb-file", "{kb_target_blank}"], 3, "kb_target_blank",
+                     id="kb-record-target-blank"),
         pytest.param(["align", "--entities", "{header_int_too_long}"], 3, "header_int_too_long",
                      id="entities-header-int-too-long"),
         pytest.param(["tag", "--model-file", "{meta_deep}"], 3, "meta_deep",
@@ -425,6 +434,8 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         ("config_int_too_long", f'{{"seed": {_TOO_LONG_INT}}}\n'),
         ("kb_int_too_long",
          f'{{"schema": "kb/1"}}\n{{"name": "肝癌", "cure_time": {_TOO_LONG_INT}}}\n'),
+        ("kb_target_blank",
+         '{"schema": "kb/1"}\n{"name": "肝炎", "relations": {"RecommendedFood": [" "]}}\n'),
         ("header_int_too_long", f'{{"schema": {_TOO_LONG_INT}}}\n'),
     ]:
         paths[name] = tmp_path / f"{name}.json"
@@ -830,37 +841,46 @@ _PAIRS_MESSAGE = ("malformed record: expected a string doc_id and entities a lis
                   "[label, surface] string pairs")
 
 
-@pytest.mark.parametrize("entities, pairs", [
+@pytest.mark.parametrize("entities, expected", [
     pytest.param([], [], id="no-entities"),
     pytest.param([["Disease", "肝癌"], ["Symptom", "腹痛"]],
                  [("Disease", "肝癌"), ("Symptom", "腹痛")], id="string-pairs"),
-    pytest.param([["Disease", ""]], [("Disease", "")], id="empty-surface"),
-    pytest.param(["肝癌"], None, id="two-character-string"),
-    pytest.param([{"Disease": 1, "肝癌": 2}], None, id="two-key-object"),
-    pytest.param([["Disease"]], None, id="one-element"),
-    pytest.param([["Disease", "肝癌", "腹痛"]], None, id="three-elements"),
-    pytest.param([["Disease", 5]], None, id="number-surface"),
-    pytest.param([[1, "肝癌"]], None, id="int-label"),
-    pytest.param([["Disease", True]], None, id="bool-surface"),
-    pytest.param([["Disease", None]], None, id="null-surface"),
-    pytest.param([[["Disease"], "肝癌"]], None, id="nested-label"),
-    pytest.param([[["Disease", "肝癌"]]], None, id="nested-pair"),
-    pytest.param([["Disease", "肝癌"], ["Disease"]], None, id="bad-after-good"),
-    pytest.param("肝癌", None, id="entities-string"),
-    pytest.param({"Disease": "肝癌"}, None, id="entities-object"),
-    pytest.param(None, None, id="entities-null"),
+    pytest.param([["Disease", ""]], "blank surface for entity type 'Disease'", id="empty-surface"),
+    pytest.param([["Disease", "肝癌"], ["Symptom", " \u3000"]],
+                 "blank surface for entity type 'Symptom'", id="blank-surface"),
+    pytest.param([["Gene", "x"]], "no patient relation for entity type 'Gene'",
+                 id="label-with-no-patient-relation"),
+    pytest.param([["disease", "肝癌"]], "no patient relation for entity type 'disease'",
+                 id="label-in-another-case"),
+    pytest.param(["肝癌"], _PAIRS_MESSAGE, id="two-character-string"),
+    pytest.param([{"Disease": 1, "肝癌": 2}], _PAIRS_MESSAGE, id="two-key-object"),
+    pytest.param([["Disease"]], _PAIRS_MESSAGE, id="one-element"),
+    pytest.param([["Disease", "肝癌", "腹痛"]], _PAIRS_MESSAGE, id="three-elements"),
+    pytest.param([["Disease", 5]], _PAIRS_MESSAGE, id="number-surface"),
+    pytest.param([[1, "肝癌"]], _PAIRS_MESSAGE, id="int-label"),
+    pytest.param([["Disease", True]], _PAIRS_MESSAGE, id="bool-surface"),
+    pytest.param([["Disease", None]], _PAIRS_MESSAGE, id="null-surface"),
+    pytest.param([[["Disease"], "肝癌"]], _PAIRS_MESSAGE, id="nested-label"),
+    pytest.param([[["Disease", "肝癌"]]], _PAIRS_MESSAGE, id="nested-pair"),
+    pytest.param([["Disease", "肝癌"], ["Disease"]], _PAIRS_MESSAGE, id="bad-after-good"),
+    pytest.param("肝癌", _PAIRS_MESSAGE, id="entities-string"),
+    pytest.param({"Disease": "肝癌"}, _PAIRS_MESSAGE, id="entities-object"),
+    pytest.param(None, _PAIRS_MESSAGE, id="entities-null"),
 ])
-def test_entities_file_accepts_only_lists_of_two_strings(entities, pairs, tmp_path):
+def test_entities_file_accepts_only_lists_of_two_strings(entities, expected, tmp_path):
+    """A record's pairs are read when each is two strings, a label with a
+    patient relation and a non-blank surface; ``expected`` is those pairs,
+    or the message that the record's line is refused with."""
     path = tmp_path / "entities.jsonl"
     path.write_text(
         json.dumps({"schema": emrkg.cli.ENTITIES_SCHEMA_TAG}) + "\n"
         + json.dumps({"doc_id": "d1", "entities": entities}, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
-    if pairs is not None:
-        assert emrkg.cli._read_entities_file(path) == [("d1", pairs)]
+    if isinstance(expected, list):
+        assert emrkg.cli._read_entities_file(path) == [("d1", expected)]
     else:
-        with pytest.raises(DataError, match=re.escape(f"{path}: line 2: {_PAIRS_MESSAGE}")):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: line 2: {expected}')}$"):
             emrkg.cli._read_entities_file(path)
 
 

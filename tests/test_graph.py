@@ -9,6 +9,7 @@ import json
 import random
 import re
 import tracemalloc
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -35,8 +36,8 @@ from emrkg.graph import (
     _rels_row,
     _triple_line,
 )
-from emrkg.kb import _TAIL_TYPE
-from emrkg.schema import GRAPH_LABELS, KB_RELATIONS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
+from emrkg.kb import Catalogs
+from emrkg.schema import GRAPH_LABELS, KB_ENTITY_TYPES, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
 from tests.oracles import (
     add_patient_record_by_upserts,
     canonical_order_by_key,
@@ -332,14 +333,29 @@ def test_add_patient_record_links_each_entity_with_its_relation():
     assert [n.name for n in graph.pattern_query("Patient", "patient_01", "Underwent")] == ["切除术"]
 
 
-def test_every_patient_and_kb_edge_is_one_the_schema_admits():
-    """``add_patient_record`` and ``kb_into_graph`` insert their edges
-    without ``add_triple``'s endpoint check."""
-    patient = {("Patient", relation, label) for label, relation in SPAN_TYPE_TO_RELATION.items()}
-    kb = {("Disease", relation, label) for relation, label in _TAIL_TYPE.items()}
-    assert patient | kb <= emrkg.graph._ENDPOINTS
-    assert set(_TAIL_TYPE) == set(KB_RELATIONS)
-    assert {label for _, _, label in patient | kb} <= set(GRAPH_LABELS)
+def test_the_schema_derives_the_endpoints_kb_types_labels_and_catalogs_it_wrote_out():
+    """``schema.py`` derives these tables from its two source tables; they
+    keep the values and the order they had when each was written out."""
+    assert list(RELATION_ENDPOINTS.items()) == [
+        ("RecommendedFood", (("Disease", "Food"),)),
+        ("AvoidFood", (("Disease", "Food"),)),
+        ("BelongsToDepartment", (("Disease", "Department"),)),
+        ("CommonDrug", (("Disease", "Drug"),)),
+        ("DiagnosticCheck", (("Disease", "Examination"),)),
+        ("HasSymptom", (("Disease", "Symptom"), ("Patient", "Symptom"))),
+        ("Complication", (("Disease", "Disease"),)),
+        ("RelatedDepartment", (("Disease", "Department"),)),
+        ("HasDisease", (("Patient", "Disease"),)),
+        ("Underwent", (("Patient", "Operation"),)),
+        ("ReceivedTreatment", (("Patient", "Treatment"),)),
+        ("HasCondition", (("Patient", "Condition"),)),
+        ("HasCheck", (("Patient", "Check"),)),
+        ("HasBodyCheck", (("Patient", "BodyCheck"),)),
+    ]
+    assert KB_ENTITY_TYPES == ("Disease", "Food", "Department", "Drug", "Examination", "Symptom")
+    assert GRAPH_LABELS == ("Patient", "Disease", "BodyCheck", "Symptom", "Condition", "Check",
+                            "Treatment", "Operation", "Food", "Department", "Drug", "Examination")
+    assert [f.name for f in fields(Catalogs)] == [label.lower() for label in KB_ENTITY_TYPES]
 
 
 def test_add_patient_record_rejects_untyped_entities():

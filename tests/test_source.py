@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 
@@ -66,6 +68,31 @@ def test_only_errors_py_defines_an_error_class():
     found = [f"{path.relative_to(SRC)}:{line}: {name}" for path in MODULES if path != errors_py
              for line, name in error_classes(path.read_text(encoding="utf-8"), bases)]
     assert not found, f"{len(found)} error classes outside errors.py:\n" + "\n".join(found)
+
+
+def schema_names(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """The ``(line, value)`` of each string constant in ``source`` that
+    equals one of ``names``, in line order."""
+    return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and type(node.value) is str
+                  and node.value in names)
+
+
+def test_the_check_finds_a_label_or_relation_name():
+    source = ("x = 'Disease'\nif r == \"HasCheck\":\n    y = f'{x} Disease'\n"
+              "z = ('disease', 'Diseases')\n\"\"\"Disease\"\"\"\n")
+    assert schema_names(source, {"Disease", "HasCheck"}) == [
+        (1, "Disease"), (2, "HasCheck"), (5, "Disease")]
+
+
+def test_only_schema_py_names_a_graph_label_or_relation():
+    """The type and relation design is written once, in ``schema.py``;
+    every other module reads its tables and named labels."""
+    names = set(GRAPH_LABELS) | set(RELATION_ENDPOINTS)
+    schema_py = SRC / "emrkg" / "schema.py"
+    found = [f"{path.relative_to(SRC)}:{line}: {value!r}" for path in MODULES if path != schema_py
+             for line, value in schema_names(path.read_text(encoding="utf-8"), names)]
+    assert not found, f"{len(found)} labels or relations outside schema.py:\n" + "\n".join(found)
 
 
 def test_the_check_finds_an_unused_import():

@@ -58,6 +58,7 @@ from emrkg.errors import (
     read_lines,
     read_records,
     require_utf8_name,
+    write_file,
     write_records,
 )
 from emrkg.fusion import Alignment, FusionConfig, align, build_index, fuse
@@ -252,10 +253,7 @@ def write_manifest(cfg: PipelineConfig, subcommand: str, inputs: list[Path]) -> 
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_file(path, [json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"])
 
 
 def _mkdir(path: Path) -> None:
@@ -317,7 +315,10 @@ def run_convert(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 def run_split(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     bio_path = _input(args, "bio", cfg.output_dir / "corpus.bio")
     sentences = read_bio_file(bio_path)
-    parts = split_dataset(sentences, derive_seed(cfg.seed, "split"))
+    try:
+        parts = split_dataset(sentences, derive_seed(cfg.seed, "split"))
+    except DataError as exc:  # too few sentences
+        raise DataError(f"{bio_path}: {exc}") from exc
     for name, part in (("train", parts.train), ("validation", parts.validation), ("test", parts.test)):
         write_bio_file(list(part), cfg.output_dir / f"{name}.bio")
     log.info(
@@ -373,7 +374,7 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
         f"{r.epoch},{r.loss:.10g},{r.precision:.10g},{r.recall:.10g},{r.f1:.10g}"
         for r in result.log
     ]
-    (cfg.output_dir / "train_log.csv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    write_file(cfg.output_dir / "train_log.csv", (line + "\n" for line in log_lines))
     _write_json(cfg.output_dir / "train_summary.json", {
         "best_epoch": result.best_epoch,
         "epochs": len(result.log),
@@ -440,7 +441,7 @@ def run_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
         "sentences": len(gold),
         **report_dict(report),
     })
-    (cfg.output_dir / "eval.txt").write_text(report_table(report) + "\n", encoding="utf-8")
+    write_file(cfg.output_dir / "eval.txt", [report_table(report) + "\n"])
     log.info("evaluated %s: micro F1 %.4f", gold_path, report.micro.f1)
     return [model_path, gold_path]
 
@@ -538,9 +539,7 @@ def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
         result = align(source, index, cfg.fusion.threshold)
         target = "" if result.target is None else _report_field(kb_file, result.target)
         rows.append(f"{result.source}\t{target}\t{result.similarity:.12g}")
-    (cfg.output_dir / "alignments.tsv").write_text(
-        "".join(row + "\n" for row in rows), encoding="utf-8"
-    )
+    write_file(cfg.output_dir / "alignments.tsv", (row + "\n" for row in rows))
     log.info("aligned %d names against %d KB diseases", len(sources), len(kb_names))
     return [source_path, kb_file]
 
@@ -561,7 +560,8 @@ def read_alignment_file(path: Path, threshold: float) -> list[Alignment]:
             similarity = float(similarity)
             if not 0.0 <= similarity <= 1.0:  # also rejects nan
                 raise ValueError(f"similarity {similarity} is not in [0, 1]")
-            alignments.append(Alignment(source, target or None, similarity, threshold))
+            alignments.append(Alignment(source, target or None, similarity, threshold,
+                                        f"{path}: line {lineno}"))
         except (ValueError, DataError) as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
     return alignments
@@ -611,7 +611,7 @@ def run_query(cfg: PipelineConfig, args: argparse.Namespace) -> None:
     if args.out:
         out = Path(args.out)
         _mkdir(out.parent)
-        out.write_text(output, encoding="utf-8")
+        write_file(out, [output])
     else:
         sys.stdout.write(output)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from emrkg.errors import DataError, read_text, require_utf8_name
+from emrkg.errors import DataError, read_text, require_utf8_name, write_file
 from emrkg.schema import EntitySchema
 
 log = logging.getLogger(__name__)
@@ -322,7 +322,7 @@ def write_bio_file(sentences: list[BioSentence], path: str | Path) -> None:
         for ch, tag in zip(sent.chars, sent.tags):
             lines.append(f"{ch}\t{tag}")
         lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    write_file(path, ["\n".join(lines)])
 
 
 def read_bio_file(path: str | Path) -> list[BioSentence]:

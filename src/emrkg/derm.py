@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from emrkg.corpus import BioSentence, from_bio, tags_for_spans
-from emrkg.errors import ConfigError, DataError, is_real, read_lines
+from emrkg.errors import ConfigError, DataError, is_real, read_lines, write_file
 
 log = logging.getLogger(__name__)
 
@@ -177,7 +177,7 @@ def write_dictionary_file(dictionary: EntityDictionary, path: str | Path) -> Non
         for etype in sorted(dictionary.by_type)
         for surface in dictionary.by_type[etype]
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, ["\n".join(lines) + "\n"])
 
 
 def read_dictionary_file(path: str | Path) -> EntityDictionary:

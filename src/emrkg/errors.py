@@ -1,11 +1,12 @@
 """The three exceptions of the exit-code contract, and the text-file
-readers and the record writer whose failures they name.
+readers and the file writer whose failures they name.
 
 Every fault raises one of ``ConfigError`` (exit 2), ``DataError`` (exit 3)
 or ``InternalError`` (exit 4); no module subclasses them. The message says
 what went wrong and where: the file, the line and the reason.
 """
 
+import itertools
 import json
 import math
 import re
@@ -93,6 +94,21 @@ def read_lines(path: str | Path) -> Iterator[str]:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def write_file(path: str | Path, chunks: Iterable[str] | Iterable[bytes],
+               binary: bool = False) -> None:
+    """Write ``chunks``, consumed as they are written: str as UTF-8, line
+    ends as given (so CSV rows keep their CRLF), or bytes with ``binary``.
+    Every output file goes through here: a file that cannot be written, or
+    text that does not encode as UTF-8 (a lone surrogate), raises
+    ``DataError`` naming the file."""
+    try:
+        with (open(path, "wb") if binary
+              else open(path, "w", encoding="utf-8", newline="")) as handle:
+            handle.writelines(chunks)
+    except (OSError, UnicodeEncodeError) as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 # -- versioned JSON-lines files (kb/1, graph/1, entities/1) -----------------
 #
 # A header line {"schema": TAG}, then one JSON object per line. Records are
@@ -105,13 +121,8 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 def write_lines(path: str | Path, schema: str, lines: Iterable[str]) -> None:
     """Write the header ``{"schema": schema}``, then ``lines``, each one
-    record ending in a line feed; ``lines`` is consumed as it is written."""
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(encode_record({"schema": schema}) + "\n")
-            handle.writelines(lines)
-    except (OSError, UnicodeEncodeError) as exc:  # a string holding a lone surrogate
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    record ending in a line feed."""
+    write_file(path, itertools.chain([encode_record({"schema": schema}) + "\n"], lines))
 
 
 def write_records(path: str | Path, schema: str, records: Iterable[dict]) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +89,8 @@ class Alignment:
     target: str | None
     similarity: float
     threshold: float = DEFAULT_THRESHOLD
+    # where it was read ("alignments.tsv: line 3"), which a refusal in fuse names
+    origin: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if (self.target is not None) != (self.similarity >= self.threshold):
@@ -209,7 +211,8 @@ def fuse(graph: KnowledgeGraph, alignments: list[Alignment]) -> FusionReport:
             continue
         canonical = graph.find_node(ALIGNED_LABEL, alignment.target)
         if canonical is None:
-            raise DataError(f"target {alignment.target!r} ({ALIGNED_LABEL}) not in graph")
+            where = f"{alignment.origin}: " if alignment.origin else ""
+            raise DataError(f"{where}target {alignment.target!r} ({ALIGNED_LABEL}) not in graph")
         source = graph.find_node(ALIGNED_LABEL, alignment.source)
         if source is None:
             skipped.append(alignment.source)

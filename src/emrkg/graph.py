@@ -25,6 +25,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple
 
 from emrkg.errors import (
@@ -34,6 +35,7 @@ from emrkg.errors import (
     encode_record,
     parse_object,
     read_blocks,
+    write_file,
     write_lines,
 )
 from emrkg.schema import GRAPH_LABELS, PATIENT_LABEL, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
@@ -144,18 +146,11 @@ class KnowledgeGraph:
 
     # -- triples -------------------------------------------------------
 
-    def add_triple(self, head: int, relation: str, tail: int) -> bool:
-        """Add one typed edge; re-adding an existing triple is a no-op.
-        Returns True if the triple was new."""
-        nodes = self.nodes
-        if (head not in nodes or tail not in nodes
-                or (nodes[head].label, relation, nodes[tail].label) not in _ENDPOINTS):
-            _check_endpoints(nodes, head, relation, tail)  # raises the fault's message
-        return self._insert_triple(head, relation, tail)
-
     def _insert_triple(self, head: int, relation: str, tail: int) -> bool:
-        """``add_triple`` after its endpoint check, for callers whose edge
-        is one the schema admits between nodes of the graph."""
+        """Add one edge, unchecked: the caller's edge is one the schema
+        admits between nodes of the graph (see ``_check_endpoints``).
+        Re-adding an existing triple is a no-op; returns True if the
+        triple was new."""
         triple = _new_triple((head, relation, tail))
         if triple in self._triples:
             return False
@@ -334,12 +329,7 @@ def export_cypher(order: CanonicalOrder, path: str | Path) -> int:
         f"MERGE (a)-[:{relation_identifier(relation)}]->(b);\n"
         for head, relation, tail in order.triples
     )
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(statements)
-            handle.writelines(edges)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    write_file(path, itertools.chain(statements, edges))
     return len(statements) + len(order.triples)
 
 
@@ -347,6 +337,10 @@ def export_cypher(order: CanonicalOrder, path: str | Path) -> int:
 # quotes no field that holds only digits or letters, as the ranks and the
 # relation names (see RELATION_ENDPOINTS) do, and ends each row in CRLF.
 _rels_row = "{},{},{}\r\n".format
+
+# the text ``csv.writer`` writes for a row: ``writerow`` returns what its
+# file's ``write`` returns, here the text it was given
+_csv_row = csv.writer(SimpleNamespace(write=str)).writerow
 
 # ``json.dumps(value, ensure_ascii=False)``, which builds an encoder per call
 _encode_attributes = json.JSONEncoder(ensure_ascii=False).encode
@@ -356,27 +350,21 @@ def export_csv(order: CanonicalOrder, nodes_path: str | Path, rels_path: str | P
     """Bulk-import companion to the Cypher export: nodes.csv carries
     canonical re-numbered ids (the ranks) so identical graphs yield
     identical files."""
-    try:
-        with open(nodes_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["id", "label", "name", "attributes"])
-            writer.writerows(
-                (rank, node.label, node.name,
-                 _encode_attributes(dict(sorted(node.attributes.items())))
-                 if node.attributes else "{}")
-                for rank, node in enumerate(order.nodes, start=1)
-            )
-        with open(rels_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(_rels_row("head", "relation", "tail"))
-            handle.writelines(itertools.starmap(_rels_row, order.triples))
-    except OSError as exc:
-        raise DataError(f"cannot write CSV export: {exc}") from exc
+    rows = (
+        (rank, node.label, node.name,
+         _encode_attributes(dict(sorted(node.attributes.items()))) if node.attributes else "{}")
+        for rank, node in enumerate(order.nodes, start=1)
+    )
+    write_file(nodes_path, map(_csv_row, itertools.chain([("id", "label", "name", "attributes")],
+                                                         rows)))
+    write_file(rels_path, itertools.chain([_rels_row("head", "relation", "tail")],
+                                          itertools.starmap(_rels_row, order.triples)))
 
 
 # -- persistence ----------------------------------------------------------
 
 # The line ``encode_record`` writes for a stored triple's record: its keys
-# sorted, and values that need no escaping, since ``add_triple`` admits
+# sorted, and values that need no escaping, since a graph's triples hold
 # only int node ids and relations named in RELATION_ENDPOINTS.
 _triple_line = '{{"head": {}, "kind": "triple", "relation": "{}", "tail": {}}}\n'.format
 
@@ -443,17 +431,13 @@ def _graph_triples(
     by_key: dict[tuple[str, str], int],
     head_key: tuple[str, str] | None = None,
 ) -> Iterator[Triple]:
-    """The checked triples of a ``graph/1`` file, in file order, each once
-    it is checked. ``nodes`` receives each node by id and ``by_key`` its
-    (label, normalized name) -> id, where the node is read. With
-    ``head_key``, only the triples whose head is that node come out, though
-    every record is checked. The first bad record raises DataError naming
-    its line.
-
-    A triple passes where it is read if nothing is held and its endpoints
-    are in and admit its relation; node ids are unique, so it passes for
-    good. From the first triple that does not, every triple is held and
-    checked after the last node, so a later node fault still comes first.
+    """The checked triples of a ``graph/1`` file, in file order. ``nodes``
+    receives each node by id and ``by_key`` its (label, normalized name) ->
+    id, where the node is read. With ``head_key``, only the triples whose
+    head is that node come out, though every record is checked. Each record
+    is checked at its own line, so a triple's endpoint nodes must come
+    before it, as in every file ``save_graph`` writes; the first bad line
+    raises DataError naming it.
 
     A block led by a triple line is scanned whole with ``_TRIPLE_LINES``;
     if every line matches, its triples come from the match groups and are
@@ -464,8 +448,6 @@ def _graph_triples(
     check, is decoded line by line, which raises the first fault's
     message."""
     label_of: dict[str, str] = {}  # str(node id) -> label
-    held: list[tuple[int, str, int]] = []
-    linenos: list[int] = []  # each held triple's line
     head_id = None  # the id of head_key's node, once it is read
     relation_of = _RELATION_NAMES.get
     for first, lines, text in _graph_blocks(path):
@@ -473,19 +455,16 @@ def _graph_triples(
             found = _TRIPLE_LINES.findall(text)
             if len(found) == len(lines):
                 heads, relations, tails = zip(*found)
-                triples = zip(map(int, heads), map(relation_of, relations, relations),
-                              map(int, tails))
-                if held or not set(zip(map(label_of.get, heads), relations,
-                                       map(label_of.get, tails))) <= _ENDPOINTS:
-                    held.extend(triples)
-                    linenos.extend(range(first, first + len(lines)))
-                elif head_key is None:
-                    yield from map(_new_triple, triples)
-                elif head_id is not None:
-                    head_text = str(head_id)
-                    yield from (_new_triple((head_id, relation_of(r), int(t)))
-                                for h, r, t in found if h == head_text)
-                continue
+                if set(zip(map(label_of.get, heads), relations,
+                           map(label_of.get, tails))) <= _ENDPOINTS:
+                    if head_key is None:
+                        triples = zip(map(int, heads), map(relation_of, relations), map(int, tails))
+                        yield from map(_new_triple, triples)
+                    elif head_id is not None:
+                        head_text = str(head_id)
+                        yield from (_new_triple((head_id, relation_of(r), int(t)))
+                                    for h, r, t in found if h == head_text)
+                    continue
         elif text.startswith('{"attributes": '):
             found = _NODE_LINES.findall(text)
             if len(found) == len(lines):
@@ -513,11 +492,11 @@ def _graph_triples(
                 if type(head) is not int or type(tail) is not int or not isinstance(relation, str):
                     raise DataError(f"{path}: line {lineno}: malformed triple record")
                 relation = relation_of(relation, relation)
-                if held or (label_of.get(str(head)), relation,
-                            label_of.get(str(tail))) not in _ENDPOINTS:
-                    held.append((head, relation, tail))
-                    linenos.append(lineno)
-                elif head_key is None or head == head_id:
+                try:
+                    _check_endpoints(nodes, head, relation, tail)
+                except DataError as exc:
+                    raise DataError(f"{path}: line {lineno}: {exc}") from exc
+                if head_key is None or head == head_id:
                     yield _new_triple((head, relation, tail))
             elif kind == "node":
                 node_id, label, name = obj.get("id"), obj.get("label"), obj.get("name")
@@ -537,13 +516,6 @@ def _graph_triples(
                 nodes[node_id] = Node(node_id, label, name, attributes)
             else:
                 raise DataError(f"{path}: line {lineno}: unknown record kind {kind!r}")
-    for lineno, triple in zip(linenos, held):
-        try:
-            _check_endpoints(nodes, *triple)
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        if head_key is None or triple[0] == head_id:
-            yield _new_triple(triple)
 
 
 def load_graph(path: str | Path, head: tuple[str, str] | None = None) -> KnowledgeGraph:

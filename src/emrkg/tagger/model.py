@@ -21,17 +21,19 @@ produces byte-identical files, and a load/save round trip is bit-exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from emrkg.corpus import BioSentence
-from emrkg.errors import ConfigError, DataError, find_lone_surrogate
+from emrkg.errors import ConfigError, DataError, find_lone_surrogate, write_file
 from emrkg.schema import EntitySchema
 from emrkg.tagger.crf import nll_with_grad, viterbi
 from emrkg.tagger.lstm import LstmParams, lstm_backward, lstm_forward, lstm_states
@@ -177,15 +179,15 @@ def predict(model: TaggerModel, sentences: list[BioSentence]) -> list[BioSentenc
     return [BioSentence(s.chars, model.tagset.decode(paths[i])) for i, s in enumerate(sentences)]
 
 
-def _write_array(handle, name: str, array: np.ndarray) -> None:
+def _array_chunks(name: str, array: np.ndarray) -> Iterator[bytes]:
     data = np.ascontiguousarray(array, dtype="<f8")
     name_b = name.encode("utf-8")
-    handle.write(struct.pack("<H", len(name_b)))
-    handle.write(name_b)
-    handle.write(struct.pack("<B", data.ndim))
+    yield struct.pack("<H", len(name_b))
+    yield name_b
+    yield struct.pack("<B", data.ndim)
     for dim in data.shape:
-        handle.write(struct.pack("<Q", dim))
-    handle.write(data.tobytes())
+        yield struct.pack("<Q", dim)
+    yield data.tobytes()
 
 
 def save_model(model: TaggerModel, path: str | Path) -> None:
@@ -196,14 +198,10 @@ def save_model(model: TaggerModel, path: str | Path) -> None:
         "hidden": model.fw.hidden,
     }
     meta_b = json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(struct.pack("<I", FORMAT_VERSION))
-        handle.write(struct.pack("<Q", len(meta_b)))
-        handle.write(meta_b)
-        handle.write(struct.pack("<I", len(model.params)))
-        for name, array in model.params.items():
-            _write_array(handle, name, array)
+    header = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<Q", len(meta_b)), meta_b,
+              struct.pack("<I", len(model.params))]
+    arrays = itertools.chain.from_iterable(itertools.starmap(_array_chunks, model.params.items()))
+    write_file(path, itertools.chain(header, arrays), binary=True)
 
 
 def _read_exact(handle, n: int, what: str) -> bytes:

@@ -327,7 +327,8 @@ def _triple_problem(nodes: dict[int, Node], triple: Triple) -> str | None:
 def graph_records_by_line(path) -> list[Node | Triple]:
     """The records of a ``graph/1`` file as a load keeps them (its nodes in
     file order, then its triples in file order), each line read on its own
-    and decoded with ``json.loads``. Every fault raises the package's
+    and decoded with ``json.loads``, and each triple checked against the
+    nodes of the lines before it. Every fault raises the package's
     DataError for it, with its message."""
     try:
         with open(path, encoding="utf-8") as handle:
@@ -344,7 +345,7 @@ def graph_records_by_line(path) -> list[Node | Triple]:
             f'{path}: line 1: expected the header {{"schema": "graph/1"}}, got {found}')
     nodes: dict[int, Node] = {}
     keys: set[tuple[str, str]] = set()
-    triples: list[tuple[int, Triple]] = []
+    triples: list[Triple] = []
     for lineno, line in enumerate(lines[1:], start=2):
         where = f"{path}: line {lineno}"
         if not line.strip():
@@ -365,7 +366,11 @@ def graph_records_by_line(path) -> list[Node | Triple]:
             head, relation, tail = obj.get("head"), obj.get("relation"), obj.get("tail")
             if type(head) is not int or type(tail) is not int or type(relation) is not str:
                 raise DataError(f"{where}: malformed triple record")
-            triples.append((lineno, Triple(head, relation, tail)))
+            triple = Triple(head, relation, tail)
+            problem = _triple_problem(nodes, triple)
+            if problem is not None:
+                raise DataError(f"{where}: {problem}")
+            triples.append(triple)
         elif kind == "node":
             node_id, label, name = obj.get("id"), obj.get("label"), obj.get("name")
             attributes = obj.get("attributes", {})
@@ -381,11 +386,7 @@ def graph_records_by_line(path) -> list[Node | Triple]:
             nodes[node_id] = Node(node_id, label, name, attributes)
         else:
             raise DataError(f"{where}: unknown record kind {kind!r}")
-    for lineno, triple in triples:
-        problem = _triple_problem(nodes, triple)
-        if problem is not None:
-            raise DataError(f"{path}: line {lineno}: {problem}")
-    return list(nodes.values()) + [triple for _, triple in triples]
+    return list(nodes.values()) + triples
 
 
 def normalize_name_by_loop(name: str) -> str:

@@ -3,7 +3,8 @@
 Unlike :mod:`tests.oracles`, these may import from the modules they help
 check: ``encode`` runs the package's batched inference on one sentence,
 the gradient check differentiates the package's own CRF loss, and the
-incident-triple helpers read the graph's endpoint indexes.
+graph helpers add edges through the graph's own check and insert and read
+its endpoint indexes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from emrkg.errors import DataError
 from emrkg.fusion import TfIdfIndex
-from emrkg.graph import KnowledgeGraph, Triple
+from emrkg.graph import KnowledgeGraph, Triple, _check_endpoints
 from emrkg.kb import DiseaseEntry
 from emrkg.tagger.crf import nll_with_grad
 from emrkg.tagger.model import TaggerModel, _batch_emissions, _input_tables, sentence_loss_and_grads
@@ -136,6 +137,15 @@ def gradient_check(
 
 
 # -- graph ---------------------------------------------------------------
+
+
+def add_triple(graph: KnowledgeGraph, head: int, relation: str, tail: int) -> bool:
+    """Add one edge after the endpoint check a graph-file triple gets; an
+    edge the schema does not admit, or whose endpoint is not in the graph,
+    raises that check's message. Re-adding an existing triple is a no-op.
+    Returns True if the triple was new."""
+    _check_endpoints(graph.nodes, head, relation, tail)
+    return graph._insert_triple(head, relation, tail)
 
 
 def triples_from(graph: KnowledgeGraph, node_id: int) -> list[Triple]:

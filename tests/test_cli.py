@@ -296,6 +296,10 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="export-graph-attribute-name"),
         pytest.param(["fuse", "--graph", "{graph_aliases_string}", "--alignments",
                       "{aligned_to_aliases_string}"], 3, None, id="fuse-aliases-not-a-list"),
+        pytest.param(["fuse", "--graph", "{graph_valid}", "--alignments",
+                      "{aligned_to_no_node}"], 3, "aligned_to_no_node",
+                     id="fuse-target-not-in-graph"),
+        pytest.param(["split", "--bio", "{bio}"], 3, "bio", id="split-too-few-sentences"),
         pytest.param(["convert", "--config", "{deep_config}"], 2, "deep_config",
                      id="config-nested-too-deeply"),
         pytest.param(["convert", "--config", "{config_int_too_long}"], 2, "config_int_too_long",
@@ -428,6 +432,10 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     paths["aligned_to_aliases_string"].write_text(
         "source\ttarget\tsimilarity\n原发性肝细胞癌。\t原发性肝细胞癌\t0.9\n", encoding="utf-8"
     )
+    paths["aligned_to_no_node"] = tmp_path / "aligned_to_no_node.tsv"
+    paths["aligned_to_no_node"].write_text(
+        "source\ttarget\tsimilarity\n肝癌\t肝癌\t1\n某病\t不在图中\t0.9\n", encoding="utf-8"
+    )
     paths["deep_config"] = tmp_path / "deep_config.json"
     paths["deep_config"].write_text("[" * 100000, encoding="utf-8")
     for name, text in [
@@ -470,6 +478,48 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     assert main(argv) == code
     if culprit is not None:
         assert str(paths[culprit]) in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in caplog.text
+
+
+# each writer, a run that reaches it, and its output, which the test makes a
+# directory; paths are under the test's directory, out/ the output directory
+_UNWRITABLE = {
+    "json": (["kb-load"], "out/catalogs.json"),
+    "manifest": (["kb-load"], "out/manifest.json"),
+    "dictionary": (_TRAIN, "out/dictionary.tsv"),
+    "model": ([*_TRAIN, "--model-file", "{target}"], "model.bin"),  # after every epoch
+    "train-log": (_TRAIN, "out/train_log.csv"),
+    "eval-txt": (["evaluate", "--gold", "{bio}", "--model-file", "{model}"], "out/eval.txt"),
+    "alignments": (["align", "--names", "{names}"], "out/alignments.tsv"),
+    "query-out": (["query", "--graph", "{graph}", *_QUERY, "--out", "{target}"], "answer.txt"),
+    "augment-out": (["augment", "--bio", "{bio}", "--dictionary", "{dictionary}",
+                     "--out", "{target}"], "augmented.bio"),
+    "cypher": (["export", "--graph", "{graph}"], "out/graph.cypher"),
+    "csv": (["export", "--graph", "{graph}"], "out/nodes.csv"),
+}
+
+
+@pytest.mark.parametrize("argv, target", _UNWRITABLE.values(), ids=_UNWRITABLE.keys())
+def test_an_output_that_cannot_be_written_exits_3_naming_it(
+    argv, target, tmp_path, corpus_dir, kb_file, capsys, caplog
+):
+    """Every output file goes through one writer, which maps a failed
+    write to exit 3 and ``cannot write <path>: <reason>``."""
+    paths = {name: tmp_path / name for name in ("bio", "dictionary", "graph", "model", "names")}
+    paths["names"].write_text("肝癌\n", encoding="utf-8")
+    paths["bio"].write_text("肝\tB-Disease\n癌\tI-Disease\n", encoding="utf-8")
+    paths["dictionary"].write_text("Disease\t肝癌\n", encoding="utf-8")
+    paths["graph"].write_text(f'{{"schema": "graph/1"}}\n{_NODE}\n', encoding="utf-8")
+    save_model(init_model(Vocabulary.build(["肝癌"]), TagSet(EntitySchema()), d_emb=2, hidden=2,
+                          rng=np.random.default_rng(0)), paths["model"])
+    paths["target"] = tmp_path / target
+    paths["target"].mkdir(parents=True)
+    argv = [arg.format(**paths) for arg in argv] + [
+        "--seed", "1", "--corpus-dir", str(corpus_dir), "--kb-file", str(kb_file),
+        "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert f"cannot write {paths['target']}: " in caplog.text
     assert "Traceback" not in capsys.readouterr().err
     assert "Traceback" not in caplog.text
 

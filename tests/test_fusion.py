@@ -366,6 +366,11 @@ def test_fuse_requires_canonical_node_in_graph():
     graph.upsert_node("Disease", "某病")
     with pytest.raises(DataError, match=r"^target '不在图中' \(Disease\) not in graph$"):
         fuse(graph, [Alignment("某病", "不在图中", 0.95)])
+    # an alignment as read_alignment_file makes it, which compares as before
+    read = Alignment("某病", "不在图中", 0.95, origin="a.tsv: line 3")
+    assert read == Alignment("某病", "不在图中", 0.95)
+    with pytest.raises(DataError, match=r"^a\.tsv: line 3: target '不在图中' \(Disease\) not in"):
+        fuse(graph, [read])
 
 
 def test_fuse_merges_node_attributes_and_sorts_aliases(kb_file):

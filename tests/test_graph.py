@@ -50,7 +50,13 @@ from tests.oracles import (
     normalize_name_by_loop,
     pattern_scan,
 )
-from tests.support import SEPARATOR_NAMES, graph_state, triples_from, triples_to
+from tests.support import (
+    SEPARATOR_NAMES,
+    add_triple,
+    graph_state,
+    triples_from,
+    triples_to,
+)
 
 
 # -- name normalization ----------------------------------------------------
@@ -141,8 +147,8 @@ def test_add_triple_deduplicates():
     graph = KnowledgeGraph()
     disease = graph.upsert_node("Disease", "肝癌")
     food = graph.upsert_node("Food", "鸡蛋")
-    assert graph.add_triple(disease, "RecommendedFood", food) is True
-    assert graph.add_triple(disease, "RecommendedFood", food) is False
+    assert add_triple(graph, disease, "RecommendedFood", food) is True
+    assert add_triple(graph, disease, "RecommendedFood", food) is False
     assert len(graph.triples) == 1
 
 
@@ -151,11 +157,11 @@ def test_add_triple_rejects_missing_endpoints_and_bad_types():
     disease = graph.upsert_node("Disease", "肝癌")
     food = graph.upsert_node("Food", "鸡蛋")
     with pytest.raises(DataError, match="^triple endpoint id 999 not in graph$"):
-        graph.add_triple(disease, "RecommendedFood", 999)
+        add_triple(graph, disease, "RecommendedFood", 999)
     with pytest.raises(DataError, match="^RecommendedFood does not admit Food -> Disease$"):
-        graph.add_triple(food, "RecommendedFood", disease)  # reversed endpoints
+        add_triple(graph, food, "RecommendedFood", disease)  # reversed endpoints
     with pytest.raises(DataError, match="^unknown relation type 'Causes'$"):
-        graph.add_triple(disease, "Causes", food)  # unknown relation
+        add_triple(graph, disease, "Causes", food)  # unknown relation
 
 
 def test_every_declared_endpoint_pair_is_accepted():
@@ -164,7 +170,7 @@ def test_every_declared_endpoint_pair_is_accepted():
             graph = KnowledgeGraph()
             head = graph.upsert_node(head_label, "甲")
             tail = graph.upsert_node(tail_label, "乙")
-            assert graph.add_triple(head, relation, tail)
+            assert add_triple(graph, head, relation, tail)
             graph.validate()
 
 
@@ -173,10 +179,10 @@ def test_has_symptom_links_both_diseases_and_patients():
     symptom = graph.upsert_node("Symptom", "腹痛")
     disease = graph.upsert_node("Disease", "肝癌")
     patient = graph.upsert_node("Patient", "p1")
-    assert graph.add_triple(disease, "HasSymptom", symptom)
-    assert graph.add_triple(patient, "HasSymptom", symptom)
+    assert add_triple(graph, disease, "HasSymptom", symptom)
+    assert add_triple(graph, patient, "HasSymptom", symptom)
     with pytest.raises(DataError, match="^HasSymptom does not admit Symptom -> Disease$"):
-        graph.add_triple(symptom, "HasSymptom", disease)
+        add_triple(graph, symptom, "HasSymptom", disease)
 
 
 # -- merge ----------------------------------------------------------
@@ -188,8 +194,8 @@ def test_merge_repoints_incident_triples_and_drops_source():
     source = graph.upsert_node("Disease", "原发肝癌")
     target = graph.upsert_node("Disease", "肝癌")
     complication = graph.upsert_node("Disease", "肝硬化")
-    graph.add_triple(patient, "HasDisease", source)
-    graph.add_triple(source, "Complication", complication)
+    add_triple(graph, patient, "HasDisease", source)
+    add_triple(graph, source, "Complication", complication)
     moved = graph.merge_node_into(source, target)
     assert moved == 2
     assert graph.find_node("Disease", "原发肝癌") is None
@@ -203,8 +209,8 @@ def test_merge_collapses_duplicates_created_by_repointing():
     patient = graph.upsert_node("Patient", "p1")
     source = graph.upsert_node("Disease", "原发肝癌")
     target = graph.upsert_node("Disease", "肝癌")
-    graph.add_triple(patient, "HasDisease", source)
-    graph.add_triple(patient, "HasDisease", target)  # already points at target
+    add_triple(graph, patient, "HasDisease", source)
+    add_triple(graph, patient, "HasDisease", target)  # already points at target
     moved = graph.merge_node_into(source, target)
     assert moved == 0  # the re-pointed triple already existed
     assert len(graph.triples) == 1
@@ -215,7 +221,7 @@ def test_merge_handles_self_loops_between_source_and_target():
     graph = KnowledgeGraph()
     source = graph.upsert_node("Disease", "甲")
     target = graph.upsert_node("Disease", "乙")
-    graph.add_triple(source, "Complication", target)
+    add_triple(graph, source, "Complication", target)
     graph.merge_node_into(source, target)
     # The edge became target->target, which the type system allows here.
     assert graph.triples[0].head == target
@@ -229,9 +235,9 @@ def test_failed_merge_leaves_the_graph_unchanged():
     disease = graph.upsert_node("Disease", "肝癌")
     food = graph.upsert_node("Food", "辣椒")
     symptom = graph.upsert_node("Symptom", "腹痛")
-    graph.add_triple(disease, "AvoidFood", food)  # a Symptom may not avoid food
-    graph.add_triple(disease, "HasSymptom", symptom)
-    graph.add_triple(patient, "HasSymptom", symptom)
+    add_triple(graph, disease, "AvoidFood", food)  # a Symptom may not avoid food
+    add_triple(graph, disease, "HasSymptom", symptom)
+    add_triple(graph, patient, "HasSymptom", symptom)
     before = (graph.triples, dict(graph.nodes), triples_from(graph, disease),
               triples_to(graph, symptom))
     with pytest.raises(DataError, match="^AvoidFood does not admit Symptom -> Food$"):
@@ -262,7 +268,7 @@ def test_pattern_query_returns_sorted_tails_or_empty():
     graph = KnowledgeGraph()
     disease = graph.upsert_node("Disease", "肝癌")
     for food in ["鸡蛋", "鱼类", "豆腐"]:
-        graph.add_triple(disease, "RecommendedFood", graph.upsert_node("Food", food))
+        add_triple(graph, disease, "RecommendedFood", graph.upsert_node("Food", food))
     names = [n.name for n in graph.pattern_query("Disease", "肝癌", "RecommendedFood")]
     assert names == sorted(["鸡蛋", "鱼类", "豆腐"])
     assert graph.pattern_query("Disease", "不存在", "RecommendedFood") == []
@@ -280,7 +286,7 @@ def _random_graph(rng: random.Random) -> KnowledgeGraph:
         head_label, tail_label = rng.choice(RELATION_ENDPOINTS[relation])
         head = graph.upsert_node(head_label, rng.choice(names))
         tail = graph.upsert_node(tail_label, rng.choice(names))
-        graph.add_triple(head, relation, tail)
+        add_triple(graph, head, relation, tail)
     return graph
 
 
@@ -303,7 +309,7 @@ def test_triples_from_and_to_list_incident_edges():
     graph = KnowledgeGraph()
     patient = graph.upsert_node("Patient", "p1")
     disease = graph.upsert_node("Disease", "肝癌")
-    graph.add_triple(patient, "HasDisease", disease)
+    add_triple(graph, patient, "HasDisease", disease)
     assert [t.relation for t in triples_from(graph, patient)] == ["HasDisease"]
     assert triples_from(graph, disease) == []
     assert [t.head for t in triples_to(graph, disease)] == [patient]
@@ -426,7 +432,7 @@ def test_export_cypher_emits_one_statement_per_node_and_triple(tmp_path):
     graph = KnowledgeGraph()
     disease = graph.upsert_node("Disease", "肝癌", {"description": "恶性"})
     food = graph.upsert_node("Food", "鸡蛋")
-    graph.add_triple(disease, "RecommendedFood", food)
+    add_triple(graph, disease, "RecommendedFood", food)
     path = tmp_path / "graph.cypher"
     assert export_cypher(_order(graph), path) == 3
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -454,7 +460,7 @@ def test_export_is_canonical_across_insertion_orders(tmp_path):
         ids = {}
         for label, name in order:
             ids[(label, name)] = graph.upsert_node(label, name)
-        graph.add_triple(ids[("Disease", "肝癌")], "RecommendedFood", ids[("Food", "鸡蛋")])
+        add_triple(graph, ids[("Disease", "肝癌")], "RecommendedFood", ids[("Food", "鸡蛋")])
         return graph
 
     nodes = [("Disease", "肝癌"), ("Food", "鸡蛋"), ("Food", "鱼类")]
@@ -474,7 +480,7 @@ def test_export_csv_renumbers_ids_canonically(tmp_path):
     graph = KnowledgeGraph()
     food = graph.upsert_node("Food", "鸡蛋")  # inserted first, sorts after Disease
     disease = graph.upsert_node("Disease", "肝癌", {"cause": "病毒"})
-    graph.add_triple(disease, "RecommendedFood", food)
+    add_triple(graph, disease, "RecommendedFood", food)
     nodes_path, rels_path = tmp_path / "nodes.csv", tmp_path / "rels.csv"
     export_csv(_order(graph), nodes_path, rels_path)
 
@@ -527,7 +533,7 @@ def _build(spec, rng: random.Random) -> KnowledgeGraph:
     graph = KnowledgeGraph()
     ids = {i: graph.upsert_node(*nodes[i]) for i in rng.sample(range(len(nodes)), len(nodes))}
     for head, relation, tail in rng.sample(triples, len(triples)):
-        graph.add_triple(ids[head], relation, ids[tail])
+        add_triple(graph, ids[head], relation, ids[tail])
     return graph
 
 
@@ -584,7 +590,7 @@ def _odd_graph(data, values, first_id: int = 1) -> KnowledgeGraph:
             if admitted:  # Disease -> Food, say, admits two relations, which sort by name
                 for relation in data.draw(st.lists(st.sampled_from(admitted), min_size=1,
                                                    max_size=2)):
-                    graph.add_triple(head, relation, tail)
+                    add_triple(graph, head, relation, tail)
     return graph
 
 
@@ -624,8 +630,8 @@ def _sample_graph() -> KnowledgeGraph:
     disease = graph.upsert_node("Disease", "肝癌", {"description": "恶性", "aliases": ["肝恶性肿瘤"]})
     food = graph.upsert_node("Food", "鸡蛋")
     patient = graph.upsert_node("Patient", "p1")
-    graph.add_triple(disease, "RecommendedFood", food)
-    graph.add_triple(patient, "HasDisease", disease)
+    add_triple(graph, disease, "RecommendedFood", food)
+    add_triple(graph, patient, "HasDisease", disease)
     return graph
 
 
@@ -683,7 +689,7 @@ def test_names_holding_line_separators_round_trip(tmp_path):
     graph = KnowledgeGraph()
     patient = graph.upsert_node("Patient", "p\u20281")
     for name in SEPARATOR_NAMES:
-        graph.add_triple(patient, "HasDisease", graph.upsert_node("Disease", name))
+        add_triple(graph, patient, "HasDisease", graph.upsert_node("Disease", name))
     path = tmp_path / "graph.jsonl"
     save_graph(graph, path)
     loaded = load_graph(path)
@@ -757,15 +763,15 @@ _MALFORMED = [
     ([_NODE, _triple(1, "Cures", 1)], "line 3: unknown relation type 'Cures'"),
     ([_NODE, _triple(1, "RecommendedFood", 1)],
      "line 3: RecommendedFood does not admit Disease -> Disease"),
-    # endpoints are checked after the last node, in file order
+    # a triple is checked against the nodes of the lines before it, so the
+    # first bad line in file order is reported
     ([_triple(1, "RecommendedFood", 9), _NODE.replace('"肝癌"', "5")],
-     "line 3: malformed node record"),
+     "line 2: triple endpoint id 1 not in graph"),
     ([_triple(1, "Cures", 1), _triple(7, "HasSymptom", 1), _NODE],
-     "line 2: unknown relation type 'Cures'"),
+     "line 2: triple endpoint id 1 not in graph"),
     ([_triple(7, "HasSymptom", 1), _NODE], "line 2: triple endpoint id 7 not in graph"),
-    # a triple that fails where it is read is held, not raised, so a later node fault wins
     ([_NODE, _triple(1, "Cures", 1), _NODE.replace('"肝癌"', "5")],
-     "line 4: malformed node record"),
+     "line 3: unknown relation type 'Cures'"),
 ]
 
 
@@ -894,15 +900,15 @@ def _large_graph() -> KnowledgeGraph:
     symptoms = [graph.upsert_node("Symptom", f"症状{i}") for i in range(500)]
     for disease in diseases:
         for food in rng.sample(foods, 4):
-            graph.add_triple(disease, "RecommendedFood", food)
+            add_triple(graph, disease, "RecommendedFood", food)
         for symptom in rng.sample(symptoms, 4):
-            graph.add_triple(disease, "HasSymptom", symptom)
+            add_triple(graph, disease, "HasSymptom", symptom)
     for i in range(2000):
         patient = graph.upsert_node("Patient", f"patient-{i:04d}")
         for disease in rng.sample(diseases, 4):
-            graph.add_triple(patient, "HasDisease", disease)
+            add_triple(graph, patient, "HasDisease", disease)
         for symptom in rng.sample(symptoms, 3):
-            graph.add_triple(patient, "HasSymptom", symptom)
+            add_triple(graph, patient, "HasSymptom", symptom)
     return graph
 
 
@@ -920,7 +926,7 @@ _TRIPLE_REWRITES = {
     "tail-float": lambda r, line: line.replace(f'"tail": {r["tail"]}}}', f'"tail": {r["tail"]}.0}}')
     + "\n",
     "trailing-garbage": lambda r, line: line + " x\n",
-    # in save_graph's shape, but failing the endpoint checks made after the last node
+    # in save_graph's shape, but failing the endpoint check made where it is read
     "dangling-tail": lambda r, line: _triple_line(r["head"], r["relation"], 10**6),
     "unknown-relation": lambda r, line: _triple_line(r["head"], "Cures", r["tail"]),
     "crlf": lambda r, line: line + "\r\n",
@@ -1051,38 +1057,36 @@ def _assert_reads_as_the_reference(path) -> None:
 
 
 @pytest.mark.parametrize("block", [1, 150, 1 << 16])
-def test_a_triple_read_before_its_tails_node_is_held_in_file_order(block, tmp_path, monkeypatch):
-    """A triple whose tail's node line comes later is held until the last
-    node, and so is every triple after it, scanned or decoded; the load
-    keeps the file's triple order."""
+@pytest.mark.parametrize("line", [_triple_line(1, "RecommendedFood", 2),
+                                  _triple(1, "RecommendedFood", 2) + "\n"],
+                         ids=["scanned", "decoded"])
+def test_a_triple_read_before_its_endpoints_node_line_is_refused_at_its_line(
+        block, line, tmp_path, monkeypatch, caplog):
+    """A triple is checked where it is read, so one whose tail's node line
+    comes later is refused at its own line, as ``save_graph`` never writes
+    it; in save_graph's shape it is scanned when its block holds only
+    triple lines, else decoded."""
     path = tmp_path / "graph.jsonl"
     path.write_text('{"schema": "graph/1"}\n' + "".join([
         _node_line(1, "Disease", "肝癌"),
         _node_line(3, "Food", "苹果"),
-        _node_line(4, "Food", "桃"),
         _triple_line(1, "RecommendedFood", 3),
-        _triple_line(1, "RecommendedFood", 2),  # node 2 comes later
+        line,  # node 2 comes later
         _triple_line(1, "AvoidFood", 3),
-        _triple(1, "AvoidFood", 4) + "\n",  # decoded, not scanned
         _node_line(2, "Food", "梨"),
-        _triple_line(1, "AvoidFood", 2),
     ]), encoding="utf-8")
     monkeypatch.setattr(emrkg.errors, "_BLOCK_CHARS", block)
-    _assert_reads_as_the_reference(path)
-    assert load_graph(path).triples == [
-        (1, "RecommendedFood", 3), (1, "RecommendedFood", 2), (1, "AvoidFood", 3),
-        (1, "AvoidFood", 4), (1, "AvoidFood", 2)]
-
-
-@pytest.mark.parametrize("block", [1, 1 << 16])
-def test_a_triple_that_fails_where_it_is_scanned_is_held_not_raised(block, tmp_path, monkeypatch):
-    path = tmp_path / "graph.jsonl"
-    path.write_text('{"schema": "graph/1"}\n' + _NODE + "\n" + _triple_line(1, "Cures", 1)
-                    + _NODE.replace('"肝癌"', "5") + "\n", encoding="utf-8")
-    monkeypatch.setattr(emrkg.errors, "_BLOCK_CHARS", block)
+    message = f"{path}: line 5: triple endpoint id 2 not in graph"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        graph_records_by_line(path)
     for read in (load_graph, load_nodes_and_triples):
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 4: malformed node record$"):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             read(path)
+    caplog.clear()
+    assert main(["query", "--seed", "1", "--output-dir", str(tmp_path / "out"), "--graph",
+                 str(path), "--label", "Disease", "--name", "肝癌",
+                 "--relation", "RecommendedFood"]) == 3
+    assert f"query: {message}\n" in caplog.text
 
 
 @pytest.mark.parametrize("block", [1, 150, 1 << 16])
@@ -1176,7 +1180,7 @@ def test_a_bad_byte_after_scanned_blocks_is_reported_as_unreadable(tmp_path, mon
     graph = KnowledgeGraph()
     disease = graph.upsert_node("Disease", "肝癌")
     for i in range(400):
-        graph.add_triple(disease, "RecommendedFood", graph.upsert_node("Food", f"食物{i}"))
+        add_triple(graph, disease, "RecommendedFood", graph.upsert_node("Food", f"食物{i}"))
     path = tmp_path / "graph.jsonl"
     save_graph(graph, path)
     path.write_bytes(path.read_bytes() + b'{"kind": "node", "id": 999, "label": "Food", '

@@ -95,6 +95,60 @@ def test_only_schema_py_names_a_graph_label_or_relation():
     assert not found, f"{len(found)} labels or relations outside schema.py:\n" + "\n".join(found)
 
 
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """``module:line: qualified name`` of each function, class or method
+    that ``sources`` (module name -> source) define and that no name or
+    attribute in any of them reads. Dunder methods, which Python calls
+    itself, are left out."""
+    defined = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scopes = [(tree, "")]
+        while scopes:
+            scope, prefix = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((module, node.lineno, prefix + node.name, node.name))
+                    scopes.append((node, f"{prefix}{node.name}."))
+                else:
+                    scopes.append((node, prefix))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}:{line}: {qualified}" for module, line, qualified, name in sorted(defined)
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_the_check_finds_an_unreferenced_definition():
+    sources = {"a": ("def used(): pass\ndef unused(): used()\nclass C:\n"
+                     "    def m(self): pass\n    def __init__(self): pass\n"
+                     "    def n(self): self.m()\n    def dead(self): pass\n"),
+               "b": "import a\na.C().n\ndef outer():\n    def inner(): pass\n"}
+    assert unreferenced_definitions(sources) == [
+        "a:2: unused", "a:7: C.dead", "b:3: outer", "b:4: outer.inner"]
+
+
+# what no src/ code names, and why it stays
+_CALLED_FROM_OUTSIDE = {
+    **{f"run_{name}": "_main runs subcommand x-y as run_x_y, looked up by name"
+       for name in ("augment", "tag", "query", "pipeline")},
+    "KnowledgeGraph.validate": "perfbench/run.py checks the fused graph's indexes with it",
+}
+
+
+def test_every_src_definition_is_referenced_by_src_code():
+    """A function, class or method that no ``src/`` code names is dead,
+    unless ``_CALLED_FROM_OUTSIDE`` says who calls it: code that only tests
+    use belongs in ``tests/``."""
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in MODULES}
+    found = [entry for entry in unreferenced_definitions(sources)
+             if entry.rpartition(": ")[2] not in _CALLED_FROM_OUTSIDE]
+    assert not found, f"{len(found)} definitions no src/ code names:\n" + "\n".join(found)
+
+
 def test_the_check_finds_an_unused_import():
     assert unused_imports("import json\nimport re\nre.compile('x')\n") == ["line 1: json"]
     assert unused_imports("from a import b, c as d\nprint(b)\n") == ["line 1: d"]

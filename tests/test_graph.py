@@ -1057,6 +1057,38 @@ def _assert_reads_as_the_reference(path) -> None:
 
 
 @pytest.mark.parametrize("block", [1, 150, 1 << 16])
+def test_a_triple_read_before_its_tails_node_is_held_in_file_order(block, tmp_path, monkeypatch):
+    """Triples, scanned or decoded, load in the file's order once every
+    node line they name has been read; moving a tail's node line after its
+    triple does not hold that triple to the end but refuses it at its line."""
+    triples = [
+        _triple_line(1, "RecommendedFood", 3),
+        _triple_line(1, "RecommendedFood", 2),
+        _triple_line(1, "AvoidFood", 3),
+        _triple(1, "AvoidFood", 4) + "\n",  # decoded, not scanned
+        _triple_line(1, "AvoidFood", 2),
+    ]
+    nodes = [_node_line(1, "Disease", "肝癌"), _node_line(3, "Food", "苹果"),
+             _node_line(4, "Food", "桃")]
+    path = tmp_path / "graph.jsonl"
+    monkeypatch.setattr(emrkg.errors, "_BLOCK_CHARS", block)
+    path.write_text('{"schema": "graph/1"}\n' + "".join(
+        nodes + [_node_line(2, "Food", "梨")] + triples), encoding="utf-8")
+    _assert_reads_as_the_reference(path)
+    assert load_graph(path).triples == [
+        (1, "RecommendedFood", 3), (1, "RecommendedFood", 2), (1, "AvoidFood", 3),
+        (1, "AvoidFood", 4), (1, "AvoidFood", 2)]
+    path.write_text('{"schema": "graph/1"}\n' + "".join(
+        nodes + triples[:4] + [_node_line(2, "Food", "梨")] + triples[4:]), encoding="utf-8")
+    message = f"{path}: line 6: triple endpoint id 2 not in graph"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        graph_records_by_line(path)
+    for read in (load_graph, load_nodes_and_triples):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            read(path)
+
+
+@pytest.mark.parametrize("block", [1, 150, 1 << 16])
 @pytest.mark.parametrize("line", [_triple_line(1, "RecommendedFood", 2),
                                   _triple(1, "RecommendedFood", 2) + "\n"],
                          ids=["scanned", "decoded"])

@@ -23,7 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from emrkg.corpus import AnnotatedDocument, BioSentence, EntitySpan, segment, to_bio, write_bio_file
+from emrkg.corpus import AnnotatedDocument, BioSentence, EntitySpan, segment, write_bio_file
 from emrkg.derm import EntityDictionary, write_dictionary_file
 from emrkg.schema import EntitySchema
 
@@ -140,7 +140,7 @@ def derm_sentence(prefix: str, surface: str, label: str, suffix: str) -> BioSent
     doc = AnnotatedDocument("d", text, [
         EntitySpan("T1", label, start, end, surf) for label, surf, start, end in spans
     ])
-    sentences = to_bio(segment(doc))
+    sentences = segment(doc)
     assert len(sentences) == 1
     return sentences[0]
 

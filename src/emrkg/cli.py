@@ -40,7 +40,6 @@ from emrkg.corpus import (
     read_bio_file,
     segment,
     split_dataset,
-    to_bio,
     write_bio_file,
 )
 from emrkg.derm import (
@@ -297,7 +296,7 @@ def run_convert(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     docs = load_corpus_dir(corpus_dir, cfg.schema, report)
     sentences: list[BioSentence] = []
     for doc in docs:
-        sentences.extend(to_bio(segment(doc, cfg.max_len)))
+        sentences.extend(segment(doc, cfg.max_len))
     write_bio_file(sentences, cfg.output_dir / "corpus.bio")
     _write_json(cfg.output_dir / "conversion_report.json", {
         "documents": len(docs),
@@ -349,6 +348,8 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     dict_path = _input(args, "dictionary")
     model_path = cfg.resolved_model_file()
     _mkdir(model_path.parent)
+    if model_path.is_dir():  # refused before training, not after every epoch
+        raise DataError(f"cannot write {model_path}: it is a directory")
     train_sentences = read_bio_file(train_path)
     validation_sentences = read_bio_file(validation_path)
     inputs = [train_path, validation_path]
@@ -399,7 +400,7 @@ def run_tag(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
         if not line.strip():
             continue
         doc = AnnotatedDocument(doc_id=f"line{i + 1}", text=line, spans=[])
-        sentences.extend(to_bio(segment(doc, cfg.max_len)))
+        sentences.extend(segment(doc, cfg.max_len))
     if not sentences:
         raise DataError(f"{text_path} contains no sentences")
     write_bio_file(predict(model, sentences), cfg.output_dir / "predicted.bio")
@@ -413,7 +414,7 @@ def run_tag_corpus(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     corpus_dir = cfg.require_corpus_dir()
     model = load_model(model_path)
     docs = load_corpus_dir(corpus_dir, cfg.schema)
-    per_doc = [to_bio(segment(doc, cfg.max_len)) for doc in docs]
+    per_doc = [segment(doc, cfg.max_len) for doc in docs]
     all_predicted = predict(model, [sentence for gold in per_doc for sentence in gold])
     predicted = iter(all_predicted)
     write_records(cfg.output_dir / "entities.jsonl", ENTITIES_SCHEMA_TAG, (
@@ -592,10 +593,7 @@ def run_fuse(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 def run_export(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     graph_path = _input(args, "graph", cfg.output_dir / "graph.jsonl")
     order = canonical_order(*load_nodes_and_triples(graph_path))
-    try:
-        count = export_cypher(order, cfg.output_dir / "graph.cypher")
-    except DataError as exc:  # a refused node is found by its graph file, label and name
-        raise DataError(f"{graph_path}: {exc}") from exc
+    count = export_cypher(order, cfg.output_dir / "graph.cypher", graph_path)
     export_csv(order, cfg.output_dir / "nodes.csv", cfg.output_dir / "rels.csv")
     log.info("exported %d statements", count)
     return [graph_path]

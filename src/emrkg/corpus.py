@@ -6,14 +6,13 @@ Input documents are pairs of `<name>.txt` (UTF-8 text) and `<name>.ann`
     T1<TAB>Disease 280 291<TAB>右侧肩背部隐痛不适两周
 
 Offsets are Unicode character offsets (not bytes); the end offset is
-exclusive. Documents are segmented at sentence-final punctuation and
-hard-wrapped to ``max_len`` characters, then converted to per-character
-BIO tag sequences.
+exclusive. Each document is tagged B-t/I-t/O once per character, then
+cut at sentence-final punctuation and hard-wrapped to ``max_len``
+characters into BIO sentences.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,7 @@ log = logging.getLogger(__name__)
 SENTENCE_DELIMITERS = "。！？；"
 
 # Delimiters that terminate a sentence but are dropped from the output
-# segment (a raw newline inside a segment would corrupt the one-token-per-line
+# sentence (a raw newline inside a sentence would corrupt the one-token-per-line
 # BIO file format).
 DROPPED_DELIMITERS = "\n"
 
@@ -120,9 +119,10 @@ def parse_ann(
 
     Every span is validated: offsets in bounds, surface equal to the text
     slice, label resolvable in the schema (case-insensitive). Overlapping
-    spans keep the earlier-listed one; the later one is dropped with a
-    warning and recorded in ``report`` if given. Lines end at "\n" only,
-    as in :func:`emrkg.errors.read_lines`, so a surface may hold U+2028.
+    spans keep the earlier-listed one; the later one is dropped and
+    recorded, with a warning, in ``report`` (a fresh one if none is
+    given). Lines end at "\n" only, as in :func:`emrkg.errors.read_lines`,
+    so a surface may hold U+2028.
     """
     spans: list[EntitySpan] = []
     for lineno, raw in enumerate(ann_content.split("\n"), start=1):
@@ -155,114 +155,92 @@ def parse_ann(
             )
         spans.append(EntitySpan(span_id, label, start, end, surface))
 
-    # Accepted spans are disjoint, so sorted by start they are sorted by end
-    # too, and the ones a new span overlaps form one run found by bisection.
-    accepted: list[EntitySpan] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    ranks: list[int] = []  # index into ``accepted``, in start order
-    for span in spans:
-        lo = bisect.bisect_right(ends, span.start)
-        hi = bisect.bisect_left(starts, span.end)
-        if lo >= hi:
-            starts.insert(hi, span.start)
-            ends.insert(hi, span.end)
-            ranks.insert(hi, len(accepted))
-            accepted.append(span)
-            continue
-        clash = accepted[min(ranks[lo:hi])]  # the earliest-listed one
-        if report is not None:
-            report.record(doc_id, span, f"overlaps accepted span {clash.id}")
-        else:
-            log.warning("%s: dropped span %s, overlaps %s", doc_id, span.id, clash.id)
+    if report is None:
+        report = ValidationReport()
+    accepted, dropped = _first_fit(spans, len(txt_content))
+    for span, clash in dropped:
+        report.record(doc_id, span, f"overlaps accepted span {clash.id}")
     return AnnotatedDocument(doc_id=doc_id, text=txt_content, spans=accepted)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A contiguous slice of a document with spans in local coordinates."""
+def _first_fit(
+    spans: list[EntitySpan], length: int
+) -> tuple[list[EntitySpan], list[tuple[EntitySpan, EntitySpan]]]:
+    """Keep each span of a text of ``length`` chars unless it overlaps one
+    kept before it; returns the kept spans and a ``(span, clash)`` pair for
+    each other span, ``clash`` being the first kept span it overlaps."""
+    taken = bytearray(length)  # 1 at each char a kept span covers
+    kept: list[EntitySpan] = []
+    dropped: list[tuple[EntitySpan, EntitySpan]] = []
+    for span in spans:
+        if taken.find(1, span.start, span.end) < 0:
+            taken[span.start : span.end] = b"\x01" * len(span)
+            kept.append(span)
+        else:  # rare, so the clash is found by a scan
+            clash = next(k for k in kept if span.start < k.end and k.start < span.end)
+            dropped.append((span, clash))
+    return kept, dropped
 
-    text: str
-    spans: tuple[EntitySpan, ...]
 
-
-def segment(doc: AnnotatedDocument, max_len: int = 50) -> list[Segment]:
-    """Split a document into sentence segments of at most ``max_len`` chars.
+def segment(doc: AnnotatedDocument, max_len: int = 50) -> list[BioSentence]:
+    """Split a document into BIO sentences of at most ``max_len`` chars,
+    tagged B-t at a span's start, I-t inside it and O elsewhere.
 
     Split points fall after sentence-final punctuation (。！？；, kept with
-    the preceding segment) and at newlines (dropped). A delimiter strictly
-    inside an entity span never splits. Segments still longer than
-    ``max_len`` are hard-wrapped; a wrap point landing inside a span moves
-    back to the span start so entities are never cut.
+    the preceding sentence) and at newlines (dropped). A delimiter strictly
+    inside an entity span, at an I- position, never splits. Sentences still
+    longer than ``max_len`` are hard-wrapped; a wrap point landing inside a
+    span moves back to the span's B- position so entities are never cut.
+    Overlapping spans, an entity longer than ``max_len`` and a span dropped
+    with its newline raise ``DataError``.
     """
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
     text, spans = doc.text, doc.spans
+    _, overlaps = _first_fit(spans, len(text))
+    if overlaps:
+        span, clash = overlaps[0]
+        raise DataError(f"{doc.doc_id}: spans {clash.id} and {span.id} overlap")
+    tags = tags_for_spans(len(text), [(s.label, s.start, s.end) for s in spans])
 
-    # owner[pos]: the first-listed span with start < pos < end, else -1
-    owner = np.full(len(text) + 1, -1)
-    for k in reversed(range(len(spans))):
-        owner[spans[k].start + 1 : spans[k].end] = k
-    owner = owner.tolist()
-    by_start = sorted(range(len(spans)), key=lambda k: spans[k].start)
-    starts = [spans[k].start for k in by_start]
-
-    def local_spans(seg_start: int, seg_end: int) -> tuple[EntitySpan, ...]:
-        """Spans inside [seg_start, seg_end), in file order, shifted."""
-        first = bisect.bisect_left(starts, seg_start)
-        last = bisect.bisect_right(starts, seg_end)
-        inside = sorted(k for k in by_start[first:last] if spans[k].end <= seg_end)
-        return tuple(
-            EntitySpan(s.id, s.label, s.start - seg_start, s.end - seg_start, s.surface)
-            for s in (spans[k] for k in inside)
-        )
+    def inside(pos: int) -> bool:
+        """Whether ``pos`` lies strictly inside a span."""
+        return pos < len(tags) and tags[pos][0] == "I"
 
     # Sentence pass: [start, end) slices between delimiter-induced cuts.
-    sentences: list[tuple[int, int]] = []
+    bounds: list[tuple[int, int]] = []
     start = 0
     for i, ch in enumerate(text):
-        if ch in DROPPED_DELIMITERS and owner[i] < 0 and owner[i + 1] < 0:
-            sentences.append((start, i))
+        if ch in DROPPED_DELIMITERS and not inside(i) and not inside(i + 1):
+            bounds.append((start, i))
             start = i + 1
-        elif ch in SENTENCE_DELIMITERS and owner[i + 1] < 0:
-            sentences.append((start, i + 1))
+        elif ch in SENTENCE_DELIMITERS and not inside(i + 1):
+            bounds.append((start, i + 1))
             start = i + 1
-    sentences.append((start, len(text)))
+    bounds.append((start, len(text)))
 
-    segments: list[Segment] = []
-    for sent_start, sent_end in sentences:
+    sentences: list[BioSentence] = []
+    for sent_start, sent_end in bounds:
         pos = sent_start
         while pos < sent_end:
             cut = min(pos + max_len, sent_end)
-            if owner[cut] >= 0:
-                blocker = spans[owner[cut]]
-                if blocker.start <= pos:
+            if inside(cut):
+                while tags[cut][0] != "B":
+                    cut -= 1
+                if cut == pos:
+                    blocker = next(s for s in spans if s.start == cut)
                     raise DataError(
                         f"{doc.doc_id}: entity {blocker.id} ({blocker.end - blocker.start} chars) "
                         f"exceeds max_len {max_len}"
                     )
-                cut = blocker.start
-            seg_text = text[pos:cut]
-            if seg_text:
-                segments.append(Segment(seg_text, local_spans(pos, cut)))
+            sentences.append(BioSentence(text[pos:cut], tags[pos:cut]))
             pos = cut
 
-    mapped = sum(len(s.spans) for s in segments)
-    if mapped != len(spans):
+    emitted = sum(1 for sentence in sentences for tag in sentence.tags if tag[0] == "B")
+    if emitted != len(spans):
         raise DataError(
-            f"{doc.doc_id}: {len(spans) - mapped} span(s) lost during segmentation"
+            f"{doc.doc_id}: {len(spans) - emitted} span(s) lost during segmentation"
         )
-    return segments
-
-
-def to_bio(segments: list[Segment]) -> list[BioSentence]:
-    """Tag each segment character: B-t at span starts, I-t inside, O elsewhere."""
-    sentences = []
-    for seg in segments:
-        tags = tags_for_spans(len(seg.text), [(s.label, s.start, s.end) for s in seg.spans])
-        if len(tags) - tags.count("O") != sum(len(s) for s in seg.spans):  # a shared position
-            raise DataError(f"spans {[s.id for s in seg.spans]} overlap")
-        sentences.append(BioSentence(seg.text, tags))
     return sentences
 
 

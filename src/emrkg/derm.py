@@ -80,7 +80,6 @@ class DermConfig:
 class DermOutcome:
     sentence: BioSentence
     action: str
-    affected_span: tuple[str, int, int] | None = None
 
 
 def build_dictionary(
@@ -117,10 +116,7 @@ def derm_transform(
     config: DermConfig,
     rng: np.random.Generator,
 ) -> DermOutcome:
-    """Apply one sampled replace/mask/no-op action to a sentence.
-
-    The affected span is reported in the output sentence's coordinates.
-    """
+    """Apply one sampled replace/mask/no-op action to a sentence."""
     roll = rng.random()
     if roll < config.p_replace:
         action = REPLACE
@@ -147,17 +143,16 @@ def derm_transform(
             for t, s, e in entities
             if (s, e) != (start, end)
         ]
-        new_span = (etype, start, start + len(replacement))
-        spans.append(new_span)
+        spans.append((etype, start, start + len(replacement)))
         tags = tags_for_spans(len(chars), spans)
-        return DermOutcome(BioSentence(chars, tags), REPLACE, new_span)
+        return DermOutcome(BioSentence(chars, tags), REPLACE)
 
     count = min(mask_count(end - start, config), end - start)
     positions = rng.choice(end - start, size=count, replace=False)
     chars = list(sentence.chars)
     for offset in positions:
         chars[start + int(offset)] = MASK_SYMBOL
-    return DermOutcome(BioSentence("".join(chars), sentence.tags), MASK, (etype, start, end))
+    return DermOutcome(BioSentence("".join(chars), sentence.tags), MASK)
 
 
 def augment_epoch(

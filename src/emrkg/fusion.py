@@ -78,9 +78,7 @@ class TfIdfIndex:
     # two as views of flat (nnz,) arrays in column order
     postings: dict[str, tuple[float, np.ndarray, np.ndarray]]
     orders: tuple[int, ...]
-    uniform: bool  # degenerate corpus: every defined IDF was 0
-    unseen_weight: float  # log(|D|) + 1, or 1 when uniform
-    zero_rows: tuple[int, ...]  # rows into names
+    unseen_weight: float  # log(|D|) + 1, or 1 when every IDF is 0
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,6 @@ def build_index(
     weights = np.ones_like(idf) if uniform else idf
     values = tf * weights[cols]
     norms = np.sqrt(np.bincount(rows, values * values, minlength=n_docs))
-    zero_rows = tuple(np.flatnonzero(norms == 0.0).tolist())
     values /= np.where(norms > 0.0, norms, 1.0)[rows]  # a zero row stays zero
 
     order = np.argsort(cols, kind="stable")  # rows stay ascending within a term
@@ -149,9 +146,7 @@ def build_index(
         doc_vectors=doc_vectors,
         postings=postings,
         orders=tuple(orders),
-        uniform=uniform,
         unseen_weight=1.0 if uniform else math.log(n_docs) + 1.0,
-        zero_rows=zero_rows,
     )
 
 

@@ -296,17 +296,18 @@ def _cypher_value(value) -> str:
     raise DataError(f"unsupported attribute value type {type(value).__name__}")
 
 
-def export_cypher(order: CanonicalOrder, path: str | Path) -> int:
-    """Write MERGE statements (one per node, one per triple) in a graph's
-    canonical order; structurally identical graphs export byte-identically.
+def export_cypher(order: CanonicalOrder, path: str | Path, source: str | Path) -> int:
+    """Write MERGE statements (one per node, one per triple) in the
+    canonical order of the graph read from ``source``; structurally
+    identical graphs export byte-identically.
 
     The node statements are rendered before the file is opened: they are
     the only ones that can be refused, so an export that fails writes no
-    file. A message naming its label and name refuses a node with an
-    attribute value ``_cypher_value`` rejects, or with an attribute called
-    name, since its MERGE would name the node by that value and no MATCH
-    of its triples would find it. The triple statements are then written
-    as a stream."""
+    file. A message naming ``source`` and the node's label and name
+    refuses a node with an attribute value ``_cypher_value`` rejects, or
+    with an attribute called name, since its MERGE would name the node by
+    that value and no MATCH of its triples would find it. The triple
+    statements are then written as a stream."""
     statements = []
     match = [""]  # at each node's rank, its "Label {name: ...}" pattern
     for node in order.nodes:
@@ -319,7 +320,7 @@ def export_cypher(order: CanonicalOrder, path: str | Path) -> int:
                 rendered = "".join(f", {k}: {_cypher_value(v)}"
                                    for k, v in sorted(node.attributes.items()))
             except DataError as exc:
-                raise DataError(f"node {node.label} {node.name!r}: {exc}") from exc
+                raise DataError(f"{source}: node {node.label} {node.name!r}: {exc}") from exc
             statements.append(f"MERGE (n:{node.label} {{{name}{rendered}}});\n")
         else:
             statements.append(f"MERGE (n:{pattern});\n")

@@ -1,5 +1,5 @@
 """Linear-chain CRF: gold-path score, negative log-likelihood with its
-gradients, and Viterbi (one sentence, or a right-padded batch of them).
+gradients, and Viterbi over a right-padded batch of sentences.
 
 Scores use a (K+2)x(K+2) transition matrix over K real tags plus two
 virtual positions, START = K and STOP = K+1:
@@ -104,16 +104,12 @@ def nll_with_grad(
 
 
 def viterbi(
-    emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray | None = None
-) -> np.ndarray | list[np.ndarray]:
-    """Highest-scoring tag path (argmax ties resolve to the lowest index).
-
-    An (L, K) input returns one path. A (B, L, K) input with ``lengths``
-    returns one path per row, scoring only its first ``lengths[b]`` steps,
-    so whatever follows them in the row is ignored.
+    emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray
+) -> list[np.ndarray]:
+    """Highest-scoring tag path of each row of a (B, L, K) batch (argmax
+    ties resolve to the lowest index), scoring only the row's first
+    ``lengths[b]`` steps, so whatever follows them in the row is ignored.
     """
-    if emissions.ndim == 2:
-        return viterbi(emissions[None], transitions, np.array([emissions.shape[0]]))[0]
     length, num_tags = _check(emissions, transitions)
     batch = emissions.shape[0]
     lengths = np.asarray(lengths, dtype=np.intp)

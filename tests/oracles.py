@@ -20,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 
-from emrkg.corpus import EntitySpan, Segment
+from emrkg.corpus import EntitySpan
 from emrkg.errors import DataError
 from emrkg.graph import KnowledgeGraph, Node, Triple, normalize_name
 from emrkg.schema import GRAPH_LABELS, RELATION_ENDPOINTS, SPAN_TYPE_TO_RELATION
@@ -47,15 +47,28 @@ def first_fit_spans(
 
 def segment_by_scan(
     doc_id: str, text: str, spans: list[EntitySpan], max_len: int
-) -> list[Segment]:
+) -> list[tuple[str, tuple[str, ...]]]:
     """Sentence split and hard wrap that asks every span, at every position,
-    whether the position lies strictly inside it."""
+    whether the position lies strictly inside it; returns each sentence's
+    ``(chars, tags)``, every tag found by a scan of the spans."""
+    for later, span in enumerate(spans):
+        for earlier in spans[:later]:
+            if span.start < earlier.end and earlier.start < span.end:
+                raise DataError(f"{doc_id}: spans {earlier.id} and {span.id} overlap")
 
     def inside_span(pos: int) -> EntitySpan | None:
         for s in spans:
             if s.start < pos < s.end:
                 return s
         return None
+
+    def tag(pos: int) -> str:
+        for s in spans:
+            if s.start == pos:
+                return "B-" + s.label
+            if s.start < pos < s.end:
+                return "I-" + s.label
+        return "O"
 
     sentences: list[tuple[int, int]] = []
     start = 0
@@ -68,7 +81,8 @@ def segment_by_scan(
             start = i + 1
     sentences.append((start, len(text)))
 
-    segments: list[Segment] = []
+    segments: list[tuple[str, tuple[str, ...]]] = []
+    mapped = 0
     for sent_start, sent_end in sentences:
         pos = sent_start
         while pos < sent_end:
@@ -82,15 +96,10 @@ def segment_by_scan(
                     )
                 cut = blocker.start
             if text[pos:cut]:
-                local = tuple(
-                    EntitySpan(s.id, s.label, s.start - pos, s.end - pos, s.surface)
-                    for s in spans
-                    if s.start >= pos and s.end <= cut
-                )
-                segments.append(Segment(text[pos:cut], local))
+                segments.append((text[pos:cut], tuple(tag(p) for p in range(pos, cut))))
+                mapped += sum(1 for s in spans if s.start >= pos and s.end <= cut)
             pos = cut
 
-    mapped = sum(len(s.spans) for s in segments)
     if mapped != len(spans):
         raise DataError(f"{doc_id}: {len(spans) - mapped} span(s) lost during segmentation")
     return segments

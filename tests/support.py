@@ -58,6 +58,13 @@ def dense_doc_vectors(index: TfIdfIndex) -> np.ndarray:
     return dense
 
 
+def zero_rows(index: TfIdfIndex) -> list[str]:
+    """The names whose index row is zero: every term of theirs is in every
+    name, so has IDF 0."""
+    norms = np.linalg.norm(dense_doc_vectors(index), axis=1)
+    return [index.names[row] for row in np.flatnonzero(norms == 0.0)]
+
+
 # -- knowledge base ------------------------------------------------------
 
 

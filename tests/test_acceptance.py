@@ -28,7 +28,6 @@ from emrkg.corpus import (
     parse_ann,
     read_bio_file,
     segment,
-    to_bio,
 )
 from emrkg.derm import DermConfig, build_dictionary, derm_transform, mask_count, read_dictionary_file
 from emrkg.errors import DataError
@@ -173,7 +172,8 @@ def test_criterion_04_crf_against_enumeration():
         assert gold_nll + gold_score(emissions, transitions, gold) == pytest.approx(
             want_logz, abs=1e-10
         )
-        got_path = tuple(int(t) for t in viterbi(emissions, transitions))
+        (path,) = viterbi(emissions[None], transitions, np.array([len(emissions)]))
+        got_path = tuple(int(t) for t in path)
         assert got_path == want_path  # exact argmax
         # NLL identity: logZ minus the path score, for both best and gold paths.
         assert nll_with_grad(emissions, transitions, np.asarray(want_path))[0] == pytest.approx(
@@ -214,7 +214,7 @@ def test_criterion_06_memorization(corpus_dir, schema):
     docs = load_corpus_dir(corpus_dir, schema)
     sentences = []
     for doc in docs:
-        sentences.extend(to_bio(segment(doc, 50)))
+        sentences.extend(segment(doc, 50))
     assert len(sentences) == 50
 
     config = TrainConfig(

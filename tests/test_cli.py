@@ -488,7 +488,7 @@ _UNWRITABLE = {
     "json": (["kb-load"], "out/catalogs.json"),
     "manifest": (["kb-load"], "out/manifest.json"),
     "dictionary": (_TRAIN, "out/dictionary.tsv"),
-    "model": ([*_TRAIN, "--model-file", "{target}"], "model.bin"),  # after every epoch
+    "model": ([*_TRAIN, "--model-file", "{target}"], "model.bin"),  # before any epoch
     "train-log": (_TRAIN, "out/train_log.csv"),
     "eval-txt": (["evaluate", "--gold", "{bio}", "--model-file", "{model}"], "out/eval.txt"),
     "alignments": (["align", "--names", "{names}"], "out/alignments.tsv"),
@@ -502,10 +502,14 @@ _UNWRITABLE = {
 
 @pytest.mark.parametrize("argv, target", _UNWRITABLE.values(), ids=_UNWRITABLE.keys())
 def test_an_output_that_cannot_be_written_exits_3_naming_it(
-    argv, target, tmp_path, corpus_dir, kb_file, capsys, caplog
+    argv, target, tmp_path, corpus_dir, kb_file, capsys, caplog, monkeypatch
 ):
     """Every output file goes through one writer, which maps a failed
-    write to exit 3 and ``cannot write <path>: <reason>``."""
+    write to exit 3 and ``cannot write <path>: <reason>``, naming no input.
+    A model file that is a directory is refused before training."""
+    trained = []
+    train = emrkg.cli.train
+    monkeypatch.setattr(emrkg.cli, "train", lambda *args: trained.append(1) or train(*args))
     paths = {name: tmp_path / name for name in ("bio", "dictionary", "graph", "model", "names")}
     paths["names"].write_text("肝癌\n", encoding="utf-8")
     paths["bio"].write_text("肝\tB-Disease\n癌\tI-Disease\n", encoding="utf-8")
@@ -520,6 +524,9 @@ def test_an_output_that_cannot_be_written_exits_3_naming_it(
         "--output-dir", str(tmp_path / "out")]
     assert main(argv) == 3
     assert f"cannot write {paths['target']}: " in caplog.text
+    assert f"{paths['graph']}: " not in caplog.text
+    assert bool(trained) == (target == "out/train_log.csv")
+    assert not (tmp_path / "out" / "train_log.csv").is_file()
     assert "Traceback" not in capsys.readouterr().err
     assert "Traceback" not in caplog.text
 

@@ -24,7 +24,6 @@ from emrkg.corpus import (
     segment,
     split_dataset,
     tags_for_spans,
-    to_bio,
     write_bio_file,
 )
 from emrkg.errors import DataError
@@ -96,7 +95,7 @@ def test_parse_ann_error_names_the_line(schema):
         parse_ann(ann, TEXT, schema)
 
 
-def test_parse_ann_drops_overlapping_span_and_reports(schema):
+def test_parse_ann_drops_overlapping_span_and_reports(schema, caplog):
     text = "肝癌伴腹痛"
     ann = "T1\tDisease 0 2\t肝癌\nT2\tSymptom 1 4\t癌伴腹\nT3\tSymptom 3 5\t腹痛"
     report = ValidationReport()
@@ -106,6 +105,10 @@ def test_parse_ann_drops_overlapping_span_and_reports(schema):
     doc_id, dropped_span, reason = report.dropped[0]
     assert (doc_id, dropped_span.id) == ("d", "T2")
     assert "T1" in reason
+    # without a report, the drop is logged as a report records it
+    caplog.clear()
+    assert parse_ann(ann, text, schema, doc_id="d").spans == doc.spans
+    assert caplog.messages == ["d: dropped span T2 [1,4): overlaps accepted span T1"]
 
 
 @pytest.mark.parametrize("name", SEPARATOR_NAMES)
@@ -121,7 +124,7 @@ def test_standoff_pair_holding_a_line_separator_converts_to_bio(tmp_path, schema
         f"T1\tDisease 0 3\t{name}\nT2\tSymptom 4 6\t腹痛\n", encoding="utf-8"
     )
     (doc,) = load_corpus_dir(tmp_path, schema)
-    (sentence,) = to_bio(segment(doc))
+    (sentence,) = segment(doc)
     assert sentence.chars == name + "伴腹痛。"
     assert from_bio(sentence) == [("Disease", 0, 3), ("Symptom", 4, 6)]
 
@@ -139,43 +142,42 @@ def _doc(text: str, spans: list[tuple[str, int, int]]) -> AnnotatedDocument:
 
 def test_segment_splits_on_sentence_punctuation_keeping_it():
     doc = _doc("头痛。发热！咳嗽？乏力；结束", [])
-    assert [s.text for s in segment(doc)] == ["头痛。", "发热！", "咳嗽？", "乏力；", "结束"]
+    assert [s.chars for s in segment(doc)] == ["头痛。", "发热！", "咳嗽？", "乏力；", "结束"]
 
 
 def test_segment_drops_newlines():
     doc = _doc("第一行\n第二行", [])
-    assert [s.text for s in segment(doc)] == ["第一行", "第二行"]
+    assert [s.chars for s in segment(doc)] == ["第一行", "第二行"]
 
 
 def test_segment_never_splits_inside_an_entity():
     text = "主诉腹痛。呕吐数日"
     doc = _doc(text, [("Symptom", 3, 6)])  # 痛。呕 straddles the delimiter
-    segments = segment(doc)
-    assert len(segments) == 1
-    assert segments[0].spans[0].surface == "痛。呕"
+    (sentence,) = segment(doc)
+    assert sentence.chars == text
+    assert from_bio(sentence) == [("Symptom", 3, 6)]
 
 
 def test_segment_remaps_spans_to_local_coordinates():
     text = "头痛。腹痛加重"
     doc = _doc(text, [("Symptom", 0, 2), ("Symptom", 3, 5)])
     first, second = segment(doc)
-    assert (first.spans[0].start, first.spans[0].end) == (0, 2)
-    assert (second.spans[0].start, second.spans[0].end) == (0, 2)
-    assert second.text[0:2] == "腹痛"
+    assert from_bio(first) == from_bio(second) == [("Symptom", 0, 2)]
+    assert second.chars[0:2] == "腹痛"
 
 
 def test_segment_hard_wraps_long_sentences():
     doc = _doc("字" * 120, [])
-    lengths = [len(s.text) for s in segment(doc, max_len=50)]
+    lengths = [len(s) for s in segment(doc, max_len=50)]
     assert lengths == [50, 50, 20]
 
 
 def test_segment_wrap_point_moves_back_to_entity_start():
     text = "字" * 48 + "腹腔积液"
     doc = _doc(text, [("Symptom", 48, 52)])
-    segments = segment(doc, max_len=50)
-    assert [len(s.text) for s in segments] == [48, 4]
-    assert segments[1].spans[0].surface == "腹腔积液"
+    first, second = segment(doc, max_len=50)
+    assert (len(first), second.chars) == (48, "腹腔积液")
+    assert from_bio(second) == [("Symptom", 0, 4)]
 
 
 def test_segment_rejects_entity_longer_than_max_len():
@@ -185,13 +187,29 @@ def test_segment_rejects_entity_longer_than_max_len():
         segment(doc, max_len=50)
 
 
+# hand-built documents that parse_ann never yields, and the message each raises
+_UNTAGGABLE = {
+    # T3 overlaps T1 and T2; the first span kept before it is named
+    "overlap": (_doc("肝癌伴腹痛", [("Disease", 0, 2), ("Symptom", 3, 5), ("Symptom", 1, 4)]),
+                r"^doc: spans T1 and T3 overlap$"),
+    # a one-character span on a newline is dropped with it
+    "newline-span": (_doc("头痛\n发热", [("Symptom", 0, 2), ("Symptom", 2, 3)]),
+                     r"^doc: 1 span\(s\) lost during segmentation$"),
+}
+
+
+@pytest.mark.parametrize("doc, message", _UNTAGGABLE.values(), ids=_UNTAGGABLE.keys())
+def test_segment_refuses_a_document_it_cannot_tag(doc, message):
+    with pytest.raises(DataError, match=message):
+        segment(doc)
+
+
 def test_segment_conserves_every_span():
     text = "甲状腺结节。乏力两周，复查CT未见异常。\n随访"
     doc = _doc(text, [("Disease", 0, 5), ("Symptom", 6, 8), ("Check", 13, 15)])
-    segments = segment(doc)
-    assert sum(len(s.spans) for s in segments) == 3
-    surfaces = [span.surface for seg in segments for span in seg.spans]
-    assert surfaces == ["甲状腺结节", "乏力", "CT"]
+    surfaces = [(label, sentence.chars[start:end])
+                for sentence in segment(doc) for label, start, end in from_bio(sentence)]
+    assert surfaces == [("Disease", "甲状腺结节"), ("Symptom", "乏力"), ("Check", "CT")]
 
 
 # -- against the scanning reference ----------------------------------------
@@ -218,10 +236,11 @@ def _long_note(rng: random.Random, overlaps: bool) -> AnnotatedDocument:
 
 
 def _segment_outcome(segmenter, doc: AnnotatedDocument, max_len: int):
-    """The segments, or the type and message of the error raised."""
+    """Each sentence's chars and tags, or the type and message of the error
+    raised."""
     try:
         if segmenter is segment:
-            return segment(doc, max_len)
+            return [(sentence.chars, sentence.tags) for sentence in segment(doc, max_len)]
         return segment_by_scan(doc.doc_id, doc.text, doc.spans, max_len)
     except DataError as exc:
         return type(exc), str(exc)
@@ -234,8 +253,8 @@ def test_segment_matches_scanning_reference_on_fixtures(corpus_dir, schema):
             assert _segment_outcome(segment, doc, max_len) == want, (doc.doc_id, max_len)
 
 
-# the two faults a segmentation can meet
-_SEGMENT_FAULT = re.compile(r"exceeds max_len|lost during segmentation")
+# the three faults a segmentation can meet
+_SEGMENT_FAULT = re.compile(r"overlap|exceeds max_len|lost during segmentation")
 
 
 def test_segment_matches_scanning_reference_on_long_notes():
@@ -249,7 +268,8 @@ def test_segment_matches_scanning_reference_on_long_notes():
             outcomes[_SEGMENT_FAULT.search(want[1])[0] if isinstance(want, tuple)
                      else "segments"] += 1
     # the comparison covers both errors and successful segmentations
-    assert set(outcomes) == {"segments", "exceeds max_len", "lost during segmentation"}, outcomes
+    assert set(outcomes) == {"segments", "overlap", "exceeds max_len",
+                             "lost during segmentation"}, outcomes
 
 
 def test_parse_ann_overlap_check_matches_first_fit_reference(schema):
@@ -272,9 +292,9 @@ def test_parse_ann_overlap_check_matches_first_fit_reference(schema):
 # -- BIO conversion ----------------------------------------------------------
 
 
-def test_to_bio_tags_exactly():
+def test_segment_tags_exactly():
     doc = _doc("伴腹痛明显", [("Symptom", 1, 3)])
-    (sentence,) = to_bio(segment(doc))
+    (sentence,) = segment(doc)
     assert sentence.chars == "伴腹痛明显"
     assert sentence.tags == ("O", "B-Symptom", "I-Symptom", "O", "O")
 
@@ -341,14 +361,9 @@ def _random_document(rng: random.Random) -> AnnotatedDocument:
 
 
 def assert_round_trip(doc: AnnotatedDocument) -> None:
-    segments = segment(doc)
-    recovered: list[tuple[str, str]] = []
-    for seg, sentence in zip(segments, to_bio(segments)):
-        got = from_bio(sentence)
-        want = sorted(((s.label, s.start, s.end) for s in seg.spans), key=lambda x: x[1:])
-        assert got == want
-        recovered.extend((label, seg.text[start:end]) for label, start, end in got)
-    assert Counter(recovered) == Counter((s.label, s.surface) for s in doc.spans)
+    recovered = [(label, sentence.chars[start:end])
+                 for sentence in segment(doc) for label, start, end in from_bio(sentence)]
+    assert recovered == [(s.label, s.surface) for s in sorted(doc.spans, key=lambda s: s.start)]
 
 
 def test_round_trip_on_random_documents():
@@ -488,7 +503,7 @@ def test_fixture_corpus_loads_cleanly(corpus_dir, schema):
     assert len(docs) == 50
     assert report.dropped == []
     assert all(doc.spans for doc in docs)
-    sentences = to_bio([seg for doc in docs for seg in segment(doc)])
+    sentences = [sentence for doc in docs for sentence in segment(doc)]
     assert len(sentences) == 50
     split = split_dataset(sentences, seed=1)
     assert isinstance(split, DatasetSplit)

@@ -67,7 +67,7 @@ def test_viterbi_matches_enumeration_argmax():
     for _ in range(60):
         emissions, transitions, _ = random_instance(rng)
         _, best_score, best_path = enumerate_paths(emissions, transitions)
-        path = viterbi(emissions, transitions)
+        (path,) = viterbi(emissions[None], transitions, np.array([len(emissions)]))
         assert tuple(path) == best_path
         assert path_score(emissions, transitions, path) == pytest.approx(
             best_score, abs=1e-10
@@ -94,9 +94,9 @@ def test_batched_viterbi_equals_the_per_sentence_oracle_row_by_row(data):
         np.testing.assert_array_equal(
             path, viterbi_by_sentence(emissions[row, :length], transitions)
         )
-    # One sentence alone is the same path through the two-dimensional call.
+    # One sentence alone, without padding, is the same path.
     np.testing.assert_array_equal(
-        viterbi(emissions[0, : lengths[0]], transitions), paths[0]
+        viterbi(emissions[:1, : lengths[0]], transitions, np.array(lengths[:1]))[0], paths[0]
     )
 
 

@@ -92,7 +92,8 @@ def test_replacement_swaps_one_entity_surface():
     assert outcome.action == REPLACE
     assert outcome.sentence.chars == "伴左上腹隐痛、呕吐、头痛等"
     assert outcome.sentence.tags == SENTENCE.tags
-    assert outcome.affected_span == ("Symptom", 10, 12)
+    label, start, end = from_bio(outcome.sentence)[2]  # the replaced entity
+    assert (label, outcome.sentence.chars[start:end]) == ("Symptom", "头痛")
 
 
 def test_replacement_realigns_tags_when_length_changes():
@@ -125,7 +126,8 @@ def test_masking_overwrites_one_character_of_a_short_entity():
     assert outcome.action == MASK
     assert outcome.sentence.chars == "伴左上□隐痛、呕吐、腹泻等"
     assert outcome.sentence.tags == SENTENCE.tags  # tags untouched
-    assert outcome.affected_span == ("Symptom", 1, 6)
+    label, start, end = from_bio(outcome.sentence)[0]  # the masked entity
+    assert (label, outcome.sentence.chars[start:end]) == ("Symptom", "左上□隐痛")
 
 
 def test_masking_long_entity_hits_the_rounded_fraction():

@@ -434,7 +434,7 @@ def test_export_cypher_emits_one_statement_per_node_and_triple(tmp_path):
     food = graph.upsert_node("Food", "鸡蛋")
     add_triple(graph, disease, "RecommendedFood", food)
     path = tmp_path / "graph.cypher"
-    assert export_cypher(_order(graph), path) == 3
+    assert export_cypher(_order(graph), path, "g.jsonl") == 3
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "MERGE (n:Disease {name: '肝癌', description: '恶性'});"
     assert lines[1] == "MERGE (n:Food {name: '鸡蛋'});"
@@ -448,7 +448,7 @@ def test_export_cypher_escapes_quotes_and_backslashes(tmp_path):
     graph = KnowledgeGraph()
     graph.upsert_node("Drug", "5'-核苷酸", {"note": "a\\b"})
     path = tmp_path / "graph.cypher"
-    export_cypher(_order(graph), path)
+    export_cypher(_order(graph), path, "g.jsonl")
     text = path.read_text(encoding="utf-8")
     assert "5\\'-核苷酸" in text
     assert "a\\\\b" in text
@@ -466,8 +466,8 @@ def test_export_is_canonical_across_insertion_orders(tmp_path):
     nodes = [("Disease", "肝癌"), ("Food", "鸡蛋"), ("Food", "鱼类")]
     first, second = build(nodes), build(list(reversed(nodes)))
     a, b = tmp_path / "a.cypher", tmp_path / "b.cypher"
-    export_cypher(_order(first), a)
-    export_cypher(_order(second), b)
+    export_cypher(_order(first), a, "g.jsonl")
+    export_cypher(_order(second), b, "g.jsonl")
     assert a.read_bytes() == b.read_bytes()
 
     export_csv(_order(first), tmp_path / "an.csv", tmp_path / "ar.csv")
@@ -545,7 +545,7 @@ def test_export_equals_the_sorted_oracle_for_every_insertion_order(tmp_path):
         for _ in range(3):
             graph = _build(spec, rng)
             order = _order(graph)
-            count = export_cypher(order, tmp_path / "graph.cypher")
+            count = export_cypher(order, tmp_path / "graph.cypher", "g.jsonl")
             export_csv(order, tmp_path / "nodes.csv", tmp_path / "rels.csv")
             got = tuple((tmp_path / name).read_bytes().decode("utf-8")
                         for name in ("graph.cypher", "nodes.csv", "rels.csv"))
@@ -611,11 +611,11 @@ def test_export_matches_the_exporters_that_looked_up_ranks_by_id(data, tmp_path)
         expected = cypher_by_rank(nodes, triples)
     except DataError as exc:
         with pytest.raises(DataError) as raised:
-            export_cypher(order, cypher)
-        assert str(raised.value) == str(exc)
+            export_cypher(order, cypher, "g.jsonl")
+        assert str(raised.value) == f"g.jsonl: {exc}"
         assert not cypher.exists()
     else:
-        assert export_cypher(order, cypher) == len(nodes) + len(triples)
+        assert export_cypher(order, cypher, "g.jsonl") == len(nodes) + len(triples)
         assert cypher.read_bytes().decode("utf-8") == expected
     export_csv(order, tmp_path / "nodes.csv", tmp_path / "rels.csv")
     got = tuple((tmp_path / name).read_bytes().decode("utf-8") for name in ("nodes.csv", "rels.csv"))
@@ -843,7 +843,7 @@ def test_export_of_a_file_equals_the_export_of_its_loaded_graph(tmp_path):
     out = tmp_path / "out"
     assert main(["export", "--seed", "1", "--output-dir", str(out), "--graph", str(path)]) == 0
     order = _order(load_graph(path))
-    export_cypher(order, tmp_path / "graph.cypher")
+    export_cypher(order, tmp_path / "graph.cypher", path)
     export_csv(order, tmp_path / "nodes.csv", tmp_path / "rels.csv")
     for name in ("graph.cypher", "nodes.csv", "rels.csv"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
@@ -1255,7 +1255,7 @@ def test_load_and_export_need_the_graph_plus_one_record(tmp_path):
         loaded = load_graph(path)
         after_load, load_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        export_cypher(_order(loaded), tmp_path / "graph.cypher")
+        export_cypher(_order(loaded), tmp_path / "graph.cypher", path)
         export_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,14 +14,18 @@ median, in how many pairs the change was better (by the metric's
 ``better`` direction), and whether the medians differ by more than the
 parent's interquartile range. It also prints each side's failed-operation
 count and the number of rounds each run fitted, against which to read
-``peak_rss_mb``. Standard library only; nothing under ``perfbench/`` is
-changed.
+``peak_rss_mb``. With ``--json PATH`` it also writes those figures, with
+the seed, the pair count and the machine, to ``PATH``. Standard library
+only; nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -53,26 +57,61 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(workload: str, runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
+def summary(workload: str, runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+    """What ``report`` prints, as data: per end-to-end metric each side's
+    median and quartiles, the change in percent, the pairs the change won
+    and the >IQR flag; per side its failed operations and rounds per run."""
     pairs = len(runs["change"])
-    lines = [f"== {workload}: {pairs} pairs",
-             f"{'metric':18s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
-             f" {'change':>8s} {'won':>6s} {'>IQR':>5s}"]
+    metrics = {}
     for name, direction in better.items():
         values = {side: [run["metrics"][name] for run in runs[side]] for side in SIDES}
         (p1, p2, p3), (c1, c2, c3) = (quartiles(values[side]) for side in SIDES)
         sign = 1 if direction == "higher" else -1
-        won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        delta = (c2 - p2) / p2 * 100 if p2 else float("nan")
-        lines.append(f"{name:18s} {p2:12.5g} [{p1:9.5g}, {p3:9.5g}] {c2:12.5g} [{c1:9.5g}, {c3:9.5g}]"
-                     f" {delta:+7.1f}% {won:3d}/{pairs:<2d} {'yes' if abs(c2 - p2) > p3 - p1 else 'no':>5s}")
-    for side in SIDES:
-        failed = [run["failed"] for run in runs[side]]
-        attempted = [run["attempted"] for run in runs[side]]
-        rounds = [run["rounds"] for run in runs[side]]
-        lines.append(f"{side}: failed {sum(failed)} of {sum(attempted)} operations "
-                     f"(per run {failed}); rounds per run {rounds}")
+        metrics[name] = {
+            "better": direction,
+            "parent": {"median": p2, "q1": p1, "q3": p3},
+            "change": {"median": c2, "q1": c1, "q3": c3},
+            "change_pct": (c2 - p2) / p2 * 100 if p2 else None,
+            "won": sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])),
+            "beyond_iqr": abs(c2 - p2) > p3 - p1,
+        }
+    sides = {side: {"failed": [run["failed"] for run in runs[side]],
+                    "attempted": [run["attempted"] for run in runs[side]],
+                    "rounds": [run["rounds"] for run in runs[side]]} for side in SIDES}
+    return {"workload": workload, "pairs": pairs, "metrics": metrics, "sides": sides}
+
+
+def report(result: dict) -> list[str]:
+    """``summary``'s result as the table the script prints."""
+    pairs = result["pairs"]
+    lines = [f"== {result['workload']}: {pairs} pairs",
+             f"{'metric':18s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
+             f" {'change':>8s} {'won':>6s} {'>IQR':>5s}"]
+    for name, m in result["metrics"].items():
+        p, c = m["parent"], m["change"]
+        delta = float("nan") if m["change_pct"] is None else m["change_pct"]
+        lines.append(f"{name:18s} {p['median']:12.5g} [{p['q1']:9.5g}, {p['q3']:9.5g}]"
+                     f" {c['median']:12.5g} [{c['q1']:9.5g}, {c['q3']:9.5g}]"
+                     f" {delta:+7.1f}% {m['won']:3d}/{pairs:<2d}"
+                     f" {'yes' if m['beyond_iqr'] else 'no':>5s}")
+    for side, counts in result["sides"].items():
+        failed = counts["failed"]
+        lines.append(f"{side}: failed {sum(failed)} of {sum(counts['attempted'])} operations "
+                     f"(per run {failed}); rounds per run {counts['rounds']}")
     return lines
+
+
+def machine() -> dict:
+    """The host the pairs ran on, read without importing numpy."""
+    try:
+        numpy_version = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy_version = None
+    return {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": numpy_version}
+
+
+def write_json(path: Path, record: dict) -> None:
+    path.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,11 +122,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="a workload of BENCHMARK.json; repeat for several")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", type=Path, help="also write the reports to this JSON file")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    results = []
     for workload in args.workload:
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
         for i in range(args.pairs):
@@ -95,7 +136,11 @@ def main(argv: list[str] | None = None) -> int:
                 runs[side].append(run_once(checkouts[side], spec["command"], workload,
                                            args.seed, spec["run_seconds"]))
                 print(f"{workload} pair {i + 1}/{args.pairs} {side} done", file=sys.stderr, flush=True)
-        print("\n".join(report(workload, runs, better)), flush=True)
+        results.append(summary(workload, runs, better))
+        print("\n".join(report(results[-1])), flush=True)
+        if args.json:  # rewritten after each workload, so a cut run keeps what it finished
+            write_json(args.json, {"seed": args.seed, "pairs": args.pairs,
+                                   "machine": machine(), "workloads": results})
     return 0
 
 

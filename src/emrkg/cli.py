@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -463,12 +464,13 @@ _MALFORMED_ENTITIES = ("malformed record: expected a string doc_id and entities 
                        "[label, surface] string pairs")
 
 
-def _string_pairs(entities) -> list[tuple[str, str]]:
-    """``entities`` as (label, surface) tuples: a list of lists of exactly
-    two strings, each a label with a patient relation and a non-blank
-    surface."""
-    if not isinstance(entities, list):
+def _record_pairs(doc_id, entities) -> list[tuple[str, str]]:
+    """A record's ``entities`` as (label, surface) tuples, refused unless ``doc_id`` is
+    non-blank and each pair is two strings: a patient relation's label, a non-blank surface."""
+    if not isinstance(doc_id, str) or not isinstance(entities, list):
         raise DataError(_MALFORMED_ENTITIES)
+    if not doc_id.strip():  # add_patient_record refuses a blank node name
+        raise DataError("blank doc_id")
     pairs = []
     for pair in entities:
         if type(pair) is not list or len(pair) != 2:
@@ -484,16 +486,14 @@ def _string_pairs(entities) -> list[tuple[str, str]]:
     return pairs
 
 
-def _read_entities_file(path: Path) -> list[tuple[str, list[tuple[str, str]]]]:
-    records = []
+def _read_entities_file(path: Path) -> Iterator[tuple[str, list[tuple[str, str]]]]:
+    """Each ``(doc_id, pairs)`` record of an entities/1 file, checked as it is read."""
     for lineno, obj in read_records(path, ENTITIES_SCHEMA_TAG):
-        doc_id = obj.get("doc_id")
         try:
-            pairs = _string_pairs(obj.get("entities") if isinstance(doc_id, str) else None)
+            pairs = _record_pairs(obj.get("doc_id"), obj.get("entities"))
         except DataError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        records.append((doc_id, pairs))
-    return records
+        yield obj["doc_id"], pairs
 
 
 # what would split a field of alignments.tsv, or its line, when read back
@@ -521,12 +521,8 @@ def run_align(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
         source_path = _input(args, "entities")
         if source_path is None:
             raise ConfigError("align requires --names or --entities")
-        sources = sorted({
-            surface
-            for _, entities in _read_entities_file(source_path)
-            for label, surface in entities
-            if label == ALIGNED_LABEL
-        })
+        sources = sorted({surface for _, entities in _read_entities_file(source_path)
+                          for label, surface in entities if label == ALIGNED_LABEL})
     for source in sources:
         _report_field(source_path, source)
     kb_file = cfg.require_kb_file()

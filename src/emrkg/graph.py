@@ -21,6 +21,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -257,14 +258,17 @@ class CanonicalOrder(NamedTuple):
     triples: list[tuple[int, str, int]]
 
 
-def canonical_order(nodes: Iterable[Node], triples: Iterable[Triple]) -> CanonicalOrder:
-    """The export order of a graph's nodes and distinct triples; the
-    exporters take it, so one export sorts the graph once."""
+def canonical_order(nodes: Iterable[Node], triples: list[Triple]) -> CanonicalOrder:
+    """The export order of a graph's nodes and distinct triples, which both exporters take.
+    It consumes ``triples``: each is ranked in place, then sorted, and repeats dropped."""
     nodes = sorted(nodes, key=lambda n: (n.label, normalize_name(n.name)))
     rank = {node.id: i for i, node in enumerate(nodes, start=1)}.__getitem__
-    ranked = [(rank(head), relation, rank(tail)) for head, relation, tail in triples]
-    ranked.sort()
-    return CanonicalOrder(nodes, ranked)
+    for i, (head, relation, tail) in enumerate(triples):
+        triples[i] = (rank(head), relation, rank(tail))
+    triples.sort()
+    if any(map(operator.eq, triples, itertools.islice(triples, 1, None))):
+        triples[:] = [triple for triple, _ in itertools.groupby(triples)]
+    return CanonicalOrder(nodes, triples)
 
 
 @functools.cache
@@ -535,10 +539,10 @@ def load_graph(path: str | Path, head: tuple[str, str] | None = None) -> Knowled
     return graph
 
 
-def load_nodes_and_triples(path: str | Path) -> tuple[list[Node], dict[Triple, None]]:
-    """The nodes and the distinct triples of a ``graph/1`` file, checked as
-    ``load_graph`` checks them, without the graph's name and endpoint
-    indexes: all that ``canonical_order`` reads."""
+def load_nodes_and_triples(path: str | Path) -> tuple[list[Node], list[Triple]]:
+    """The nodes and the triples of a ``graph/1`` file in file order, a
+    repeat included, checked as ``load_graph`` checks them, without the
+    graph's name and endpoint indexes: all that ``canonical_order`` reads."""
     nodes: dict[int, Node] = {}
-    triples = dict.fromkeys(_graph_triples(path, nodes, {}))
+    triples = list(_graph_triples(path, nodes, {}))
     return list(nodes.values()), triples

@@ -4,6 +4,7 @@ benchmark comparison in CHANGES.md is read from."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -58,8 +59,8 @@ def test_report_counts_the_pairs_the_change_won_in_the_metrics_direction(better,
     """Pairs are compared run by run; a tie counts for neither side."""
     parent = [10.0, 10.0, 10.0, 10.0, 10.0, 10.0]
     change = [9.0, 9.5, 11.0, 10.0, 10.0, 8.0]  # lower in 3 pairs, higher in 1, tied in 2
-    lines = bench_pairs.report("kb-scale", {"parent": _runs(parent), "change": _runs(change)},
-                               {"fuse_s": better})
+    lines = bench_pairs.report(bench_pairs.summary(
+        "kb-scale", {"parent": _runs(parent), "change": _runs(change)}, {"fuse_s": better}))
     assert lines[0] == "== kb-scale: 6 pairs"
     delta, got, pairs, _ = _row(lines, "fuse_s")
     assert (got, pairs) == (won, 6)
@@ -74,17 +75,61 @@ def test_report_counts_the_pairs_the_change_won_in_the_metrics_direction(better,
 ])
 def test_report_flags_medians_further_apart_than_the_parents_iqr(change, beyond):
     parent = [9.5, 9.75, 10.0, 10.25, 10.5]  # q1 9.75, median 10, q3 10.25
-    lines = bench_pairs.report(
+    lines = bench_pairs.report(bench_pairs.summary(
         "emr-scale", {"parent": _runs(parent, "run_s"), "change": _runs(change, "run_s")},
-        {"run_s": "lower"})
+        {"run_s": "lower"}))
     assert _row(lines, "run_s")[3] is beyond
 
 
 def test_report_totals_failed_operations_and_lists_rounds():
-    lines = bench_pairs.report(
+    lines = bench_pairs.report(bench_pairs.summary(
         "kb-scale", {"parent": _runs([1.0, 1.0], rounds=6), "change": _runs([1.0, 1.0], failed=2)},
-        {"fuse_s": "lower"})
+        {"fuse_s": "lower"}))
     assert lines[-2:] == [
         "parent: failed 0 of 200 operations (per run [0, 0]); rounds per run [6, 6]",
         "change: failed 4 of 200 operations (per run [2, 2]); rounds per run [7, 7]",
     ]
+
+
+def test_json_record_holds_what_the_report_prints(tmp_path, monkeypatch, capsys):
+    """``--json`` writes each workload's figures, which read back to the
+    printed table, with the seed, the pair count and the machine."""
+    root = _SCRIPT.parent.parent
+    metrics = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+    values = iter(range(1, 1000))
+
+    def run_once(checkout, command, workload, seed, seconds):
+        return {"metrics": {name: float(next(values)) for name in metrics}, "attempted": 50,
+                "failed": 1 if checkout == tmp_path else 0, "rounds": 4}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    path = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(root), "--workload",
+                             "kb-scale", "--workload", "emr-scale", "--seed", "83",
+                             "--pairs", "3", "--json", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert (record["seed"], record["pairs"]) == (83, 3)
+    assert set(record["machine"]) == {"cpus", "python", "numpy"}
+    assert [w["workload"] for w in record["workloads"]] == ["kb-scale", "emr-scale"]
+    assert [line for w in record["workloads"] for line in bench_pairs.report(w)] == printed
+    kb = record["workloads"][0]
+    assert list(kb["metrics"]) == metrics
+    assert kb["sides"]["parent"] == {"failed": [1, 1, 1], "attempted": [50] * 3, "rounds": [4] * 3}
+    assert kb["sides"]["change"]["failed"] == [0, 0, 0]
+    # each run reads larger figures than the one before, and only in the
+    # second pair does the change run first: it wins that pair alone
+    setup = kb["metrics"]["setup_s"]
+    assert (setup["won"], setup["better"]) == (1, "lower")
+
+
+def test_summary_round_trips_through_json(tmp_path):
+    runs = {"parent": _runs([9.5, 9.75, 10.0, 10.25, 10.5]), "change": _runs([9.0] * 5, failed=1)}
+    result = bench_pairs.summary("kb-scale", runs, {"fuse_s": "lower"})
+    path = tmp_path / "bench.json"
+    bench_pairs.write_json(path, result)
+    assert json.loads(path.read_text(encoding="utf-8")) == result
+    assert result["metrics"]["fuse_s"] == {
+        "better": "lower", "parent": {"median": 10.0, "q1": 9.75, "q3": 10.25},
+        "change": {"median": 9.0, "q1": 9.0, "q3": 9.0}, "change_pct": -10.0, "won": 5,
+        "beyond_iqr": True}

@@ -77,6 +77,9 @@ _BAD_GRAPH_RECORDS = {
 # doc_id is a string and entities a list of [label, surface] string pairs
 _BAD_ENTITY_RECORDS = {
     "entities_doc_id_number": '{"doc_id": 5, "entities": []}',
+    # a doc_id names the patient node, which add_patient_record refuses blank
+    "entities_doc_id_space": '{"doc_id": " ", "entities": [["Disease", "肝癌"]]}',
+    "entities_doc_id_ideographic_space": '{"doc_id": "\\u3000", "entities": [["Disease", "肝癌"]]}',
     "entities_surface_number": '{"doc_id": "d1", "entities": [["Disease", 5]]}',
     "entities_label_list": '{"doc_id": "d1", "entities": [[["Disease"], "肝癌"]]}',
     "entities_object": '{"doc_id": "d1", "entities": {"ab": 1}}',
@@ -894,6 +897,31 @@ def test_export_sorts_the_graph_once(tmp_path, kb_file, monkeypatch):
     assert len(calls) == 1
 
 
+
+def test_a_repeated_triple_is_exported_once(tmp_path, kb_file, caplog):
+    """``export`` ranks the file's triples, repeats included, and drops a
+    repeat after the sort: Cypher and CSV are those of the file without it."""
+    out = tmp_path / "out"
+    assert main(["kb-load", "--seed", "5", "--kb-file", str(kb_file), "--output-dir", str(out)]) == 0
+    graph = out / "kb_graph.jsonl"
+    lines = graph.read_text(encoding="utf-8").splitlines(keepends=True)
+    triples = [i for i, line in enumerate(lines) if line.startswith('{"head": ')]
+    assert len(triples) >= 3
+    # one triple written twice in a row, and another again at the end
+    repeated = lines[:triples[1]] + [lines[triples[1]]] + lines[triples[1]:] + [lines[triples[0]]]
+    (tmp_path / "repeated.jsonl").write_text("".join(repeated), encoding="utf-8")
+    exported = {}
+    for name, path in (("once", graph), ("repeated", tmp_path / "repeated.jsonl")):
+        caplog.clear()
+        assert main(["export", "--seed", "5", "--graph", str(path),
+                     "--output-dir", str(tmp_path / name)]) == 0
+        exported[name] = [(tmp_path / name / f).read_bytes()
+                          for f in ("graph.cypher", "nodes.csv", "rels.csv")]
+        exported[name].append(re.findall(r"exported \d+ statements", caplog.text))
+    assert exported["repeated"] == exported["once"]
+    assert exported["once"][2].count(b"\r\n") == len(triples) + 1  # a header and each triple
+
+
 _PAIRS_MESSAGE = ("malformed record: expected a string doc_id and entities a list of "
                   "[label, surface] string pairs")
 
@@ -935,10 +963,10 @@ def test_entities_file_accepts_only_lists_of_two_strings(entities, expected, tmp
         encoding="utf-8",
     )
     if isinstance(expected, list):
-        assert emrkg.cli._read_entities_file(path) == [("d1", expected)]
+        assert list(emrkg.cli._read_entities_file(path)) == [("d1", expected)]
     else:
         with pytest.raises(DataError, match=f"^{re.escape(f'{path}: line 2: {expected}')}$"):
-            emrkg.cli._read_entities_file(path)
+            list(emrkg.cli._read_entities_file(path))
 
 
 @pytest.mark.parametrize("doc_id", [5, None, ["d1"]], ids=["number", "null", "list"])
@@ -950,7 +978,84 @@ def test_entities_file_needs_a_string_doc_id(doc_id, tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(DataError, match=re.escape(f"{path}: line 2: {_PAIRS_MESSAGE}")):
-        emrkg.cli._read_entities_file(path)
+        list(emrkg.cli._read_entities_file(path))
+
+
+@pytest.mark.parametrize("doc_id", ["", " ", "\u3000", " \t\u3000"],
+                         ids=["empty", "space", "ideographic-space", "mixed"])
+def test_entities_file_needs_a_non_blank_doc_id(doc_id, tmp_path):
+    path = tmp_path / "entities.jsonl"
+    path.write_text(
+        json.dumps({"schema": emrkg.cli.ENTITIES_SCHEMA_TAG}) + "\n"
+        + json.dumps({"doc_id": "d1", "entities": [["Disease", "肝癌"]]}) + "\n"
+        + json.dumps({"doc_id": doc_id, "entities": [["Disease", "肝癌"]]}) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: line 3: blank doc_id')}$"):
+        list(emrkg.cli._read_entities_file(path))
+
+
+def _records_file(path: Path, records: list[dict]) -> Path:
+    path.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n" for record in
+                            [{"schema": emrkg.cli.ENTITIES_SCHEMA_TAG}] + records),
+                    encoding="utf-8")
+    return path
+
+
+def test_fuse_inserts_each_record_before_it_reads_the_next(tmp_path, kb_file, monkeypatch):
+    """``fuse`` holds the graph and one record: the reader hands each record
+    on as it reads it."""
+    out = tmp_path / "out"
+    assert main(["kb-load", "--seed", "1", "--kb-file", str(kb_file), "--output-dir", str(out)]) == 0
+    entities = _records_file(tmp_path / "entities.jsonl", [
+        {"doc_id": f"p{i}", "entities": [["Disease", "肝癌"], ["Symptom", f"症状{i}"]]}
+        for i in range(4)])
+    (out / "alignments.tsv").write_text("source\ttarget\tsimilarity\n", encoding="utf-8")
+    events = []
+
+    def reading(path, schema, read=emrkg.cli.read_records):
+        for lineno, obj in read(path, schema):
+            events.append(("read", lineno))
+            yield lineno, obj
+
+    def adding(graph, doc_id, entities, add=emrkg.cli.add_patient_record):
+        events.append(("add", doc_id))
+        return add(graph, doc_id, entities)
+
+    monkeypatch.setattr(emrkg.cli, "read_records", reading)
+    monkeypatch.setattr(emrkg.cli, "add_patient_record", adding)
+    assert main(["fuse", "--seed", "1", "--output-dir", str(out), "--entities", str(entities)]) == 0
+    assert events == [e for i in range(4) for e in (("read", i + 2), ("add", f"p{i}"))]
+
+
+@pytest.mark.parametrize("last", [
+    '{"doc_id": "p9", "entities": [["Gene", "x"]]}',
+    '{"doc_id": " ", "entities": [["Disease", "肝癌"]]}',
+    '{"doc_id": "p9", "entities": [["Disease", "\\u3000"]]}',
+    '{"doc_id": "p9", "entities": [["Disease"]]}',
+], ids=["label", "doc-id", "surface", "pair"])
+def test_a_bad_last_entities_record_stops_fuse_and_align_before_any_output(
+    last, tmp_path, kb_file, caplog
+):
+    """Records before the bad one are already in the graph when it is
+    read: the stage still exits 3 naming its line, and writes nothing."""
+    kb_out, out = tmp_path / "kb", tmp_path / "out"
+    assert main(["kb-load", "--seed", "1", "--kb-file", str(kb_file), "--output-dir", str(kb_out)]) == 0
+    entities = _records_file(tmp_path / "entities.jsonl", [
+        {"doc_id": f"p{i}", "entities": [["Disease", "肝癌"], ["Symptom", "腹痛"]]} for i in range(5)])
+    entities.write_text(entities.read_text(encoding="utf-8") + last + "\n", encoding="utf-8")
+    alignments = tmp_path / "alignments.tsv"
+    alignments.write_text("source\ttarget\tsimilarity\n", encoding="utf-8")
+    caplog.clear()
+    assert main(["fuse", "--seed", "1", "--output-dir", str(out), "--entities", str(entities),
+                 "--graph", str(kb_out / "kb_graph.jsonl"), "--alignments", str(alignments)]) == 3
+    assert f"fuse: {entities}: line 7: " in caplog.text
+    assert not (out / "graph.jsonl").exists() and not (out / "fusion_report.json").exists()
+    caplog.clear()
+    assert main(["align", "--seed", "1", "--output-dir", str(out), "--entities", str(entities),
+                 "--kb-file", str(kb_file)]) == 3
+    assert f"align: {entities}: line 7: " in caplog.text
+    assert not (out / "alignments.tsv").exists()
 
 
 # -- the cyclic collector --------------------------------------------------
@@ -1123,7 +1228,7 @@ def test_entity_and_alignment_names_holding_line_separators_load_back(tmp_path, 
         for record in [{"schema": emrkg.cli.ENTITIES_SCHEMA_TAG}]
         + [{"doc_id": doc_id, "entities": [list(e) for e in found]} for doc_id, found in records]
     ), encoding="utf-8")
-    assert emrkg.cli._read_entities_file(entities) == records
+    assert list(emrkg.cli._read_entities_file(entities)) == records
     out = tmp_path / "out"
     assert main(["align", "--seed", "4", "--kb-file", str(kb_file), "--output-dir", str(out),
                  "--entities", str(entities)]) == 0

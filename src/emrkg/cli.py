@@ -75,7 +75,7 @@ from emrkg.graph import (
 from emrkg.kb import kb_into_graph, load_kb
 from emrkg.metrics import count_matches, precision_recall_f1, report_dict, report_table
 from emrkg.schema import ALIGNED_LABEL, KB_ENTITY_TYPES, SPAN_TYPE_TO_RELATION, EntitySchema
-from emrkg.tagger import TrainConfig, load_model, predict, save_model, train
+from emrkg.tagger import TagSet, TrainConfig, load_model, predict, save_model, train
 
 log = logging.getLogger(__name__)
 
@@ -351,7 +351,10 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     _mkdir(model_path.parent)
     if model_path.is_dir():  # refused before training, not after every epoch
         raise DataError(f"cannot write {model_path}: it is a directory")
-    train_sentences = read_bio_file(train_path)
+    # refused here, before the dictionary is built and written
+    train_sentences = read_bio_file(train_path, TagSet(cfg.schema).tags)
+    if not train_sentences:
+        raise DataError(f"{train_path}: empty training set")
     validation_sentences = read_bio_file(validation_path)
     inputs = [train_path, validation_path]
     if dict_path is not None:

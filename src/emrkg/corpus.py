@@ -14,6 +14,7 @@ characters into BIO sentences.
 from __future__ import annotations
 
 import logging
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -303,11 +304,13 @@ def write_bio_file(sentences: list[BioSentence], path: str | Path) -> None:
     write_file(path, ["\n".join(lines)])
 
 
-def read_bio_file(path: str | Path) -> list[BioSentence]:
+def read_bio_file(path: str | Path, tagset: Collection[str] | None = None) -> list[BioSentence]:
     """The sentences of a BIO file, one `<char>\\t<tag>` line per character
     and a blank line after each sentence. A malformed line, or a sentence
-    whose tags are not well-formed BIO, raises ``DataError`` naming the
-    file and the line (for a sentence, the line of its first character)."""
+    whose tags are not well-formed BIO or, given ``tagset``, not all in it,
+    raises ``DataError`` naming the file and the line (for a sentence, the
+    line of its first character)."""
+    allowed = None if tagset is None else frozenset(tagset)
     sentences: list[BioSentence] = []
     chars: list[str] = []
     tags: list[str] = []
@@ -317,6 +320,9 @@ def read_bio_file(path: str | Path) -> list[BioSentence]:
             if chars:
                 try:
                     sentences.append(BioSentence("".join(chars), tuple(tags)))
+                    if allowed is not None and not allowed.issuperset(tags):
+                        stray = next(t for t in tags if t not in allowed)
+                        raise DataError(f"tag {stray!r} not in tag set")
                 except DataError as exc:
                     raise DataError(f"{path} line {lineno - len(chars)}: {exc}") from exc
                 chars, tags = [], []

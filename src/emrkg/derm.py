@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from emrkg.corpus import BioSentence, from_bio, tags_for_spans
+from emrkg.corpus import BioSentence, from_bio
 from emrkg.errors import ConfigError, DataError, is_real, read_lines, write_file
 
 log = logging.getLogger(__name__)
@@ -136,15 +136,9 @@ def derm_transform(
         if not alternatives:
             return DermOutcome(sentence, NOOP)
         replacement = alternatives[int(rng.integers(len(alternatives)))]
-        delta = len(replacement) - (end - start)
         chars = sentence.chars[:start] + replacement + sentence.chars[end:]
-        spans = [
-            (t, s + delta, e + delta) if s >= end else (t, s, e)
-            for t, s, e in entities
-            if (s, e) != (start, end)
-        ]
-        spans.append((etype, start, start + len(replacement)))
-        tags = tags_for_spans(len(chars), spans)
+        tags = (sentence.tags[:start] + ("B-" + etype,) + ("I-" + etype,) * (len(replacement) - 1)
+                + sentence.tags[end:])
         return DermOutcome(BioSentence(chars, tags), REPLACE)
 
     count = min(mask_count(end - start, config), end - start)

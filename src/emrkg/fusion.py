@@ -72,8 +72,7 @@ class TfIdfIndex:
     names: tuple[str, ...]  # sorted
     vocabulary: dict[str, int]  # term -> column
     idf: np.ndarray  # (V,)
-    doc_ids: np.ndarray  # (nnz,) row of each posting, grouped by column
-    doc_vectors: np.ndarray  # (nnz,) posting weights; rows L2-normalized unless zero
+    doc_vectors: np.ndarray  # (nnz,) posting weights by column; rows L2-normalized unless zero
     # term -> (term weight, rows, row weights times term weight), the last
     # two as views of flat (nnz,) arrays in column order
     postings: dict[str, tuple[float, np.ndarray, np.ndarray]]
@@ -142,7 +141,6 @@ def build_index(
         names=names,
         vocabulary=vocabulary,
         idf=idf,
-        doc_ids=doc_ids,
         doc_vectors=doc_vectors,
         postings=postings,
         orders=tuple(orders),

@@ -10,7 +10,7 @@ live crawling of the source site so runs are reproducible offline.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
 from emrkg.errors import DataError, read_records
@@ -38,22 +38,17 @@ class DiseaseEntry:
     relations: tuple[tuple[str, str], ...] = ()  # (relation type, target name)
 
 
-@dataclass(frozen=True)
-class Catalogs:
-    """Per-type entity name catalogs, each sorted and duplicate-free; each
-    field is named after its KB entity label (``KB_ENTITY_TYPES``) in lower
-    case."""
+def _names(self, label: str) -> tuple[str, ...]:
+    """The catalog of the KB entity label ``label``."""
+    return getattr(self, label.lower())
 
-    disease: tuple[str, ...] = ()
-    food: tuple[str, ...] = ()
-    department: tuple[str, ...] = ()
-    drug: tuple[str, ...] = ()
-    examination: tuple[str, ...] = ()
-    symptom: tuple[str, ...] = ()
 
-    def names(self, label: str) -> tuple[str, ...]:
-        """The catalog of the KB entity label ``label``."""
-        return getattr(self, label.lower())
+# Per-type entity name catalogs, each sorted and duplicate-free: one field
+# per KB entity label (``KB_ENTITY_TYPES``), named after it in lower case.
+Catalogs = make_dataclass(
+    "Catalogs", [(label.lower(), tuple, ()) for label in KB_ENTITY_TYPES],
+    namespace={"__module__": __name__, "names": _names}, frozen=True,
+)
 
 
 def _parse_record(obj: dict, where: str) -> DiseaseEntry:

@@ -2,59 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from emrkg.errors import ConfigError
-
-# The seven span-bearing clinical entity types. Patient is record metadata
-# (one node per document), never a tagged span.
-DEFAULT_ENTITY_TYPES: tuple[str, ...] = (
-    "Disease",
-    "BodyCheck",
-    "Symptom",
-    "Condition",
-    "Check",
-    "Treatment",
-    "Operation",
-)
-
-
-@dataclass(frozen=True)
-class EntitySchema:
-    """Ordered set of entity type names.
-
-    The order is fixed so tag indexing stays reproducible across runs.
-    Lookups are case-insensitive; the canonical casing is whatever the
-    schema was constructed with.
-    """
-
-    entity_types: tuple[str, ...] = DEFAULT_ENTITY_TYPES
-    _by_lower: dict[str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.entity_types, (list, tuple)) or not self.entity_types:
-            raise ConfigError(f"entity_types must be a non-empty list, got {self.entity_types!r}")
-        if not all(isinstance(t, str) and t for t in self.entity_types):
-            raise ConfigError(f"entity types must be non-empty strings: {self.entity_types!r}")
-        lowered = [t.lower() for t in self.entity_types]
-        if len(set(lowered)) != len(lowered):
-            raise ConfigError(f"duplicate entity type names: {self.entity_types}")
-        object.__setattr__(self, "entity_types", tuple(self.entity_types))
-        object.__setattr__(self, "_by_lower", {t.lower(): t for t in self.entity_types})
-
-    def canonical(self, label: str) -> str | None:
-        """Resolve a label to its canonical casing, or None if unknown."""
-        return self._by_lower.get(label.lower())
-
-    def __contains__(self, label: str) -> bool:
-        return label.lower() in self._by_lower
-
-    def __iter__(self):
-        return iter(self.entity_types)
-
-    def __len__(self) -> int:
-        return len(self.entity_types)
-
 
 # The graph's design is two source tables; every table after them derives
 # from them. First, each KB relation, headed by a disease, and its tail label.
@@ -69,17 +19,21 @@ KB_RELATIONS: dict[str, str] = {
     "RelatedDepartment": "Department",
 }
 
-# Second, each span type's patient relation, which links a patient record to
-# its tagged spans.
+# Second, each of the seven span types and its patient relation, which links
+# a patient record to its tagged spans. The table's order is the tag order:
+# the tagger's tags, and so a model file's arrays, follow it.
 SPAN_TYPE_TO_RELATION: dict[str, str] = {
     "Disease": "HasDisease",
+    "BodyCheck": "HasBodyCheck",
     "Symptom": "HasSymptom",
-    "Operation": "Underwent",
-    "Treatment": "ReceivedTreatment",
     "Condition": "HasCondition",
     "Check": "HasCheck",
-    "BodyCheck": "HasBodyCheck",
+    "Treatment": "ReceivedTreatment",
+    "Operation": "Underwent",
 }
+
+DEFAULT_ENTITY_TYPES: tuple[str, ...] = tuple(SPAN_TYPE_TO_RELATION)
+_SPAN_TYPES_BY_LOWER = {t.lower(): t for t in DEFAULT_ENTITY_TYPES}
 
 KB_HEAD_LABEL = "Disease"  # the head of every KB relation
 PATIENT_LABEL = "Patient"  # one node per record, never a tagged span
@@ -104,3 +58,37 @@ _EDGES = [(r, KB_HEAD_LABEL, t) for r, t in KB_RELATIONS.items()] + [
 RELATION_ENDPOINTS: dict[str, tuple[tuple[str, str], ...]] = {
     relation: tuple((h, t) for r, h, t in _EDGES if r == relation) for relation, _, _ in _EDGES
 }
+
+
+@dataclass(frozen=True)
+class EntitySchema:
+    """The span types a run tags, in the order that indexes its tags.
+
+    Each configured type names one of ``SPAN_TYPE_TO_RELATION``'s types, in
+    any case, and none is repeated; it is stored in the table's spelling.
+    Lookups are case-insensitive.
+    """
+
+    entity_types: tuple[str, ...] = DEFAULT_ENTITY_TYPES
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.entity_types, (list, tuple)) or not self.entity_types:
+            raise ConfigError(f"entity_types must be a non-empty list, got {self.entity_types!r}")
+        spelled: list[str] = []
+        for name in self.entity_types:
+            span_type = _SPAN_TYPES_BY_LOWER.get(name.lower()) if isinstance(name, str) else None
+            if span_type is None or span_type in spelled:
+                why = "repeats a type" if span_type else "is not a span type"
+                raise ConfigError(f"entity type {name!r} {why}: entity_types take the span types "
+                                  f"{', '.join(DEFAULT_ENTITY_TYPES)}, in any case, none repeated")
+            spelled.append(span_type)
+        object.__setattr__(self, "entity_types", tuple(spelled))
+
+    def canonical(self, label: str) -> str | None:
+        """``label``'s type in the table's spelling, or None if this schema
+        does not hold it."""
+        span_type = _SPAN_TYPES_BY_LOWER.get(label.lower())
+        return span_type if span_type in self.entity_types else None
+
+    def __iter__(self):
+        return iter(self.entity_types)

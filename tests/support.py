@@ -52,9 +52,10 @@ def dense_doc_vectors(index: TfIdfIndex) -> np.ndarray:
     """The (N, V) document matrix that the index's flat postings encode:
     they are grouped by column, one run of ``len(rows)`` per term."""
     by_column = sorted(index.vocabulary, key=index.vocabulary.get)
-    cols = np.repeat(np.arange(len(by_column)), [len(index.postings[t][1]) for t in by_column])
+    rows = [index.postings[t][1] for t in by_column]
+    cols = np.repeat(np.arange(len(by_column)), [len(r) for r in rows])
     dense = np.zeros((len(index.names), len(index.vocabulary)))
-    dense[index.doc_ids, cols] = index.doc_vectors
+    dense[np.concatenate(rows), cols] = index.doc_vectors
     return dense
 
 

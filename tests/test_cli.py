@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import struct
 from collections import Counter
 from dataclasses import asdict, fields
@@ -118,6 +119,8 @@ _BAD_CONFIGS = {
     "train_derm_enabled_string": (_CONVERT, {"train": {"derm_enabled": "no"}}),
     "entity_types_not_strings": (_CONVERT, {"entity_types": [1, 2]}),
     "entity_types_string": (_CONVERT, {"entity_types": "Disease"}),
+    "entity_types_not_a_span_type": (_CONVERT, {"entity_types": ["Disease", "Gene"]}),
+    "entity_types_repeated_in_another_case": (_CONVERT, {"entity_types": ["Disease", "disease"]}),
     "seed_float": (_CONVERT, {"seed": 1.7}),
     "max_len_float": (_CONVERT, {"max_len": 20.9}),
     # json.dumps writes each lone surrogate as a \ud800 escape
@@ -238,6 +241,8 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="model-metadata-not-utf8"),
         pytest.param(["tag", "--model-file", "{meta_no_vocab}"], 3, "meta_no_vocab",
                      id="model-metadata-missing-key"),
+        pytest.param(["tag", "--model-file", "{meta_gene_type}"], 3, "meta_gene_type",
+                     id="model-metadata-entity-type-not-a-span-type"),
         pytest.param(["tag", "--model-file", "{array_name_not_utf8}"], 3, "array_name_not_utf8",
                      id="model-array-name-not-utf8"),
         pytest.param(["tag", "--model-file", "{array_dim_huge}"], 3, "array_dim_huge",
@@ -334,6 +339,10 @@ def test_unversioned_graph_file_is_a_data_error(tmp_path):
                      id="export-graph-name-not-utf8"),
         pytest.param(["train", "--train", "{bio_name_not_utf8}", "--validation", "{bio}"], 3,
                      "bio_name_not_utf8", id="train-train-name-not-utf8"),
+        pytest.param(["train", "--train", "{bio_empty}", "--validation", "{bio}"], 3,
+                     "bio_empty", id="train-train-empty"),
+        pytest.param(["train", "--train", "{bio_gene}", "--validation", "{bio}"], 3,
+                     "bio_gene", id="train-train-tag-not-in-schema"),
         pytest.param(["kb-load", "--kb-file", "{kb_name_not_utf8}"], 2, "kb_name_not_utf8",
                      id="kb-file-name-not-utf8"),
         pytest.param(["convert", "--output-dir", "{dir_name_not_utf8}"], 2, "dir_name_not_utf8",
@@ -357,6 +366,7 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
         "meta_lone_surrogate": tmp_path / "meta_lone_surrogate.bin",
         "array_name_not_utf8": tmp_path / "array_name_not_utf8.bin",
         "array_dim_huge": tmp_path / "array_dim_huge.bin",
+        "meta_gene_type": tmp_path / "meta_gene_type.bin",
     }
     paths["present"].write_text("", encoding="utf-8")
     paths["gbk"].write_bytes("肝\tB-Disease\n癌\tI-Disease\n".encode("gbk"))
@@ -393,19 +403,27 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     paths["trailing_byte"].write_bytes(raw + b"\0")  # a valid model, then one more byte
     assert raw.count(b'"hidden": 2') == 1
     paths["hidden_wrong"].write_bytes(raw.replace(b'"hidden": 2', b'"hidden": 3'))
-    # a valid model whose vocabulary token 肝 is the escape of a lone surrogate
+    # a valid model whose vocabulary token 肝 is the escape of a lone
+    # surrogate, or whose last entity type is not a span type
     at = len(MAGIC) + 4
     (meta_len,) = struct.unpack("<Q", raw[at:at + 8])
     meta = raw[at + 8:at + 8 + meta_len]
-    assert meta.count('"肝"'.encode("utf-8")) == 1
-    meta = meta.replace('"肝"'.encode("utf-8"), b'"\\ud800"')
-    paths["meta_lone_surrogate"].write_bytes(
-        raw[:at] + struct.pack("<Q", len(meta)) + meta + raw[at + 8 + meta_len:]
-    )
+    for name, old, new in [("meta_lone_surrogate", '"肝"'.encode("utf-8"), b'"\\ud800"'),
+                           ("meta_gene_type", b'"Operation"', b'"Gene"')]:
+        assert meta.count(old) == 1
+        edited = meta.replace(old, new)
+        paths[name].write_bytes(
+            raw[:at] + struct.pack("<Q", len(edited)) + edited + raw[at + 8 + meta_len:]
+        )
     for name, (_, overrides) in _BAD_CONFIGS.items():
         paths[name] = _write_config(tmp_path / f"{name}.json", **overrides)
     paths["bio"] = tmp_path / "sentences.bio"
     paths["bio"].write_text("肝\tB-Disease\n癌\tI-Disease\n", encoding="utf-8")
+    paths["bio_empty"] = tmp_path / "empty.bio"
+    paths["bio_empty"].write_text("", encoding="utf-8")
+    paths["bio_gene"] = tmp_path / "gene.bio"
+    paths["bio_gene"].write_text("肝\tB-Disease\n癌\tI-Disease\n\n基\tB-Gene\n因\tI-Gene\n",
+                                 encoding="utf-8")
     for name, record in [
         ("graph_not_object", "[1]"),
         ("graph_attributes_not_object", _NODE[:-1] + ', "attributes": 5}'),
@@ -481,6 +499,7 @@ def test_bad_inputs_exit_with_their_code_and_no_traceback(
     assert main(argv) == code
     if culprit is not None:
         assert str(paths[culprit]) in caplog.text
+    assert not (tmp_path / "out" / "dictionary.tsv").exists()  # train refuses it before writing
     assert "Traceback" not in capsys.readouterr().err
     assert "Traceback" not in caplog.text
 
@@ -860,6 +879,17 @@ def test_a_model_file_under_a_file_stops_train_before_any_output(tmp_path):
     assert main(["train", "--seed", "5", "--train", str(bio), "--validation", str(bio),
                  "--model-file", str(afile / "model.bin"), "--output-dir", str(out)]) == 2
     assert list(out.iterdir()) == []  # no train_log.csv, dictionary.tsv or manifest
+
+
+def test_train_names_the_line_of_a_sentence_with_a_tag_outside_the_schema(tmp_path, caplog):
+    bio = tmp_path / "train.bio"
+    bio.write_text("肝\tB-Disease\n癌\tI-Disease\n\n\n基\tB-Gene\n因\tI-Gene\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--seed", "5", "--train", str(bio), "--validation", str(bio),
+                 "--output-dir", str(out)]) == 3
+    assert f"train: {bio} line 5: tag 'B-Gene' not in tag set" in caplog.text
+    assert list(out.iterdir()) == []  # no dictionary.tsv
 
 
 def test_main_runs_a_stage_function_patched_after_an_earlier_call(tmp_path, kb_file, monkeypatch):
@@ -1297,7 +1327,7 @@ def test_align_without_a_source_flag_is_a_config_error(tmp_path, kb_file):
 # -- chained stages ------------------------------------------------------
 
 
-def _tiny_config(out, corpus_dir, kb_file):
+def _tiny_config(out, corpus_dir, kb_file, **overrides):
     """Fixture paths and a deliberately tiny model so a whole run stays fast."""
     config_path = out.parent / "config.json"
     config_path.write_text(json.dumps({
@@ -1309,8 +1339,32 @@ def _tiny_config(out, corpus_dir, kb_file):
             "batch_size": 10, "epochs": 2, "learning_rate": 0.2,
             "hidden": 8, "d_emb": 8,
         },
+        **overrides,
     }), encoding="utf-8")
     return config_path
+
+
+def test_entity_types_in_lower_case_run_as_the_default_types(tmp_path, corpus_dir, kb_file):
+    """A config's types are stored in the span table's spelling, so the
+    seven types in lower case write the default config's bytes."""
+    out = tmp_path / "out"
+    outputs = []
+    for overrides in ({}, {"entity_types": [t.lower() for t in DEFAULT_ENTITY_TYPES]}):
+        config_path = _tiny_config(out, corpus_dir, kb_file, **overrides)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        shutil.rmtree(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_type_that_is_not_a_span_type_stops_the_pipeline_before_any_output(
+    tmp_path, corpus_dir, kb_file, caplog
+):
+    out = tmp_path / "out"
+    config_path = _tiny_config(out, corpus_dir, kb_file, entity_types=["Disease", "Gene"])
+    assert main(["pipeline", "--config", str(config_path)]) == 2
+    assert "entity type 'Gene' is not a span type" in caplog.text
+    assert not out.exists()
 
 
 STAGE_FUNCTIONS = (

@@ -341,7 +341,8 @@ def test_add_patient_record_links_each_entity_with_its_relation():
 
 def test_the_schema_derives_the_endpoints_kb_types_labels_and_catalogs_it_wrote_out():
     """``schema.py`` derives these tables from its two source tables; they
-    keep the values and the order they had when each was written out."""
+    keep the values they had when each was written out, in the order of
+    the source tables (the patient relations in tag order)."""
     assert list(RELATION_ENDPOINTS.items()) == [
         ("RecommendedFood", (("Disease", "Food"),)),
         ("AvoidFood", (("Disease", "Food"),)),
@@ -352,16 +353,17 @@ def test_the_schema_derives_the_endpoints_kb_types_labels_and_catalogs_it_wrote_
         ("Complication", (("Disease", "Disease"),)),
         ("RelatedDepartment", (("Disease", "Department"),)),
         ("HasDisease", (("Patient", "Disease"),)),
-        ("Underwent", (("Patient", "Operation"),)),
-        ("ReceivedTreatment", (("Patient", "Treatment"),)),
+        ("HasBodyCheck", (("Patient", "BodyCheck"),)),
         ("HasCondition", (("Patient", "Condition"),)),
         ("HasCheck", (("Patient", "Check"),)),
-        ("HasBodyCheck", (("Patient", "BodyCheck"),)),
+        ("ReceivedTreatment", (("Patient", "Treatment"),)),
+        ("Underwent", (("Patient", "Operation"),)),
     ]
     assert KB_ENTITY_TYPES == ("Disease", "Food", "Department", "Drug", "Examination", "Symptom")
     assert GRAPH_LABELS == ("Patient", "Disease", "BodyCheck", "Symptom", "Condition", "Check",
                             "Treatment", "Operation", "Food", "Department", "Drug", "Examination")
-    assert [f.name for f in fields(Catalogs)] == [label.lower() for label in KB_ENTITY_TYPES]
+    assert [f.name for f in fields(Catalogs)] == [
+        "disease", "food", "department", "drug", "examination", "symptom"]
 
 
 def test_add_patient_record_rejects_untyped_entities():

@@ -85,13 +85,49 @@ def test_the_check_finds_a_label_or_relation_name():
         (1, "Disease"), (2, "HasCheck"), (5, "Disease")]
 
 
+def identifiers_named(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """The ``(line, identifier)`` of each name, attribute, argument, keyword
+    or definition in ``source`` that is one of ``names``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            identifier = node.id
+        elif isinstance(node, ast.Attribute):
+            identifier = node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            identifier = node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            identifier = node.name
+        else:
+            continue
+        if identifier in names:
+            found.append((node.lineno, identifier))
+    return sorted(found)
+
+
+def test_the_check_finds_a_lower_case_label_identifier():
+    source = ("disease = 1\nx.food\ndef f(drug, *, symptom=2): pass\nf(check=3)\n"
+              "class patient: pass\ndiseases = 'disease'\nf(**kw)\n")
+    names = {"disease", "food", "drug", "symptom", "check", "patient"}
+    assert identifiers_named(source, names) == [
+        (1, "disease"), (2, "food"), (3, "drug"), (3, "symptom"), (4, "check"), (5, "patient")]
+
+
 def test_only_schema_py_names_a_graph_label_or_relation():
     """The type and relation design is written once, in ``schema.py``;
-    every other module reads its tables and named labels."""
+    every other module reads its tables and named labels, and names no
+    identifier after a label in lower case."""
     names = set(GRAPH_LABELS) | set(RELATION_ENDPOINTS)
+    lowered = {label.lower() for label in GRAPH_LABELS}
     schema_py = SRC / "emrkg" / "schema.py"
-    found = [f"{path.relative_to(SRC)}:{line}: {value!r}" for path in MODULES if path != schema_py
-             for line, value in schema_names(path.read_text(encoding="utf-8"), names)]
+    found = []
+    for path in MODULES:
+        if path != schema_py:
+            source = path.read_text(encoding="utf-8")
+            found += [f"{path.relative_to(SRC)}:{line}: {value!r}"
+                      for line, value in schema_names(source, names)]
+            found += [f"{path.relative_to(SRC)}:{line}: identifier {value}"
+                      for line, value in identifiers_named(source, lowered)]
     assert not found, f"{len(found)} labels or relations outside schema.py:\n" + "\n".join(found)
 
 

@@ -314,7 +314,7 @@ def run_convert(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 
 def run_split(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     bio_path = _input(args, "bio", cfg.output_dir / "corpus.bio")
-    sentences = read_bio_file(bio_path)
+    sentences = read_bio_file(bio_path, TagSet(cfg.schema).tags)
     try:
         parts = split_dataset(sentences, derive_seed(cfg.seed, "split"))
     except DataError as exc:  # too few sentences
@@ -331,7 +331,7 @@ def run_split(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
 def run_augment(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     bio_path = _input(args, "bio")
     dict_path = _input(args, "dictionary")
-    sentences = read_bio_file(bio_path)
+    sentences = read_bio_file(bio_path, TagSet(cfg.schema).tags)
     dictionary = read_dictionary_file(dict_path)
     rng = np.random.default_rng(derive_seed(cfg.seed, "augment"))
     outcomes = augment_epoch(sentences, dictionary, cfg.train.derm, rng)
@@ -352,10 +352,11 @@ def run_train(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     if model_path.is_dir():  # refused before training, not after every epoch
         raise DataError(f"cannot write {model_path}: it is a directory")
     # refused here, before the dictionary is built and written
-    train_sentences = read_bio_file(train_path, TagSet(cfg.schema).tags)
+    tags = TagSet(cfg.schema).tags
+    train_sentences = read_bio_file(train_path, tags)
     if not train_sentences:
         raise DataError(f"{train_path}: empty training set")
-    validation_sentences = read_bio_file(validation_path)
+    validation_sentences = read_bio_file(validation_path, tags)
     inputs = [train_path, validation_path]
     if dict_path is not None:
         dictionary = read_dictionary_file(dict_path)
@@ -438,7 +439,7 @@ def run_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> list[Path]:
     gold_path = _input(args, "gold", cfg.output_dir / "test.bio")
     model_path = _input(args, "model_file", cfg.resolved_model_file())
     model = load_model(model_path)
-    gold = read_bio_file(gold_path)
+    gold = read_bio_file(gold_path, TagSet(cfg.schema).tags)
     predicted = predict(model, gold)
     report = precision_recall_f1(count_matches(gold, predicted))
     _write_json(cfg.output_dir / "eval.json", {

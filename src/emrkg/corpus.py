@@ -84,11 +84,13 @@ class BioSentence:
             raise DataError(f"{len(self.chars)} chars vs {len(self.tags)} tags")
         prev = "O"
         for i, tag in enumerate(self.tags):
-            if tag.startswith("I-"):
-                if prev != "B-" + tag[2:] and prev != tag:
-                    raise DataError(f"tag {tag!r} at position {i} follows {prev!r}")
-            elif tag != "O" and not tag.startswith("B-"):
-                raise DataError(f"unrecognized tag {tag!r} at position {i}")
+            # an O, or a repeat of the tag before it (checked already), is legal
+            if tag != "O" and tag != prev:
+                if tag.startswith("I-"):
+                    if prev != "B-" + tag[2:]:
+                        raise DataError(f"tag {tag!r} at position {i} follows {prev!r}")
+                elif not tag.startswith("B-"):
+                    raise DataError(f"unrecognized tag {tag!r} at position {i}")
             prev = tag
 
     def __len__(self) -> int:

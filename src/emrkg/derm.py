@@ -25,6 +25,7 @@ import numpy as np
 
 from emrkg.corpus import BioSentence, from_bio
 from emrkg.errors import ConfigError, DataError, is_real, read_lines, write_file
+from emrkg.schema import span_type
 
 log = logging.getLogger(__name__)
 
@@ -170,6 +171,8 @@ def write_dictionary_file(dictionary: EntityDictionary, path: str | Path) -> Non
 
 
 def read_dictionary_file(path: str | Path) -> EntityDictionary:
+    """The `type\\tsurface` lines of ``path``; each type names a span type in
+    any case and is stored in the table's spelling."""
     by_type: dict[str, list[str]] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
@@ -177,5 +180,8 @@ def read_dictionary_file(path: str | Path) -> EntityDictionary:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[1]:
             raise DataError(f"{path} line {lineno}: expected `type\\tsurface`")
-        by_type.setdefault(parts[0], []).append(parts[1])
+        etype = span_type(parts[0])
+        if etype is None:
+            raise DataError(f"{path} line {lineno}: type {parts[0]!r} is not a span type")
+        by_type.setdefault(etype, []).append(parts[1])
     return EntityDictionary({t: tuple(s) for t, s in by_type.items()})

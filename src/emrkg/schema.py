@@ -35,6 +35,13 @@ SPAN_TYPE_TO_RELATION: dict[str, str] = {
 DEFAULT_ENTITY_TYPES: tuple[str, ...] = tuple(SPAN_TYPE_TO_RELATION)
 _SPAN_TYPES_BY_LOWER = {t.lower(): t for t in DEFAULT_ENTITY_TYPES}
 
+
+def span_type(name: str) -> str | None:
+    """The span type that ``name`` spells in any case, in the table's
+    spelling, or None if it names none."""
+    return _SPAN_TYPES_BY_LOWER.get(name.lower())
+
+
 KB_HEAD_LABEL = "Disease"  # the head of every KB relation
 PATIENT_LABEL = "Patient"  # one node per record, never a tagged span
 ALIGNED_LABEL = "Disease"  # the one label whose surfaces align to the KB's names
@@ -76,19 +83,19 @@ class EntitySchema:
             raise ConfigError(f"entity_types must be a non-empty list, got {self.entity_types!r}")
         spelled: list[str] = []
         for name in self.entity_types:
-            span_type = _SPAN_TYPES_BY_LOWER.get(name.lower()) if isinstance(name, str) else None
-            if span_type is None or span_type in spelled:
-                why = "repeats a type" if span_type else "is not a span type"
+            spelling = span_type(name) if isinstance(name, str) else None
+            if spelling is None or spelling in spelled:
+                why = "repeats a type" if spelling else "is not a span type"
                 raise ConfigError(f"entity type {name!r} {why}: entity_types take the span types "
                                   f"{', '.join(DEFAULT_ENTITY_TYPES)}, in any case, none repeated")
-            spelled.append(span_type)
+            spelled.append(spelling)
         object.__setattr__(self, "entity_types", tuple(spelled))
 
     def canonical(self, label: str) -> str | None:
         """``label``'s type in the table's spelling, or None if this schema
         does not hold it."""
-        span_type = _SPAN_TYPES_BY_LOWER.get(label.lower())
-        return span_type if span_type in self.entity_types else None
+        spelling = span_type(label)
+        return spelling if spelling in self.entity_types else None
 
     def __iter__(self):
         return iter(self.entity_types)

@@ -105,10 +105,15 @@ def nll_with_grad(
 
 def viterbi(
     emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray
-) -> list[np.ndarray]:
+) -> list[list[int]]:
     """Highest-scoring tag path of each row of a (B, L, K) batch (argmax
     ties resolve to the lowest index), scoring only the row's first
     ``lengths[b]`` steps, so whatever follows them in the row is ignored.
+
+    Scores and back-pointers are kept step-major, (L, B, K). Each step
+    scores its candidates as [row, to, from] against the transposed inner
+    transitions, takes each best ``from`` with one argmax over the last
+    axis, and reads the maximum by a gather at that argmax.
     """
     length, num_tags = _check(emissions, transitions)
     batch = emissions.shape[0]
@@ -118,21 +123,27 @@ def viterbi(
     if np.any(lengths < 1):
         raise DataError("a row of the emission batch has zero length")
     start, stop = num_tags, num_tags + 1
-    inner = transitions[:num_tags, :num_tags]
+    inner_t = np.ascontiguousarray(transitions[:num_tags, :num_tags].T)  # [to, from]
 
-    scores = np.empty((batch, length, num_tags))
-    backptr = np.empty((batch, length, num_tags), dtype=np.intp)
-    scores[:, 0] = transitions[start, :num_tags] + emissions[:, 0]
+    scores = np.empty((length, batch, num_tags))
+    backptr = np.empty((length, batch, num_tags), dtype=np.intp)
+    scores[0] = transitions[start, :num_tags] + emissions[:, 0]
+    # flat offset of each (row, to) slice of the candidates, so that one
+    # gather at the argmax reads the maximum
+    offsets = np.arange(0, batch * num_tags * num_tags, num_tags).reshape(batch, num_tags)
     for i in range(1, length):
-        candidates = scores[:, i - 1, :, None] + inner
-        backptr[:, i] = np.argmax(candidates, axis=1)
-        scores[:, i] = emissions[:, i] + np.max(candidates, axis=1)
+        candidates = scores[i - 1, :, None, :] + inner_t  # [row, to, from]
+        best = np.argmax(candidates, axis=2, out=backptr[i])
+        np.add(emissions[:, i], candidates.reshape(-1)[offsets + best], out=scores[i])
     rows = np.arange(batch)
-    last = np.argmax(scores[rows, lengths - 1] + transitions[:num_tags, stop], axis=1)
+    last = np.argmax(scores[lengths - 1, rows] + transitions[:num_tags, stop], axis=1)
 
-    paths = np.empty((batch, length), dtype=np.intp)
-    paths[:, -1] = tag = last
-    for i in range(length - 2, -1, -1):
-        tag = np.where(i == lengths - 1, last, backptr[rows, i + 1, tag])
-        paths[:, i] = tag
-    return [paths[b, : lengths[b]] for b in range(batch)]
+    # Past a row's last step its pointers keep the tag, so that walking
+    # back from the batch's end reaches that step at the row's best last tag.
+    backptr[np.arange(length)[:, None] >= lengths] = np.arange(num_tags)
+    row_offsets = rows * num_tags
+    paths = np.empty((length, batch), dtype=np.intp)
+    paths[-1] = tag = last
+    for i in range(length - 1, 0, -1):
+        paths[i - 1] = tag = backptr[i].reshape(-1)[row_offsets + tag]
+    return [path[:n] for path, n in zip(paths.T.tolist(), lengths.tolist())]

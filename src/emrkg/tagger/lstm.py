@@ -12,8 +12,9 @@ step's gates and cells, and :func:`lstm_backward` consumes d(loss)/d(h_t)
 for every step and returns parameter gradients plus d(loss)/d(x_t).
 
 Inference runs a batch of right-padded index rows through
-:func:`lstm_states`, which keeps only the hidden states. Padding sits after
-each row's last character, so it never feeds a step that matters.
+:func:`lstm_states`, which keeps only the hidden states, step-major, so
+each step reads and writes contiguous blocks. Padding sits after each
+row's last character, so it never feeds a step that matters.
 """
 
 from __future__ import annotations
@@ -80,32 +81,34 @@ def lstm_forward(params: LstmParams, inputs: np.ndarray) -> LstmCache:
 
 
 def lstm_states(params: LstmParams, table: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Hidden states (B, L, h) of right-padded index rows (B, L), with no cache.
+    """Hidden states (L, B, h) of right-padded index rows (B, L), with no cache.
 
     ``table`` is ``embedding @ w.T + b``, shape (V, 4h): each step gathers
     its rows instead of embedding the whole batch. All four gates come from
-    one tanh, since sigmoid(x) = tanh(x/2)/2 + 1/2.
+    one tanh, since sigmoid(x) = tanh(x/2)/2 + 1/2. The halving is folded
+    into the gathered table and into ``u.T`` once per call; scaling by 0.5
+    or 1 is exact, so the gates are bit for bit those of scaling each step.
     """
     batch, length = indices.shape
     h = params.hidden
     scale = np.full(4 * h, 0.5)
     scale[2 * h : 3 * h] = 1.0
     shift = 1.0 - scale
-    u_t = params.u.T
-    states = np.empty((batch, length, h))
+    table = table * scale
+    u_t = params.u.T * scale
+    steps = np.ascontiguousarray(indices.T)
+    states = np.empty((length, batch, h))
     h_prev = np.zeros((batch, h))
     c = np.zeros((batch, h))
     for t in range(length):
-        a = table[indices[:, t]]
+        a = table.take(steps[t], axis=0)
         a += h_prev @ u_t
-        a *= scale
         gates = np.tanh(a, out=a)
         gates *= scale
         gates += shift
         c *= gates[:, h : 2 * h]
         c += gates[:, :h] * gates[:, 2 * h : 3 * h]
-        h_prev = gates[:, 3 * h :] * np.tanh(c)
-        states[:, t] = h_prev
+        h_prev = np.multiply(gates[:, 3 * h :], np.tanh(c), out=states[t])
     return states
 
 

@@ -80,7 +80,7 @@ class TagSet:
             raise DataError(f"tag {err.args[0]!r} not in tag set") from None
 
     def decode(self, indices: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.tags[i] for i in indices)
+        return tuple(map(self.tags.__getitem__, indices))
 
     def allowed_transitions(self) -> np.ndarray:
         """Boolean (K+2)x(K+2) mask of structurally legal transitions.

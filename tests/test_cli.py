@@ -22,7 +22,7 @@ import emrkg.cli
 import emrkg.graph
 from emrkg.cli import build_parser, derive_seed, load_config, main
 from emrkg.corpus import read_bio_file
-from emrkg.derm import DermConfig
+from emrkg.derm import DermConfig, read_dictionary_file, write_dictionary_file
 from emrkg.errors import DataError, InternalError, encode_record
 from emrkg.fusion import FusionConfig
 from emrkg.graph import load_graph, save_graph
@@ -890,6 +890,69 @@ def test_train_names_the_line_of_a_sentence_with_a_tag_outside_the_schema(tmp_pa
                  "--output-dir", str(out)]) == 3
     assert f"train: {bio} line 5: tag 'B-Gene' not in tag set" in caplog.text
     assert list(out.iterdir()) == []  # no dictionary.tsv
+
+
+@pytest.mark.parametrize("stage, flag", [
+    (["split"], "--bio"),
+    (["augment", "--dictionary", "{dictionary}"], "--bio"),
+    (["train", "--train", "{ok}"], "--validation"),
+    (["evaluate", "--model-file", "{model}"], "--gold"),
+], ids=["split-bio", "augment-bio", "train-validation", "evaluate-gold"])
+def test_each_bio_input_names_the_line_of_a_tag_outside_the_schema(stage, flag, tmp_path, caplog):
+    paths = {name: tmp_path / name for name in ("ok", "gene", "dictionary", "model")}
+    paths["ok"].write_text("肝\tB-Disease\n癌\tI-Disease\n", encoding="utf-8")
+    paths["gene"].write_text("肝\tB-Disease\n癌\tI-Disease\n\n基\tB-Gene\n因\tI-Gene\n",
+                             encoding="utf-8")
+    paths["dictionary"].write_text("Disease\t肝癌\n", encoding="utf-8")
+    save_model(init_model(Vocabulary.build(["肝癌"]), TagSet(EntitySchema()), d_emb=2, hidden=2,
+                          rng=np.random.default_rng(0)), paths["model"])
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in stage] + [flag, str(paths["gene"])]
+    assert main(argv + ["--seed", "5", "--output-dir", str(out)]) == 3
+    assert f"{stage[0]}: {paths['gene']} line 4: tag 'B-Gene' not in tag set" in caplog.text
+    assert list(out.iterdir()) == []
+
+
+def _augment_actions(tmp_path, name, dictionary_text, derm_dir):
+    dictionary = tmp_path / f"{name}.tsv"
+    dictionary.write_text(dictionary_text, encoding="utf-8")
+    out = tmp_path / name
+    assert main(["augment", "--seed", "3", "--output-dir", str(out), "--bio",
+                 str(derm_dir / "train.bio"), "--dictionary", str(dictionary)]) == 0
+    return (json.loads((out / "augment_report.json").read_text(encoding="utf-8")),
+            (out / "augmented.bio").read_bytes())
+
+
+def test_augment_reads_dictionary_types_in_any_case(tmp_path, derm_dir):
+    text = (derm_dir / "dictionary.tsv").read_text(encoding="utf-8")
+    lowered = "".join(f"{line.split(chr(9))[0].lower()}\t{line.split(chr(9))[1]}"
+                      for line in text.splitlines(keepends=True))
+    assert lowered != text
+    report, augmented = _augment_actions(tmp_path, "table", text, derm_dir)
+    assert report["actions"]["Replace"] > 0
+    assert _augment_actions(tmp_path, "lowered", lowered, derm_dir) == (report, augmented)
+
+
+def test_augment_refuses_a_dictionary_type_that_is_not_a_span_type(tmp_path, derm_dir, caplog):
+    dictionary = tmp_path / "dictionary.tsv"
+    dictionary.write_text("Disease\t肝癌\nGene\tBRCA1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["augment", "--seed", "3", "--output-dir", str(out), "--bio",
+                 str(derm_dir / "train.bio"), "--dictionary", str(dictionary)]) == 3
+    assert f"{dictionary} line 2: type 'Gene' is not a span type" in caplog.text
+    assert list(out.iterdir()) == []
+
+
+def test_the_dictionary_that_train_writes_reads_back_unchanged(tmp_path, kb_file, derm_dir):
+    config = _write_config(tmp_path / "cfg.json", kb_file=str(kb_file),
+                           train={"epochs": 1, "hidden": 2, "d_emb": 2})
+    assert main(["train", "--config", str(config), "--train", str(derm_dir / "train.bio"),
+                 "--validation", str(derm_dir / "validation.bio")]) == 0
+    written = tmp_path / "out" / "dictionary.tsv"
+    dictionary = read_dictionary_file(written)
+    assert set(dictionary.by_type) == {"Disease", "Symptom"}
+    write_dictionary_file(dictionary, tmp_path / "again.tsv")
+    assert (tmp_path / "again.tsv").read_bytes() == written.read_bytes()
 
 
 def test_main_runs_a_stage_function_patched_after_an_earlier_call(tmp_path, kb_file, monkeypatch):

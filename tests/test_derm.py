@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -268,4 +270,20 @@ def test_read_dictionary_rejects_malformed_lines(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("Symptom 腹泻\n", encoding="utf-8")
     with pytest.raises(DataError):
+        read_dictionary_file(path)
+
+
+def test_read_dictionary_spells_each_type_as_the_span_type_table(tmp_path):
+    path = tmp_path / "dict.tsv"
+    path.write_text("disease\t肝癌\nSYMPTOM\t头痛\nDisease\t肝硬化\n", encoding="utf-8")
+    assert read_dictionary_file(path) == EntityDictionary(
+        {"Disease": ("肝癌", "肝硬化"), "Symptom": ("头痛",)}
+    )
+
+
+def test_read_dictionary_refuses_a_type_that_is_not_a_span_type(tmp_path):
+    path = tmp_path / "dict.tsv"
+    path.write_text("Disease\t肝癌\n\nGene\tBRCA1\n", encoding="utf-8")
+    message = f"{path} line 3: type 'Gene' is not a span type"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         read_dictionary_file(path)

@@ -19,6 +19,7 @@ from emrkg.tagger.model import (
     param_shapes,
     sentence_loss_and_grads,
 )
+from emrkg.tagger import model as model_module
 from emrkg.tagger.crf import nll_with_grad
 from emrkg.tagger.vocab import PAD_TOKEN, UNK_TOKEN
 from tests.oracles import emissions_by_sentence, predict_by_sentence
@@ -184,6 +185,27 @@ def test_batched_predict_equals_the_per_sentence_oracle(small_schema, seed):
         np.testing.assert_allclose(
             encode(model, text), emissions_by_sentence(model, text), rtol=0, atol=1e-10
         )
+
+
+@pytest.mark.parametrize("hidden", [6, 128])
+def test_chunk_size_does_not_change_predictions(small_schema, hidden, monkeypatch):
+    """One sentence per batch, a chunk that divides nothing, the module's
+    chunk, and one batch of every sentence all give the oracle's tags."""
+    rng = np.random.default_rng(hidden)
+    vocab = Vocabulary.build(["肝癌伴腹痛头晕乏力发热咳嗽。"])
+    model = init_model(vocab, TagSet(small_schema), d_emb=5, hidden=hidden, rng=rng)
+    for array in model.params.values():
+        finite = np.isfinite(array)
+        array[finite] = rng.normal(scale=2.0 / np.sqrt(hidden), size=int(finite.sum()))
+    pool = list("肝癌伴腹痛头晕乏力发热咳嗽。") + list("XY血")
+    texts = ["".join(rng.choice(pool, size=n)) for n in rng.integers(1, 30, size=40)]
+    sentences = [BioSentence(t, ("O",) * len(t)) for t in texts]
+
+    expected = predict_by_sentence(model, texts)
+    assert len({tag for tags in expected for tag in tags}) > 2
+    for chunk in (1, 7, _PREDICT_CHUNK, len(texts) + 1):
+        monkeypatch.setattr(model_module, "_PREDICT_CHUNK", chunk)
+        assert [p.tags for p in predict(model, sentences)] == expected, chunk
 
 
 def test_sentence_loss_equals_crf_nll_of_encoded_emissions(model):

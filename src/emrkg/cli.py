@@ -27,9 +27,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 import emrkg
+from emrkg._np import np
 from emrkg.corpus import (
     AnnotatedDocument,
     BioSentence,
@@ -232,6 +231,17 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _numpy_version() -> str:
+    """numpy's version, read without loading numpy: from numpy once a stage
+    has loaded it, else from its install metadata. That import costs about
+    17 ms and 1.8 MB, so it is made here, and only when needed."""
+    if "numpy.version" in sys.modules:
+        return np.__version__
+    import importlib.metadata
+
+    return importlib.metadata.version("numpy")
+
+
 def write_manifest(cfg: PipelineConfig, subcommand: str, inputs: list[Path]) -> Path:
     resolved = cfg.as_dict()
     manifest = {
@@ -243,7 +253,7 @@ def write_manifest(cfg: PipelineConfig, subcommand: str, inputs: list[Path]) -> 
         "inputs": {str(p): _sha256_file(p) for p in sorted(set(inputs))},
         "versions": {
             "emrkg": emrkg.__version__,
-            "numpy": np.__version__,
+            "numpy": _numpy_version(),
             "python": platform.python_version(),
         },
     }

@@ -18,8 +18,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from emrkg._np import np
 from emrkg.errors import DataError, read_text, require_utf8_name, write_file
 from emrkg.schema import EntitySchema
 

@@ -21,8 +21,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from emrkg._np import np
 from emrkg.corpus import BioSentence, from_bio
 from emrkg.errors import ConfigError, DataError, is_real, read_lines, write_file
 from emrkg.schema import span_type

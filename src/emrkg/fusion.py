@@ -28,8 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from emrkg._np import np
 from emrkg.errors import ConfigError, DataError, is_real
 from emrkg.graph import KnowledgeGraph
 from emrkg.schema import ALIGNED_LABEL

@@ -13,8 +13,7 @@ reductions subtract the per-slice maximum so scores stay finite.
 
 from __future__ import annotations
 
-import numpy as np
-
+from emrkg._np import np
 from emrkg.errors import DataError
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from emrkg._np import np
 
 
 @dataclass

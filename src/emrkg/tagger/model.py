@@ -30,8 +30,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from emrkg._np import np
 from emrkg.corpus import BioSentence
 from emrkg.errors import ConfigError, DataError, find_lone_surrogate, write_file
 from emrkg.schema import EntitySchema

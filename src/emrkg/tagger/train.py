@@ -11,8 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from emrkg._np import np
 from emrkg.corpus import BioSentence, DatasetSplit
 from emrkg.derm import DermConfig, EntityDictionary, augment_epoch
 from emrkg.errors import ConfigError, DataError, is_real

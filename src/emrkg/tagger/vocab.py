@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
+from emrkg._np import np
 from emrkg.derm import MASK_SYMBOL
 from emrkg.errors import DataError
 from emrkg.schema import EntitySchema

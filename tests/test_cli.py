@@ -807,6 +807,16 @@ def test_manifest_input_digests_match_file_contents(tmp_path, kb_file):
     assert manifest["inputs"] == {str(kb_file): digest}
 
 
+def test_the_manifest_records_the_numpy_that_runs(tmp_path, kb_file):
+    """Once a stage has loaded numpy, the manifest reads numpy's version
+    from it; ``tests/test_startup.py`` checks the version that a process
+    without numpy reads from the install metadata."""
+    out = tmp_path / "out"
+    assert main(["kb-load", "--seed", "3", "--kb-file", str(kb_file), "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["versions"]["numpy"] == np.__version__
+
+
 def test_split_produces_the_three_partitions(tmp_path, corpus_dir):
     out = tmp_path / "out"
     main(["convert", "--seed", "11", "--corpus-dir", str(corpus_dir), "--output-dir", str(out)])

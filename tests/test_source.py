@@ -131,6 +131,34 @@ def test_only_schema_py_names_a_graph_label_or_relation():
     assert not found, f"{len(found)} labels or relations outside schema.py:\n" + "\n".join(found)
 
 
+def numpy_imports(source: str) -> list[int]:
+    """The line of each ``import numpy`` (of numpy or a submodule, at any
+    depth of the module) and each ``from numpy... import`` in ``source``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and (node.module or "").partition(".")[0] == "numpy")
+
+
+def test_the_check_finds_a_numpy_import():
+    source = ("import numpy\nimport numpy as np\nimport os, numpy.linalg\nfrom numpy import zeros\n"
+              "from numpy.random import default_rng\nfrom emrkg._np import np\nimport numpyish\n"
+              "from . import numpy\ndef f():\n    import numpy\n")
+    assert numpy_imports(source) == [1, 2, 3, 4, 5, 10]
+
+
+def test_only_the_lazy_helper_imports_numpy():
+    """Modules take ``np`` from ``emrkg._np``, which loads numpy at its
+    first use. An import statement anywhere else would load it when
+    ``emrkg.cli`` is imported, for every subcommand: the import system
+    reads the lazy module's ``__spec__``."""
+    helper = SRC / "emrkg" / "_np.py"
+    found = [f"{path.relative_to(SRC)}:{line}" for path in MODULES if path != helper
+             for line in numpy_imports(path.read_text(encoding="utf-8"))]
+    assert not found, f"{len(found)} numpy imports outside emrkg/_np.py:\n" + "\n".join(found)
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """``module:line: qualified name`` of each function, class or method
     that ``sources`` (module name -> source) define and that no name or

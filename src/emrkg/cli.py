@@ -231,18 +231,12 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _numpy_version() -> str:
-    """numpy's version, read without loading numpy: from numpy once a stage
-    has loaded it, else from its install metadata. That import costs about
-    17 ms and 1.8 MB, so it is made here, and only when needed."""
-    if "numpy.version" in sys.modules:
-        return np.__version__
+def write_manifest(cfg: PipelineConfig, subcommand: str, inputs: list[Path]) -> Path:
+    # numpy's version comes from its install metadata, so that writing a
+    # manifest does not load numpy. The import costs about 15 ms, so only
+    # runs that write a manifest pay it.
     import importlib.metadata
 
-    return importlib.metadata.version("numpy")
-
-
-def write_manifest(cfg: PipelineConfig, subcommand: str, inputs: list[Path]) -> Path:
     resolved = cfg.as_dict()
     manifest = {
         "subcommand": subcommand,
@@ -253,7 +247,7 @@ def write_manifest(cfg: PipelineConfig, subcommand: str, inputs: list[Path]) -> 
         "inputs": {str(p): _sha256_file(p) for p in sorted(set(inputs))},
         "versions": {
             "emrkg": emrkg.__version__,
-            "numpy": _numpy_version(),
+            "numpy": importlib.metadata.version("numpy"),
             "python": platform.python_version(),
         },
     }
